@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -174,7 +175,9 @@ def simulate(spec: SimulationSpec) -> Dataset:
 def load_csv(path, target_column_name: str) -> Dataset:
     """Read a headered CSV into a dataset; complete-case rows only.
 
-    Rows containing any empty cell are dropped (the count is logged).
+    Rows containing any empty cell are dropped (the count is logged); a
+    non-numeric or non-finite (nan, inf) feature cell is a DataError
+    naming the file and line.
     Target values are factor-encoded in first-appearance order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -201,9 +204,12 @@ def load_csv(path, target_column_name: str) -> Dataset:
             if i == target_idx:
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric feature cell {cell!r}")
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite feature cell {cell!r}")
+            values.append(value)
         features.append(values)
         raw_labels.append(row[target_idx].strip())
     if dropped:

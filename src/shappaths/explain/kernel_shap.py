@@ -31,7 +31,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_COALITIONS = 2048
 DEFAULT_BACKGROUND = 100
-_BLOCK_FLOATS = 2 ** 24  # chunk model evaluation around ~128 MB of masked rows
+# masked rows per model call (whole coalitions). Blocks this small keep the
+# activations in cache and each matrix product below OpenBLAS's multithreading
+# size, so model evaluation runs on one core without page faults and its time
+# does not depend on whether another process holds the second core.
+_BLOCK_ROWS = 512
 
 
 def kernel_weight(p: int, size: int) -> float:
@@ -104,7 +108,7 @@ def _coalition_values(model, x: np.ndarray, coalitions: np.ndarray,
     """(n_coalitions, k) mean margins with masked features drawn from background."""
     n_coal, p = coalitions.shape
     m = background.shape[0]
-    per_block = max(1, _BLOCK_FLOATS // (m * p))
+    per_block = max(1, _BLOCK_ROWS // m)
     outputs = []
     for start in range(0, n_coal, per_block):
         z = coalitions[start:start + per_block]
@@ -184,12 +188,8 @@ def kernel_shap(model, X: np.ndarray, background: Background,
             v = _coalition_values(model, X[i], coalitions, background.data)
             values[i] = _solve_constrained(coalitions, weights, v, base, margins[i])
     return ShapTensor(
-        values=values, base=base,
-        sample_ids=np.arange(n) if sample_ids is None else np.asarray(sample_ids),
-        feature_names=tuple(feature_names) if feature_names
-        else tuple(f"feature_{j}" for j in range(p)),
-        class_names=tuple(class_names) if class_names
-        else tuple(f"class_{c}" for c in range(k)),
+        values=values, base=base, sample_ids=sample_ids,
+        feature_names=feature_names, class_names=class_names,
         method="kernel_shap_exact" if exact else "kernel_shap",
         model_kind=type(model).__name__.lower(),
         background=background.label or f"rows:{background.m}")

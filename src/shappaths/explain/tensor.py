@@ -24,13 +24,19 @@ from ..errors import DataError
 TENSOR_SCHEMA_VERSION = 1
 
 
+def _names(given, prefix: str, count: int) -> tuple[str, ...]:
+    """The given names, or ``prefix_0 .. prefix_{count-1}`` when none are given."""
+    names = () if given is None else tuple(given)
+    return names or tuple(f"{prefix}_{i}" for i in range(count))
+
+
 @dataclass(frozen=True)
 class ShapTensor:
     values: np.ndarray              # (n, p, k)
     base: np.ndarray                # (k,)
-    sample_ids: np.ndarray          # (n,) int
-    feature_names: tuple[str, ...]
-    class_names: tuple[str, ...]
+    sample_ids: np.ndarray | None = None           # (n,) int; default 0..n-1
+    feature_names: tuple[str, ...] | None = None   # default feature_{j}
+    class_names: tuple[str, ...] | None = None     # default class_{c}
     method: str = ""                # producing algorithm
     model_kind: str = ""            # explained model
     background: str = ""            # background provenance (kernel method only)
@@ -38,13 +44,14 @@ class ShapTensor:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         base = np.asarray(self.base, dtype=float)
-        ids = np.asarray(self.sample_ids, dtype=int)
+        n, p, k = values.shape
+        ids = np.arange(n) if self.sample_ids is None \
+            else np.asarray(self.sample_ids, dtype=int)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sample_ids", ids)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        n, p, k = values.shape
+        object.__setattr__(self, "feature_names", _names(self.feature_names, "feature", p))
+        object.__setattr__(self, "class_names", _names(self.class_names, "class", k))
         if base.shape != (k,):
             raise DataError(f"base must have shape ({k},), got {base.shape}")
         if ids.shape != (n,):

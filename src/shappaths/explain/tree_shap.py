@@ -1,21 +1,32 @@
-"""Exact Shapley attributions for tree models in polynomial time.
+"""Exact path-dependent TreeSHAP, vectorised over root-to-leaf paths.
 
-The value function is the cover-weighted (path-dependent) expectation: to
-evaluate a feature coalition, the tree is walked from the root following
-the sample's direction at nodes whose feature is in the coalition and
-blending both children by their cover fractions elsewhere. The algorithm
-tracks, along each root-leaf path, a polynomial over coalition sizes
-(extended by one term per distinct path feature, unwound when a feature
-repeats or when its contribution is read off), which yields every
-feature's exact Shapley weight in one depth-first pass.
+The value function is the cover-weighted (path-dependent) expectation of
+Lundberg et al. 2020, Alg. 2: a coalition is evaluated by walking the tree,
+following the sample at nodes whose feature is in the coalition and
+blending both children by cover elsewhere. A leaf's share depends only on
+its own path, so, as in GPUTreeShap (Mitchell et al. 2022):
 
-Attributions for an ensemble are the learning-rate-scaled sums of the
-member trees' attributions; base values are cover-weighted expectations
-plus the ensemble's base score, which equal the training-set mean margins
-exactly because covers are training counts.
+1. Decompose: each root-to-leaf path gets one element per distinct
+   feature. Repeated splits merge: the zero fraction z is the product of
+   the cover ratios and [lo, hi) the intersection of the split intervals,
+   so a sample's one fraction is o = (lo <= x[f] < hi) (x == t goes right).
+2. Pack: the paths behind one output (a tree, or one class of a boosted
+   ensemble) fill padded (D, P) arrays with the root in row 0. The root
+   and the padding are null players (z = 1, o = 1 on (-inf, inf)), so the
+   result stays exact. Leaf values carry the learning rate.
+3. Compute: per chunk of rows, extend the path-weight polynomial once per
+   depth on (P, rows) arrays, unwind each element to read off its weight,
+   and sum weight * (o - z) * leaf value per feature with a stable
+   sort-and-reduceat scatter. Nothing sums across rows or calls BLAS, so
+   the bytes depend neither on the chunking nor on the thread count.
+
+Base values are cover-weighted expectations plus the ensemble's base
+score: the training-set mean margins, because covers are training counts.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,154 +35,134 @@ from ..models.boosted import BoostedEnsemble
 from ..models.tree import LEAF, DecisionTree
 from .tensor import ShapTensor
 
-
-class _Path:
-    """Parallel arrays of (feature, zero fraction, one fraction, weight)."""
-
-    __slots__ = ("d", "z", "o", "w")
-
-    def __init__(self):
-        self.d: list[int] = []
-        self.z: list[float] = []
-        self.o: list[float] = []
-        self.w: list[float] = []
-
-    def copy(self) -> "_Path":
-        dup = _Path.__new__(_Path)
-        dup.d = self.d[:]
-        dup.z = self.z[:]
-        dup.o = self.o[:]
-        dup.w = self.w[:]
-        return dup
-
-    def extend(self, pz: float, po: float, pi: int) -> None:
-        length = len(self.d)
-        self.d.append(pi)
-        self.z.append(pz)
-        self.o.append(po)
-        self.w.append(1.0 if length == 0 else 0.0)
-        w = self.w
-        for i in range(length - 1, -1, -1):
-            w[i + 1] += po * w[i] * (i + 1) / (length + 1)
-            w[i] = pz * w[i] * (length - i) / (length + 1)
-
-    def unwound_sum(self, index: int) -> float:
-        """Sum of path weights after removing element ``index`` (non-mutating)."""
-        last = len(self.d) - 1
-        w, z, o = self.w, self.z[index], self.o[index]
-        total = 0.0
-        if o != 0.0:
-            n = w[last]
-            for j in range(last - 1, -1, -1):
-                tmp = n / ((j + 1) * o)
-                total += tmp
-                n = w[j] - tmp * z * (last - j)
-        else:
-            for j in range(last - 1, -1, -1):
-                total += w[j] / (z * (last - j))
-        return total * (last + 1)
+# rows per chunk make the (D, P, rows) weight array about this many floats;
+# 2 MB keeps a chunk's arrays in cache and the process near its idle size
+_CHUNK_FLOATS = 2 ** 18
 
 
-def _shap_single(tree: DecisionTree, x: np.ndarray, phi: np.ndarray) -> None:
-    """Accumulate one sample's attributions into phi (p, value_dim)."""
-    feature = tree.feature
-    threshold = tree.threshold
-    left = tree.left
-    right = tree.right
-    cover = tree.cover
-    value = tree.value
-
-    def recurse(node: int, path: _Path, pz: float, po: float, pi: int) -> None:
-        path = path.copy()
-        path.extend(pz, po, pi)
-        if feature[node] == LEAF:
-            for i in range(1, len(path.d)):
-                weight = path.unwound_sum(i)
-                phi[path.d[i]] += weight * (path.o[i] - path.z[i]) * value[node]
-            return
-        split = feature[node]
-        if x[split] < threshold[node]:
-            hot, cold = left[node], right[node]
-        else:
-            hot, cold = right[node], left[node]
-        iz = io = 1.0
-        for i in range(1, len(path.d)):
-            if path.d[i] == split:
-                iz, io = path.z[i], path.o[i]
-                path = _unwound(path, i)
-                break
-        recurse(hot, path, iz * cover[hot] / cover[node], io, split)
-        recurse(cold, path, iz * cover[cold] / cover[node], 0.0, split)
-
-    recurse(0, _Path(), 1.0, 1.0, -1)
+@dataclass(frozen=True)
+class _Packed:
+    feature: np.ndarray  # (D, P) int; -1 for the root and the padding
+    z: np.ndarray        # (D, P) zero fractions
+    lo: np.ndarray       # (D, P) one fraction is lo <= x[feature] < hi
+    hi: np.ndarray       # (D, P)
+    groups: list         # per row d >= 1: (d, real paths sorted by feature,
+                         # group starts, group features, their leaf values)
 
 
-def _unwound(path: _Path, index: int) -> _Path:
-    """A copy of the path with element ``index`` removed."""
-    out = path.copy()
-    last = len(out.d) - 1
-    w, z, o = out.w, out.z[index], out.o[index]
-    n = w[last]
-    if o != 0.0:
-        for j in range(last - 1, -1, -1):
-            t = w[j]
-            w[j] = n * (last + 1) / ((j + 1) * o)
-            n = t - w[j] * z * (last - j) / (last + 1)
-    else:
-        for j in range(last - 1, -1, -1):
-            w[j] = w[j] * (last + 1) / (z * (last - j))
-    for j in range(index, last):
-        out.d[j] = out.d[j + 1]
-        out.z[j] = out.z[j + 1]
-        out.o[j] = out.o[j + 1]
-    del out.d[last], out.z[last], out.o[last], out.w[last]
+def _leaf_paths(tree: DecisionTree):
+    """(leaf, {feature: (z, lo, hi)}) for every root-to-leaf path, in preorder."""
+    stack = [(0, {})]
+    while stack:
+        node, elems = stack.pop()
+        f = int(tree.feature[node])
+        if f == LEAF:
+            yield node, elems
+            continue
+        t = tree.threshold[node]
+        for child, lo, hi in ((tree.right[node], t, np.inf), (tree.left[node], -np.inf, t)):
+            z0, lo0, hi0 = elems.get(f, (1.0, -np.inf, np.inf))
+            z1 = z0 * tree.cover[child] / tree.cover[node]
+            stack.append((child, {**elems, f: (z1, max(lo0, lo), min(hi0, hi))}))
+
+
+def _pack(trees, scale: float = 1.0) -> _Packed:
+    paths, values = [], []
+    for tree in trees:
+        tree.validate()
+        for leaf, elems in _leaf_paths(tree):
+            paths.append(list(elems.items()))
+            values.append(tree.value[leaf] * scale)
+    shape = (1 + max(map(len, paths), default=0), len(paths))
+    feature, z = np.full(shape, -1), np.ones(shape)
+    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+    for j, elems in enumerate(paths):
+        for d, (f, (zf, lf, hf)) in enumerate(elems, start=1):
+            feature[d, j], z[d, j], lo[d, j], hi[d, j] = f, zf, lf, hf
+    values, groups = np.array(values), []
+    for d in range(1, shape[0]):
+        real = np.flatnonzero(feature[d] >= 0)
+        real = real[np.argsort(feature[d, real], kind="stable")]
+        starts = np.flatnonzero(np.r_[True, np.diff(feature[d, real]) != 0])
+        groups.append((d, real, starts, feature[d, real[starts]], values[real]))
+    return _Packed(feature, z, lo, hi, groups)
+
+
+def _shap_packed(packed: _Packed, X: np.ndarray, p: int, value_dim: int) -> np.ndarray:
+    """(n, p, value_dim) attributions summed over the packed paths."""
+    if not np.isfinite(X).all():
+        raise DataError("TreeSHAP needs finite feature values")
+    out = np.zeros((X.shape[0], p, value_dim))
+    if packed.groups:  # some path has a split
+        step = max(1, _CHUNK_FLOATS // packed.z.size)
+        for start in range(0, X.shape[0], step):  # a call frees its chunk's arrays
+            _shap_chunk(packed, X[start:start + step], out[start:start + step])
     return out
+
+
+def _shap_chunk(packed: _Packed, X: np.ndarray, out: np.ndarray) -> None:
+    """Add the attributions of the rows of X into out, one pass over D."""
+    D, P = packed.z.shape
+    last = D - 1
+    z = packed.z[:, :, None]
+    xt = np.ascontiguousarray(X.T)
+    o = np.empty((D, P, X.shape[0]), dtype=bool)
+    for d in range(D):
+        xd = xt[packed.feature[d]]  # the root and padding read any column
+        o[d] = (packed.lo[d, :, None] <= xd) & (xd < packed.hi[d, :, None])
+    # extend: w[i] weighs coalitions of i elements among those seen so far
+    w = np.zeros(o.shape)
+    w[0] = 1.0
+    for l in range(1, D):
+        for i in range(l - 1, -1, -1):
+            w[i + 1] += o[l] * w[i] * (i + 1) / (l + 1)
+            w[i] = z[l] * w[i] * (l - i) / (l + 1)
+    # unwind each element; with o = 0 the sum factors out its z
+    zero_sum = sum(w[j] / (last - j) for j in range(last))
+    for d, paths, starts, feats, leaf_value in packed.groups:
+        rest, total = w[last], 0.0
+        for j in range(last - 1, -1, -1):
+            tmp = rest / (j + 1)
+            total = total + tmp
+            rest = w[j] - tmp * z[d] * (last - j)
+        weight = np.where(o[d], total, zero_sum / z[d]) * (last + 1)
+        contrib = (weight * (o[d] - z[d]))[paths]
+        for c in range(out.shape[2]):
+            sums = np.add.reduceat(contrib * leaf_value[:, c, None], starts, axis=0)
+            out[:, feats, c] += sums.T
 
 
 def shap_values_tree(tree: DecisionTree, X: np.ndarray,
                      n_features: int | None = None) -> np.ndarray:
     """(n, p, value_dim) attributions of a single tree."""
-    tree.validate()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = X.shape[1] if n_features is None else n_features
-    out = np.zeros((X.shape[0], p, tree.value.shape[1]))
-    for i in range(X.shape[0]):
-        _shap_single(tree, X[i], out[i])
-    return out
+    return _shap_packed(_pack([tree]), X, p, tree.value.shape[1])
 
 
 def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
               sample_ids=None) -> ShapTensor:
     """Exact path-dependent SHAP tensor for a tree or boosted ensemble."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, p = X.shape
+    p = X.shape[1]
+    if not isinstance(model, (DecisionTree, BoostedEnsemble)):
+        raise DataError(f"tree_shap supports trees and boosted ensembles, "
+                        f"not {type(model).__name__}")
+    if model.n_features != p:
+        raise DataError(f"model expects {model.n_features} features, data has {p}")
     if isinstance(model, DecisionTree):
-        if model.n_features != p:
-            raise DataError(f"model expects {model.n_features} features, data has {p}")
         values = shap_values_tree(model, X, n_features=p)
         base = model.expected_value()
         kind = "tree"
-    elif isinstance(model, BoostedEnsemble):
-        if model.n_features != p:
-            raise DataError(f"model expects {model.n_features} features, data has {p}")
-        k = model.n_classes
-        values = np.zeros((n, p, k))
-        base = model.base_score.copy()
-        eta = model.learning_rate
-        for round_trees in model.rounds:
-            for c, tree in enumerate(round_trees):
-                values[:, :, c] += eta * shap_values_tree(tree, X, n_features=p)[:, :, 0]
-                base[c] += eta * tree.expected_value()[0]
-        kind = "boosted"
     else:
-        raise DataError(f"tree_shap supports trees and boosted ensembles, "
-                        f"not {type(model).__name__}")
-    k = values.shape[2]
-    return ShapTensor(
-        values=values, base=base,
-        sample_ids=np.arange(n) if sample_ids is None else np.asarray(sample_ids),
-        feature_names=tuple(feature_names) if feature_names
-        else tuple(f"feature_{j}" for j in range(p)),
-        class_names=tuple(class_names) if class_names
-        else tuple(f"class_{c}" for c in range(k)),
-        method="tree_shap", model_kind=kind)
+        eta = model.learning_rate
+        values = np.stack([
+            _shap_packed(_pack([trees[c] for trees in model.rounds], eta), X, p, 1)[:, :, 0]
+            for c in range(model.n_classes)], axis=2)
+        base = model.base_score.copy()
+        for round_trees in model.rounds:
+            base += eta * np.array([tree.expected_value()[0] for tree in round_trees])
+        kind = "boosted"
+    return ShapTensor(values=values, base=base, sample_ids=sample_ids,
+                      feature_names=feature_names, class_names=class_names,
+                      method="tree_shap", model_kind=kind)

@@ -124,8 +124,11 @@ class RunManifest:
         self.config = config
         self.hash = config_hash(config)
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self.state = json.load(fh)
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    self.state = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"run manifest {self.path} is not valid JSON: {exc}")
             if self.state.get("config_hash") != self.hash:
                 raise ConfigError(
                     f"run directory {self.run_dir} was created with a different "
@@ -146,9 +149,6 @@ class RunManifest:
         with open(self.path, "w", encoding="utf-8") as fh:
             json.dump(ordered, fh, indent=1, sort_keys=False)
             fh.write("\n")
-
-    def artifact_path(self, name: str) -> Path:
-        return self.run_dir / f"{name}"
 
     def set_artifact(self, name: str, filename: str) -> Path:
         self.state["artifacts"][name] = filename

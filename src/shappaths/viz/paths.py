@@ -93,17 +93,14 @@ def build_paths(t: ShapTensor, grouping, top_n: int | None = None) -> list[Water
     return paths
 
 
-def project_paths(paths: list[WaterfallPath], r: int = 2,
-                  fit_on: str = "segments") -> tuple[list[ProjectedPath], PcaModel | None]:
+def project_paths(paths: list[WaterfallPath],
+                  r: int = 2) -> tuple[list[ProjectedPath], PcaModel | None]:
     """Map every path vertex through one shared PCA frame.
 
-    The frame is fitted on the pooled segment vectors of all paths (or on
-    the pooled vertices with ``fit_on="vertices"``). For k = 1 no
-    projection is needed: the polylines get x = step index and
+    The frame is fitted on the pooled segment vectors of all paths. For
+    k = 1 no projection is needed: the polylines get x = step index and
     y = cumulative value, and the model is None.
     """
-    if fit_on not in ("segments", "vertices"):
-        raise InvalidSpecError("fit_on must be 'segments' or 'vertices'")
     if not paths:
         return [], None
     k = paths[0].anchor.shape[0]
@@ -118,10 +115,7 @@ def project_paths(paths: list[WaterfallPath], r: int = 2,
                                            points=points))
         return projected, None
 
-    if fit_on == "segments":
-        pool = np.vstack([np.vstack([s for _, s in path.entries]) for path in paths])
-    else:
-        pool = np.vstack([path.vertices() for path in paths])
+    pool = np.vstack([np.vstack([s for _, s in path.entries]) for path in paths])
     if np.unique(pool, axis=0).shape[0] < 2:
         raise DataError("need at least 2 distinct segment vectors to fit a projection")
     model = pca_fit(pool, min(r, k))

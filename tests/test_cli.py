@@ -176,3 +176,28 @@ def test_cluster_source_must_be_configured(cfg_file, tmp_path):
     f = tmp_path / "c.json"
     f.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_non_finite_cell_rejected(tmp_path, capsys, bad):
+    rows = ["x1,x2,label", "0.5,1.0,hi", f"{bad},2.0,lo", "1.5,-1.0,hi", "0.1,0.2,lo"]
+    data_file = tmp_path / "data.csv"
+    data_file.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    assert main(["load", "--csv", str(data_file), "--target", "label",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data_file}:3: non-finite feature cell" in err
+    assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:40], lambda b: b"\xff\xfe" + b[2:]],
+                         ids=["truncated", "not-utf8"])
+def test_damaged_manifest_is_config_error(cfg_file, tmp_path, capsys, damage):
+    out = tmp_path / "r"
+    assert run(cfg_file, out, "simulate") == 0
+    manifest = out / "manifest.json"
+    manifest.write_bytes(damage(manifest.read_bytes()))
+    assert run(cfg_file, out, "explain") == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oracles import brute_shapley_interventional
 from shappaths import Background, kernel_shap, sample_background, train_mlp
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
+from shappaths.models.mlp import init_mlp
 from util import ConstantModel, LinearModel, random_tree
 
 
@@ -127,3 +130,31 @@ def test_background_subsample_deterministic():
     assert a.m == 50
     small = sample_background(X[:20], size=50, seed=1)
     assert small.m == 20  # fewer rows than requested: keep everything
+
+
+class _CountingModel:
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    def predict_margin(self, X):
+        self.calls.append(X.shape[0])
+        return self.model.predict_margin(X)
+
+
+def test_model_evaluated_in_small_blocks(monkeypatch):
+    """Masked rows reach the model in blocks of at most _BLOCK_ROWS (one
+    coalition's background when that is larger); the blocking changes the
+    values by rounding only."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    rng = np.random.default_rng(3)
+    model = _CountingModel(init_mlp((5, 8, 3), rng))
+    bg = Background(rng.normal(size=(40, 5)))
+    X = rng.normal(size=(2, 5))
+    values = []
+    for rows in (1, ks._BLOCK_ROWS, 10 ** 9):
+        monkeypatch.setattr(ks, "_BLOCK_ROWS", rows)
+        model.calls.clear()
+        values.append(kernel_shap(model, X, bg, n_coalitions=30, seed=0).values)
+        assert max(model.calls) <= max(rows, bg.m)
+    assert np.abs(values[0] - values[1]).max() < 1e-12
+    assert np.abs(values[2] - values[1]).max() < 1e-12

@@ -84,6 +84,13 @@ def test_tensor_round_trip(tmp_path):
     assert loaded.method == t.method
 
 
+def test_default_ids_and_names():
+    t = ShapTensor(values=np.zeros((3, 2, 2)), base=np.zeros(2))
+    assert t.sample_ids.tolist() == [0, 1, 2]
+    assert t.feature_names == ("feature_0", "feature_1")
+    assert t.class_names == ("class_0", "class_1")
+
+
 def test_tensor_validation():
     with pytest.raises(DataError):
         ShapTensor(values=np.zeros((2, 2, 2)), base=np.zeros(3),

@@ -1,12 +1,22 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import brute_shapley_tree, tree_coalition_value
-from shappaths import train_boosted, train_tree, tree_shap
+from shappaths import (BoostedEnsemble, load_model, save_model, train_boosted, train_tree,
+                       tree_shap)
 from shappaths.errors import DataError
 from shappaths.explain.tree_shap import shap_values_tree
 from shappaths.models.tree import LEAF, DecisionTree
 from util import random_tree
+
+# the package re-exports the function under the module's name
+tree_shap_mod = importlib.import_module("shappaths.explain.tree_shap")
 
 
 def make_tree(feature, threshold, left, right, cover, value, n_features):
@@ -19,11 +29,18 @@ def make_tree(feature, threshold, left, right, cover, value, n_features):
                         n_features=n_features)
 
 
+def assert_matches_oracle(tree, X, p, tol=1e-8):
+    fast = shap_values_tree(tree, X, n_features=p)
+    for i in range(X.shape[0]):
+        assert np.abs(fast[i] - brute_shapley_tree(tree, X[i], p)).max() < tol
+
+
 def test_single_leaf_all_zero():
     tree = make_tree([LEAF], [np.nan], [LEAF], [LEAF], [10.0], [[2.5, -1.0]], 3)
     t = tree_shap(tree, np.zeros((4, 3)))
     assert np.allclose(t.values, 0.0)
     assert np.allclose(t.base, [2.5, -1.0])
+    assert_matches_oracle(tree, np.array([[0.0, 1.0, 2.0], [-3.0, 2.0, 0.5]]), 3)
 
 
 def test_stump_closed_form():
@@ -130,6 +147,14 @@ def test_zero_cover_rejected():
         tree_shap(tree, np.zeros((1, 1)))
 
 
+def test_non_finite_rows_rejected():
+    tree = make_tree([0, LEAF, LEAF], [0.0, np.nan, np.nan], [1, LEAF, LEAF],
+                     [2, LEAF, LEAF], [10.0, 4.0, 6.0], [[0.0], [1.0], [2.0]], 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="finite"):
+            tree_shap(tree, np.array([[0.5, bad]]))
+
+
 def test_oracle_value_function_sanity():
     # the oracle's own value function: full coalition routes to x's leaf
     rng = np.random.default_rng(8)
@@ -139,3 +164,100 @@ def test_oracle_value_function_sanity():
     assert np.allclose(full, tree.predict_margin(x[None, :])[0])
     empty = tree_coalition_value(tree, x, frozenset())
     assert np.allclose(empty, tree.expected_value())
+
+
+# ---------------------------------------------------------------------------
+# Cases the path packing could get wrong, each against the brute-force oracle
+
+def test_feature_split_three_times_both_directions():
+    # feature 0 narrows [0, inf) -> [0, 2) -> [1, 2) on one path, with a
+    # feature-1 split in between; the other branches go both ways too
+    tree = make_tree(
+        feature=[0, LEAF, 1, 0, LEAF, 0, LEAF, LEAF, LEAF],
+        threshold=[0.0, np.nan, 0.5, 2.0, np.nan, 1.0, np.nan, np.nan, np.nan],
+        left=[1, LEAF, 3, 5, LEAF, 6, LEAF, LEAF, LEAF],
+        right=[2, LEAF, 8, 4, LEAF, 7, LEAF, LEAF, LEAF],
+        cover=[100.0, 30.0, 70.0, 45.0, 15.0, 30.0, 10.0, 20.0, 25.0],
+        value=[[0, 0], [1, -1], [0, 0], [0, 0], [3, 0], [0, 0], [-2, 2], [5, 1], [0.5, 4]],
+        n_features=3)
+    X = np.array([[x0, x1, 0.0] for x0 in (-1.0, 0.5, 1.5, 2.5) for x1 in (0.0, 1.0)])
+    assert_matches_oracle(tree, X, 3)
+
+
+def test_three_dim_leaf_values_match_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        tree = random_tree(rng, n_features=4, max_depth=5, value_dim=3)
+        assert_matches_oracle(tree, rng.uniform(-2, 2, size=(3, 4)), 4)
+
+
+def test_boosted_trees_of_different_depth_match_oracle():
+    # trees of depth 1 to 5 pack into one array per class, so the shallow
+    # paths carry padding elements
+    rng = np.random.default_rng(4)
+    p, eta = 4, 0.5
+    rounds = [[random_tree(rng, n_features=p, max_depth=depth, value_dim=1)
+               for depth in (1 + r, 5 - r)] for r in range(3)]
+    model = BoostedEnsemble(base_score=np.array([0.1, -0.2]), rounds=rounds,
+                            learning_rate=eta, lam=1.0, max_depth=5, n_features=p)
+    packed = tree_shap_mod._pack([trees[0] for trees in rounds], eta)
+    assert (packed.feature[-1] == -1).any()  # some paths are padded
+    X = rng.uniform(-2, 2, size=(3, p))
+    t = tree_shap(model, X)
+    for i in range(X.shape[0]):
+        for c in range(2):
+            oracle = sum(eta * brute_shapley_tree(trees[c], X[i], p)[:, 0] for trees in rounds)
+            assert np.abs(t.values[i, :, c] - oracle).max() < 1e-8
+    assert np.abs(t.values.sum(axis=1) - (model.predict_margin(X) - t.base)).max() < 1e-9
+
+
+def test_row_on_threshold_routes_right():
+    tree = make_tree(
+        feature=[0, 1, LEAF, LEAF, 0, LEAF, LEAF],
+        threshold=[0.25, -1.5, np.nan, np.nan, 1.0, np.nan, np.nan],
+        left=[1, 2, LEAF, LEAF, 5, LEAF, LEAF],
+        right=[4, 3, LEAF, LEAF, 6, LEAF, LEAF],
+        cover=[90.0, 40.0, 10.0, 30.0, 50.0, 20.0, 30.0],
+        value=[[0.0], [0.0], [1.0], [2.0], [0.0], [4.0], [8.0]],
+        n_features=2)
+    X = np.array([[0.25, -1.5], [1.0, 0.0], [0.25, 3.0], [-1.0, -1.5]])
+    assert_matches_oracle(tree, X, 2)
+    t = tree_shap(tree, X)
+    assert np.abs(t.values.sum(axis=1) - (tree.predict_margin(X) - t.base)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Byte determinism: no dependence on the row chunking or on BLAS threads
+
+@pytest.fixture(scope="module")
+def boosted_450(sim_small_split, sim_small):
+    train, _ = sim_small_split
+    return train_boosted(train, n_rounds=20, max_depth=3), sim_small.features[:450]
+
+
+def test_values_identical_across_row_chunks(boosted_450, monkeypatch):
+    model, X = boosted_450
+    whole = tree_shap(model, X)
+    sizes = [tree_shap_mod._pack([trees[c] for trees in model.rounds]).z.size
+             for c in range(model.n_classes)]
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", 150 * min(sizes))
+    chunked = tree_shap(model, X)  # at most 150 rows per chunk: 3 or more chunks
+    assert chunked.values.tobytes() == whole.values.tobytes()
+    assert chunked.base.tobytes() == whole.base.tobytes()
+
+
+def test_values_identical_with_one_blas_thread(boosted_450, tmp_path):
+    model, X = boosted_450
+    save_model(model, tmp_path / "model.json")
+    np.save(tmp_path / "X.npy", X)
+    code = ("import sys, numpy as np; from shappaths import load_model, tree_shap; "
+            "t = tree_shap(load_model(sys.argv[1]), np.load(sys.argv[2])); "
+            "np.save(sys.argv[3], t.values)")
+    src = str(Path(tree_shap_mod.__file__).resolve().parents[2])  # this shappaths
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "model.json"),
+                    str(tmp_path / "X.npy"), str(tmp_path / "out.npy")],
+                   check=True, env=env)
+    here = tree_shap(load_model(tmp_path / "model.json"), X)
+    assert np.load(tmp_path / "out.npy").tobytes() == here.values.tobytes()
