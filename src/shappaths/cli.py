@@ -1,30 +1,37 @@
 """Command-line pipeline: simulate/load -> train -> explain -> cluster ->
 embed -> plots -> report, with seeded, resumable, hash-checked runs.
 
-Every subcommand accepts --config (JSON) and mirrors its keys as flags;
-flags win. Artifacts land in one run directory (--out, else
-$SHAPPATHS_OUT/<config-hash>, else ./runs/<config-hash>). Exit codes:
-0 success, 2 config or data error, 3 missing upstream artifact,
-4 numerical failure.
+Every flag is declared once, in ``FLAGS``; the parser and the config
+overrides are both built from that table. A run's config is fixed by the
+command that creates it (simulate or load): defaults, then --config (JSON),
+then flags. A later command whose --out directory already holds a manifest
+starts from the config stored there unless --config is given; a different
+pipeline config is rejected either way. Artifacts land in one run
+directory (--out, else $SHAPPATHS_OUT/<config-hash>, else
+./runs/<config-hash>). Exit codes: 0 success, 2 config or data error,
+3 missing upstream artifact, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, ScalingMeta, SimulationSpec, SplitSpec, load_csv,
-                   load_idx_images, min_max_scale, simulate, split_indices, write_csv)
-from .errors import (ConfigError, DataError, InvalidSpecError, MissingArtifactError,
-                     ModelIOError, NumericalError, ShappathsError)
-from .explain import (load_tensor, mean_abs, kernel_shap, sample_background,
+from .data import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
+                   min_max_scale, simulate, split_indices, write_csv)
+from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
+                     ShappathsError)
+from .explain import (flatten, load_tensor, mean_abs, kernel_shap, sample_background,
                       save_tensor, tree_shap)
-from .manifest import ENV_OUT, RunManifest, config_hash, resolve_config
+from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_manifest,
+                       resolve_config)
 from .models import evaluate, load_model, save_model, train_boosted, train_mlp, train_tree
 from .subgroup import ClusterLabeling, HdbscanParams, cluster_purity, hdbscan, pca_fit, pca_transform
 from .viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
@@ -37,119 +44,130 @@ EXIT_NUMERICAL = 4
 
 
 # ---------------------------------------------------------------------------
+# the flag table
+
+class Flag(NamedTuple):
+    name: str                   # option string
+    path: str | None            # dotted config key it sets; None for a selector
+    kwargs: dict                # add_argument keyword arguments
+    commands: tuple[str, ...]   # subcommands that take it
+    implies: tuple = ()         # (path, value) pairs also set when it is given
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+MODEL_KINDS = tuple(DEFAULT_MODELS)
+INGEST = ("simulate", "load")
+READERS = ("cluster", "embed", "waterfall", "bar", "heatmap")
+ALL = (*INGEST, "train", "explain", *READERS, "report")
+
+# Flags that set the hashed config are taken only by the commands that
+# create a run; the plots block is outside the hash, so the plotting
+# commands keep theirs.
+FLAGS = [
+    Flag("--config", None, {"help": "JSON config file"}, ALL),
+    Flag("--out", None, {"help": "run directory"}, ALL),
+    Flag("--seed", "seed", {"type": int}, ALL),
+    Flag("--n", "dataset.n_samples", {"type": int, "help": "number of samples"}, ("simulate",)),
+    Flag("--p", "dataset.n_features", {"type": int, "help": "number of features"},
+         ("simulate",)),
+    Flag("--half-width", "dataset.half_width", {"type": float}, ("simulate",)),
+    Flag("--csv", "dataset.path", {"help": "CSV file with a header row"}, ("load",),
+         (("dataset.source", "csv"),)),
+    Flag("--target", "dataset.target", {"help": "target column name"}, ("load",)),
+    Flag("--idx-images", "dataset.images", {}, ("load",), (("dataset.source", "idx"),)),
+    Flag("--idx-labels", "dataset.labels", {}, ("load",)),
+    Flag("--train-fraction", "dataset.train_fraction", {"type": float}, INGEST),
+    Flag("--stratified", "dataset.stratified", {"action": "store_true"}, INGEST),
+    Flag("--scale", "dataset.scale", {"action": "store_true"}, INGEST),
+    Flag("--model", None, {"choices": [*MODEL_KINDS, "all"], "default": "all"},
+         ("train", "explain")),
+    Flag("--source", None, {"choices": MODEL_KINDS,
+                            "help": "SHAP tensor to read (default: cluster.source)"}, READERS),
+    Flag("--clustered", None, {"action": "store_true"}, ("waterfall",)),
+    Flag("--sample", "plots.waterfall_sample", {"type": int, "help": "sample position (classical)"},
+         ("waterfall",)),
+    Flag("--class-index", "plots.waterfall_class", {"type": int}, ("waterfall",)),
+    Flag("--top-n", "plots.top_n", {"type": int}, ("waterfall", "bar", "heatmap")),
+]
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
+
+def _read_json(path, error=DataError):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}")
+
+
+def _write_text(path: Path, content: str) -> None:
+    path.write_text(content, encoding="utf-8")
+
+
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
 
 def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return loaded
 
 
-def _dataset_overrides(args) -> dict:
-    ds: dict = {}
-    for flag, key in [("n", "n_samples"), ("p", "n_features"),
-                      ("half_width", "half_width"), ("csv", "path"),
-                      ("target", "target"), ("idx_images", "images"),
-                      ("idx_labels", "labels"),
-                      ("train_fraction", "train_fraction")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            ds[key] = value
-    if getattr(args, "scale", False):
-        ds["scale"] = True
-    if getattr(args, "stratified", False):
-        ds["stratified"] = True
-    if getattr(args, "csv", None):
-        ds["source"] = "csv"
-    if getattr(args, "idx_images", None):
-        ds["source"] = "idx"
-    return ds
-
-
 def _overrides(args) -> dict:
+    """The config keys set by the flags given on the command line."""
     over: dict = {}
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    ds = _dataset_overrides(args)
-    if ds:
-        over["dataset"] = ds
-    explain = {}
-    for flag, key in [("on", "on"), ("background", "background_size"),
-                      ("coalitions", "n_coalitions")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            explain[key] = value
-    if explain:
-        over["explain"] = explain
-    cluster = {}
-    for flag, key in [("source", "source"), ("min_cluster_size", "min_cluster_size"),
-                      ("min_samples", "min_samples")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            cluster[key] = value
-    if cluster and getattr(args, "command") in ("cluster",):
-        over["cluster"] = cluster
-    plots = {}
-    for flag, key in [("top_n", "top_n"), ("width", "width"), ("height", "height"),
-                      ("sample", "waterfall_sample"), ("class_index", "waterfall_class")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            plots[key] = value
-    if plots:
-        over["plots"] = plots
+    for flag in FLAGS:
+        value = getattr(args, flag.dest, None)
+        if flag.path is None or value is None or value is False:
+            continue  # a selector, or not given (False: a switch left off)
+        for path, v in ((flag.path, value), *flag.implies):
+            *parents, key = path.split(".")
+            node = over
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[key] = v
     return over
 
 
 def _open_run(args) -> RunManifest:
-    config = resolve_config(_load_file_config(getattr(args, "config", None)),
-                            _overrides(args))
-    out = getattr(args, "out", None)
-    if out:
-        run_dir = Path(out)
+    run_dir = Path(args.out) if args.out else None
+    if run_dir and (run_dir / "manifest.json").exists() and not args.config:
+        base = read_manifest(run_dir / "manifest.json")["config"]  # resume the run
     else:
-        import os
-
-        root = Path(os.environ.get(ENV_OUT, "runs"))
-        run_dir = root / config_hash(config)[:12]
+        base = _load_file_config(args.config)
+    config = resolve_config(base, _overrides(args))
+    if run_dir is None:
+        run_dir = Path(os.environ.get(ENV_OUT, "runs")) / config_hash(config)[:12]
     return RunManifest(run_dir, config, __version__)
 
 
 # ---------------------------------------------------------------------------
 # dataset artifact IO
 
-def _save_dataset(manifest: RunManifest, ds: Dataset, scaling: ScalingMeta | None,
-                  train_idx: np.ndarray, test_idx: np.ndarray,
-                  provenance: dict) -> None:
-    csv_path = manifest.set_artifact("dataset_csv", "dataset.csv")
-    write_csv(ds, csv_path, target_column_name="__target__")
-    meta = {
-        "n": ds.n, "p": ds.p, "k": ds.k,
-        "feature_names": list(ds.feature_names),
-        "class_names": list(ds.class_names),
-        "scaling": scaling.to_dict() if scaling else None,
-        "split": {"train": train_idx.tolist(), "test": test_idx.tolist()},
-        "provenance": provenance,
-    }
-    json_path = manifest.set_artifact("dataset_manifest", "dataset.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-
-
 def _load_dataset(manifest: RunManifest) -> tuple[Dataset, dict]:
-    csv_path = manifest.require("dataset_csv", hint="run `shappaths simulate` or `load` first")
-    json_path = manifest.require("dataset_manifest", hint="run `shappaths simulate` or `load` first")
+    hint = "run `shappaths simulate` or `load` first"
+    csv_path = manifest.require("dataset_csv", hint=hint)
+    json_path = manifest.require("dataset_manifest", hint=hint)
+    # CSV before JSON: in the other order the Kernel SHAP that follows in
+    # `explain` ran ~10 % slower in 10 of 10 paired runs (cause not found)
     ds = load_csv(csv_path, "__target__")
-    with open(json_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_json(json_path)
+    if ds.n != meta["n"] or set(ds.class_names) != set(meta["class_names"]):
+        raise DataError(f"{csv_path} holds {ds.n} rows of classes {list(ds.class_names)}, "
+                        f"but {json_path.name} records {meta['n']} rows of "
+                        f"{meta['class_names']}; the file is damaged")
     # class order in the CSV is first-appearance; restore the saved order
     if list(ds.class_names) != meta["class_names"]:
         remap = {name: i for i, name in enumerate(meta["class_names"])}
@@ -158,55 +176,57 @@ def _load_dataset(manifest: RunManifest) -> tuple[Dataset, dict]:
     return ds, meta
 
 
-def _ingest(manifest: RunManifest) -> None:
-    config = manifest.config
-    ds_cfg = config["dataset"]
-    source = ds_cfg["source"]
-    if source == "simulate":
-        spec = SimulationSpec(n_samples=ds_cfg["n_samples"],
-                              n_features=ds_cfg["n_features"],
-                              domain_half_width=ds_cfg["half_width"],
-                              seed=config["seed"]).resolved()
-        ds = simulate(spec)
-        provenance = {"source": "simulate", "seed": config["seed"],
-                      "noise_coefficients": spec.noise_coefficients.tolist()}
-    elif source == "csv":
-        ds = load_csv(ds_cfg["path"], ds_cfg["target"])
-        provenance = {"source": "csv", "path": str(ds_cfg["path"]),
-                      "target": ds_cfg["target"]}
-    else:
-        ds = load_idx_images(ds_cfg["images"], ds_cfg["labels"])
-        provenance = {"source": "idx", "images": str(ds_cfg["images"]),
-                      "labels": str(ds_cfg["labels"])}
-    scaling = None
-    if ds_cfg["scale"]:
-        ds, scaling = min_max_scale(ds)
-    train_idx, test_idx = split_indices(
-        ds.labels, SplitSpec(train_fraction=ds_cfg["train_fraction"],
-                             stratified=ds_cfg["stratified"], seed=config["seed"]))
-    _save_dataset(manifest, ds, scaling, train_idx, test_idx, provenance)
-    print(f"dataset: n={ds.n} p={ds.p} k={ds.k} "
-          f"(train {train_idx.size} / test {test_idx.size}) -> {manifest.run_dir}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(args) -> int:
-    manifest = _open_run(args)
-    if manifest.config["dataset"]["source"] != "simulate":
-        raise ConfigError("simulate requires dataset.source == 'simulate'")
-    with manifest.stage("simulate"):
-        _ingest(manifest)
-    return EXIT_OK
+_INGEST_SOURCES = {"simulate": ("simulate",), "load": ("csv", "idx")}
 
 
-def cmd_load(args) -> int:
+def cmd_ingest(args) -> int:
+    """simulate or load: write the run's dataset and its train/test split."""
     manifest = _open_run(args)
-    if manifest.config["dataset"]["source"] not in ("csv", "idx"):
-        raise ConfigError("load requires a csv or idx dataset source")
-    with manifest.stage("load"):
-        _ingest(manifest)
+    config = manifest.config
+    ds_cfg = config["dataset"]
+    source = ds_cfg["source"]
+    if source not in _INGEST_SOURCES[args.command]:
+        raise ConfigError(f"{args.command} cannot ingest dataset.source {source!r} "
+                          f"(it takes {' or '.join(_INGEST_SOURCES[args.command])})")
+    with manifest.stage(args.command):
+        if source == "simulate":
+            spec = SimulationSpec(n_samples=ds_cfg["n_samples"],
+                                  n_features=ds_cfg["n_features"],
+                                  domain_half_width=ds_cfg["half_width"],
+                                  seed=config["seed"]).resolved()
+            ds = simulate(spec)
+            provenance = {"source": "simulate", "seed": config["seed"],
+                          "noise_coefficients": spec.noise_coefficients.tolist()}
+        elif source == "csv":
+            ds = load_csv(ds_cfg["path"], ds_cfg["target"])
+            provenance = {"source": "csv", "path": str(ds_cfg["path"]),
+                          "target": ds_cfg["target"]}
+        else:
+            ds = load_idx_images(ds_cfg["images"], ds_cfg["labels"])
+            provenance = {"source": "idx", "images": str(ds_cfg["images"]),
+                          "labels": str(ds_cfg["labels"])}
+        scaling = None
+        if ds_cfg["scale"]:
+            ds, scaling = min_max_scale(ds)
+        train_idx, test_idx = split_indices(
+            ds.labels, SplitSpec(train_fraction=ds_cfg["train_fraction"],
+                                 stratified=ds_cfg["stratified"], seed=config["seed"]))
+        write_csv(ds, manifest.set_artifact("dataset_csv", "dataset.csv"),
+                  target_column_name="__target__")
+        meta = {
+            "n": ds.n, "p": ds.p, "k": ds.k,
+            "feature_names": list(ds.feature_names),
+            "class_names": list(ds.class_names),
+            "scaling": scaling.to_dict() if scaling else None,
+            "split": {"train": train_idx.tolist(), "test": test_idx.tolist()},
+            "provenance": provenance,
+        }
+        _write_json(manifest.set_artifact("dataset_manifest", "dataset.json"), meta)
+        print(f"dataset: n={ds.n} p={ds.p} k={ds.k} "
+              f"(train {train_idx.size} / test {test_idx.size}) -> {manifest.run_dir}")
     return EXIT_OK
 
 
@@ -224,12 +244,11 @@ def _train_one(kind: str, params: dict, train: Dataset, seed: int):
 
 def _selected_kinds(args, manifest: RunManifest) -> list[str]:
     configured = list(manifest.config["models"].keys())
-    requested = getattr(args, "model", None)
-    if requested in (None, "all"):
+    if args.model == "all":
         return configured
-    if requested not in configured:
-        raise ConfigError(f"model {requested!r} is not configured (have {configured})")
-    return [requested]
+    if args.model not in configured:
+        raise ConfigError(f"model {args.model!r} is not configured (have {configured})")
+    return [args.model]
 
 
 def cmd_train(args) -> int:
@@ -238,10 +257,7 @@ def cmd_train(args) -> int:
     train = ds.take(meta["split"]["train"])
     test = ds.take(meta["split"]["test"])
     metrics_path = manifest.set_artifact("metrics", "metrics.json")
-    metrics = {}
-    if metrics_path.exists():
-        with open(metrics_path, encoding="utf-8") as fh:
-            metrics = json.load(fh)
+    metrics = _read_json(metrics_path) if metrics_path.exists() else {}
     for kind in _selected_kinds(args, manifest):
         with manifest.stage(f"train.{kind}"):
             model = _train_one(kind, manifest.config["models"][kind], train,
@@ -251,25 +267,17 @@ def cmd_train(args) -> int:
             metrics[kind] = {"accuracy": report.accuracy,
                              "classes": report.as_rows()}
             print(f"train {kind}: test accuracy {report.accuracy:.3f}")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, sort_keys=True, separators=(",", ":"))
+    _write_json(metrics_path, metrics)
     manifest.save()
     return EXIT_OK
-
-
-def _explained_rows(meta: dict, on: str) -> np.ndarray:
-    if on == "train":
-        return np.array(meta["split"]["train"], dtype=int)
-    if on == "test":
-        return np.array(meta["split"]["test"], dtype=int)
-    return np.arange(meta["n"])
 
 
 def cmd_explain(args) -> int:
     manifest = _open_run(args)
     ds, meta = _load_dataset(manifest)
     cfg = manifest.config["explain"]
-    rows = _explained_rows(meta, cfg["on"])
+    rows = np.arange(meta["n"]) if cfg["on"] == "all" \
+        else np.array(meta["split"][cfg["on"]], dtype=int)
     X = ds.features[rows]
     train_rows = np.array(meta["split"]["train"], dtype=int)
     for kind in _selected_kinds(args, manifest):
@@ -302,54 +310,51 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _load_tensor_for(manifest: RunManifest, kind: str):
+def _read_tensor(args, manifest: RunManifest):
+    """The --source model (default: cluster.source) and its SHAP tensor."""
+    kind = args.source or manifest.config["cluster"]["source"]
     json_path = manifest.require(f"shap_{kind}",
                                  hint=f"run `shappaths explain --model {kind}` first")
-    csv_path = manifest.require(f"shap_{kind}_csv")
-    return load_tensor(json_path, csv_path)
+    return kind, load_tensor(json_path, manifest.require(f"shap_{kind}_csv"))
 
 
-def _cluster_source(args, manifest: RunManifest) -> str:
-    return getattr(args, "source", None) or manifest.config["cluster"]["source"]
+def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
+    """A CSV of one row of string cells per sample, led by its id."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["sample_id", *header]) + "\n")
+        for sid, row in zip(sample_ids, rows):
+            fh.write(",".join([str(int(sid)), *row]) + "\n")
 
 
 def cmd_cluster(args) -> int:
     manifest = _open_run(args)
-    ds, meta = _load_dataset(manifest)
-    source = _cluster_source(args, manifest)
-    tensor = _load_tensor_for(manifest, source)
+    ds, _ = _load_dataset(manifest)
+    source, tensor = _read_tensor(args, manifest)
     cfg = manifest.config["cluster"]
     with manifest.stage("cluster"):
-        from .explain import flatten
-
         labeling = hdbscan(flatten(tensor),
                            HdbscanParams(min_cluster_size=cfg["min_cluster_size"],
                                          min_samples=cfg["min_samples"]))
-        path = manifest.set_artifact("clusters", "clusters.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sample_id,label,stability\n")
-            for sid, lab in zip(tensor.sample_ids, labeling.labels):
-                stab = "" if lab == -1 else repr(float(labeling.stability[lab]))
-                fh.write(f"{int(sid)},{int(lab)},{stab}\n")
+        _write_rows(manifest.set_artifact("clusters", "clusters.csv"), ["label", "stability"],
+                    tensor.sample_ids,
+                    ([str(int(lab)), "" if lab == -1 else repr(float(labeling.stability[lab]))]
+                     for lab in labeling.labels))
         truth = ds.labels[tensor.sample_ids]
         report = cluster_purity(labeling, truth)
-        purity_path = manifest.set_artifact("purity", "purity.json")
-        with open(purity_path, "w", encoding="utf-8") as fh:
-            json.dump({"source": source,
-                       "n_clusters": labeling.n_clusters,
-                       "noise": report.noise_count,
-                       "purity": report.purity.tolist(),
-                       "majority_class": [ds.class_names[c]
-                                          for c in report.majority_class],
-                       "contingency": report.contingency.tolist(),
-                       "class_names": list(ds.class_names)},
-                      fh, sort_keys=True, separators=(",", ":"))
+        _write_json(manifest.set_artifact("purity", "purity.json"),
+                    {"source": source,
+                     "n_clusters": labeling.n_clusters,
+                     "noise": report.noise_count,
+                     "purity": report.purity.tolist(),
+                     "majority_class": [ds.class_names[c] for c in report.majority_class],
+                     "contingency": report.contingency.tolist(),
+                     "class_names": list(ds.class_names)})
         print(f"cluster [{source}]: {labeling.n_clusters} clusters, "
               f"{labeling.n_noise} noise points")
     return EXIT_OK
 
 
-def _load_labeling(manifest: RunManifest, n: int) -> ClusterLabeling:
+def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
     path = manifest.require("clusters", hint="run `shappaths cluster` first")
     labels, stabilities = [], {}
     with open(path, encoding="utf-8") as fh:
@@ -367,23 +372,17 @@ def _load_labeling(manifest: RunManifest, n: int) -> ClusterLabeling:
 
 def cmd_embed(args) -> int:
     manifest = _open_run(args)
-    ds, meta = _load_dataset(manifest)
-    source = _cluster_source(args, manifest)
-    tensor = _load_tensor_for(manifest, source)
+    ds, _ = _load_dataset(manifest)
+    source, tensor = _read_tensor(args, manifest)
     with manifest.stage("embed"):
-        from .explain import flatten
-
         flat = flatten(tensor)
         model = pca_fit(flat, r=min(2, min(flat.shape[0] - 1, flat.shape[1])))
         scores = pca_transform(model, flat)
         path = manifest.set_artifact("embedding", "embed.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sample_id," + ",".join(f"pc{i + 1}" for i in range(scores.shape[1])) + "\n")
-            for sid, row in zip(tensor.sample_ids, scores):
-                fh.write(f"{int(sid)}," + ",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
+                    ([repr(float(v)) for v in row] for row in scores))
         if manifest.has("clusters"):
-            labeling = _load_labeling(manifest, tensor.n)
-            colors, names = labeling, None
+            colors, names = _load_labeling(manifest), None
             title = f"SHAP embedding [{source}] by cluster"
         else:
             colors, names = ds.labels[tensor.sample_ids], list(ds.class_names)
@@ -400,19 +399,12 @@ def _plot_spec(manifest: RunManifest) -> PlotSpec:
     return PlotSpec(width=plots["width"], height=plots["height"], top_n=plots["top_n"])
 
 
-def _write_text(path: Path, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
-
-
 def cmd_waterfall(args) -> int:
     manifest = _open_run(args)
-    ds, meta = _load_dataset(manifest)
-    source = getattr(args, "source", None) or manifest.config["cluster"]["source"]
-    tensor = _load_tensor_for(manifest, source)
+    source, tensor = _read_tensor(args, manifest)
     spec = _plot_spec(manifest)
     if args.clustered:
-        labeling = _load_labeling(manifest, tensor.n)
+        labeling = _load_labeling(manifest)
         with manifest.stage("waterfall.clustered"):
             paths = build_paths(tensor, labeling, top_n=spec.top_n)
             projected, _ = project_paths(paths, r=2)
@@ -438,8 +430,7 @@ def cmd_waterfall(args) -> int:
 
 def cmd_bar(args) -> int:
     manifest = _open_run(args)
-    source = getattr(args, "source", None) or manifest.config["cluster"]["source"]
-    tensor = _load_tensor_for(manifest, source)
+    source, tensor = _read_tensor(args, manifest)
     with manifest.stage(f"bar.{source}"):
         svg = stacked_bar(mean_abs(tensor), _plot_spec(manifest),
                           feature_names=tensor.feature_names,
@@ -451,10 +442,9 @@ def cmd_bar(args) -> int:
 
 def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
-    ds, meta = _load_dataset(manifest)
-    source = _cluster_source(args, manifest)
-    tensor = _load_tensor_for(manifest, source)
-    labeling = _load_labeling(manifest, tensor.n)
+    ds, _ = _load_dataset(manifest)
+    _, tensor = _read_tensor(args, manifest)
+    labeling = _load_labeling(manifest)
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
         totals = mean_abs(tensor).sum(axis=1)
@@ -489,8 +479,7 @@ def cmd_report(args) -> int:
 def _render_report(manifest: RunManifest) -> str:
     from html import escape
 
-    with open(manifest.require("metrics"), encoding="utf-8") as fh:
-        metrics = json.load(fh)
+    metrics = _read_json(manifest.require("metrics"))
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'><title>shappaths report</title>",
@@ -516,8 +505,7 @@ def _render_report(manifest: RunManifest) -> str:
         parts.append(f"<tr><td>accuracy</td><td></td>"
                      f"<td>{entry['accuracy']:.2f}</td><td>{support}</td></tr></table>")
     if manifest.has("purity"):
-        with open(manifest.require("purity"), encoding="utf-8") as fh:
-            purity = json.load(fh)
+        purity = _read_json(manifest.require("purity"))
         parts.append(f"<h2>Subgroups ({purity['source']} SHAP)</h2>")
         parts.append(f"<p>{purity['n_clusters']} clusters, {purity['noise']} noise "
                      "samples.</p><table><tr><th>cluster</th><th>size</th>"
@@ -530,14 +518,28 @@ def _render_report(manifest: RunManifest) -> str:
     parts.append("<h2>Plots</h2>")
     for name, filename in sorted(manifest.state["artifacts"].items()):
         if filename.endswith(".svg"):
-            with open(manifest.run_dir / filename, encoding="utf-8") as fh:
-                parts.append(f"<div>{fh.read()}</div>")
+            svg = (manifest.run_dir / filename).read_text(encoding="utf-8")
+            parts.append(f"<div>{svg}</div>")
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and entry point
+
+COMMANDS = {
+    "simulate": (cmd_ingest, "generate the synthetic dataset"),
+    "load": (cmd_ingest, "load a CSV or IDX dataset"),
+    "train": (cmd_train, "train configured models"),
+    "explain": (cmd_explain, "compute SHAP tensors"),
+    "cluster": (cmd_cluster, "HDBSCAN over a flattened SHAP tensor"),
+    "embed": (cmd_embed, "PCA embedding of a flattened SHAP tensor"),
+    "waterfall": (cmd_waterfall, "classical or clustered waterfall plot"),
+    "bar": (cmd_bar, "stacked mean-|SHAP| bars"),
+    "heatmap": (cmd_heatmap, "cluster-mean heatmap of raw features"),
+    "report": (cmd_report, "single-page HTML summary"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -545,105 +547,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="SHAP tensors, subgroup discovery, and waterfall paths")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="run directory")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("simulate", help="generate the synthetic dataset")
-    common(p)
-    p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--p", type=int, help="number of features")
-    p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--scale", action="store_true")
-
-    p = sub.add_parser("load", help="load a CSV or IDX dataset")
-    common(p)
-    p.add_argument("--csv", help="CSV file with a header row")
-    p.add_argument("--target", help="target column name")
-    p.add_argument("--idx-images", dest="idx_images")
-    p.add_argument("--idx-labels", dest="idx_labels")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--scale", action="store_true")
-
-    p = sub.add_parser("train", help="train configured models")
-    common(p)
-    p.add_argument("--model", choices=["tree", "boosted", "mlp", "all"], default="all")
-
-    p = sub.add_parser("explain", help="compute SHAP tensors")
-    common(p)
-    p.add_argument("--model", choices=["tree", "boosted", "mlp", "all"], default="all")
-    p.add_argument("--on", choices=["test", "train", "all"])
-    p.add_argument("--background", type=int, help="background rows for kernel SHAP")
-    p.add_argument("--coalitions", type=int, help="kernel SHAP coalition budget")
-
-    p = sub.add_parser("cluster", help="HDBSCAN over a flattened SHAP tensor")
-    common(p)
-    p.add_argument("--source", choices=["tree", "boosted", "mlp"])
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--min-samples", dest="min_samples", type=int)
-
-    p = sub.add_parser("embed", help="PCA embedding of a flattened SHAP tensor")
-    common(p)
-    p.add_argument("--source", choices=["tree", "boosted", "mlp"])
-
-    p = sub.add_parser("waterfall", help="classical or clustered waterfall plot")
-    common(p)
-    p.add_argument("--source", choices=["tree", "boosted", "mlp"])
-    p.add_argument("--clustered", action="store_true")
-    p.add_argument("--sample", type=int, help="sample position (classical)")
-    p.add_argument("--class-index", dest="class_index", type=int)
-    p.add_argument("--top-n", dest="top_n", type=int)
-
-    p = sub.add_parser("bar", help="stacked mean-|SHAP| bars")
-    common(p)
-    p.add_argument("--source", choices=["tree", "boosted", "mlp"])
-    p.add_argument("--top-n", dest="top_n", type=int)
-
-    p = sub.add_parser("heatmap", help="cluster-mean heatmap of raw features")
-    common(p)
-    p.add_argument("--source", choices=["tree", "boosted", "mlp"])
-    p.add_argument("--top-n", dest="top_n", type=int)
-
-    p = sub.add_parser("report", help="single-page HTML summary")
-    common(p)
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in COMMANDS.items()}
+    for flag in FLAGS:
+        for name in flag.commands:
+            commands[name].add_argument(flag.name, **flag.kwargs)
     return parser
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "load": cmd_load,
-    "train": cmd_train,
-    "explain": cmd_explain,
-    "cluster": cmd_cluster,
-    "embed": cmd_embed,
-    "waterfall": cmd_waterfall,
-    "bar": cmd_bar,
-    "heatmap": cmd_heatmap,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except MissingArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, InvalidSpecError, DataError, ModelIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return COMMANDS[args.command][0](args)
     except ShappathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, MissingArtifactError):
+            return EXIT_MISSING
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -115,6 +115,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def read_manifest(path: Path) -> dict:
+    """The state stored in a run's manifest.json; a damaged file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"run manifest {path} is not valid JSON: {exc}")
+    if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
+        raise ConfigError(f"run manifest {path} holds no config object")
+    return state
+
+
 class RunManifest:
     """The mutable manifest.json of one run directory."""
 
@@ -124,11 +136,7 @@ class RunManifest:
         self.config = config
         self.hash = config_hash(config)
         if self.path.exists():
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    self.state = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"run manifest {self.path} is not valid JSON: {exc}")
+            self.state = read_manifest(self.path)
             if self.state.get("config_hash") != self.hash:
                 raise ConfigError(
                     f"run directory {self.run_dir} was created with a different "

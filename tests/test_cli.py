@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shappaths.cli import main
-from shappaths.manifest import config_hash, resolve_config
+from shappaths.cli import FLAGS, _overrides, build_parser, main
+from shappaths.manifest import DEFAULT_CONFIG, DEFAULT_DATASET, config_hash, resolve_config
 
 CFG = {
     "seed": 13,
@@ -201,3 +203,128 @@ def test_damaged_manifest_is_config_error(cfg_file, tmp_path, capsys, damage):
     assert run(cfg_file, out, "explain") == 2
     err = capsys.readouterr().err
     assert str(manifest) in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the flag table, resuming from the stored config, damaged run artifacts
+
+def _readme_cli_block() -> list[list[str]]:
+    """The commands of the sh block under the README's CLI heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0]) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    commands = _readme_cli_block()
+    assert [argv[0] for argv in commands] == ["shappaths"] * len(commands)
+    assert "--config" not in sum(commands, [])  # later commands resume the stored config
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = argv[1:]
+        if "--n" in argv:  # small n keeps the test fast; everything else as written
+            argv[argv.index("--n") + 1] = "150"
+        assert main(argv) == 0, f"{argv}: {capsys.readouterr().err}"
+    assert (tmp_path / "run" / "report.html").exists()
+
+
+def test_source_selects_the_tensor_on_a_resumed_run(cfg_file, tmp_path):
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train"], ["explain"]):
+        assert run(cfg_file, out, *cmd) == 0
+    assert run(cfg_file, out, "cluster", "--source", "tree") == 0
+    assert json.loads((out / "purity.json").read_text())["source"] == "tree"
+    assert main(["cluster", "--out", str(out), "--source", "mlp"]) == 0
+    assert json.loads((out / "purity.json").read_text())["source"] == "mlp"
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:40], lambda b: b"\xff\xfe" + b[2:]],
+                         ids=["truncated", "not-utf8"])
+def test_damaged_manifest_without_config_is_config_error(cfg_file, tmp_path, capsys, damage):
+    out = tmp_path / "r"
+    assert run(cfg_file, out, "simulate") == 0
+    manifest = out / "manifest.json"
+    manifest.write_bytes(damage(manifest.read_bytes()))
+    assert main(["train", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err
+
+
+def _cut_last_row(b: bytes) -> bytes:
+    return b[: b.rindex(b"\n", 0, len(b) - 1) + 1]
+
+
+CUTS = {"half": lambda b: b[: len(b) // 2],
+        "in-last-cell": lambda b: b[:-3],      # drops the line break and a character
+        "whole-row": _cut_last_row}
+
+
+@pytest.mark.parametrize("name,cut", [("shap_boosted.csv", c) for c in CUTS]
+                         + [("shap_boosted.json", "half")])
+def test_truncated_shap_tensor_exits_2(cfg_file, tmp_path, capfd, name, cut):
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train", "--model", "boosted"], ["explain", "--model", "boosted"]):
+        assert run(cfg_file, out, *cmd) == 0
+    path = out / name
+    path.write_bytes(CUTS[cut](path.read_bytes()))
+    capfd.readouterr()
+    assert main(["cluster", "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+@pytest.mark.parametrize("name,cut", [("dataset.csv", c) for c in CUTS]
+                         + [("dataset.json", "half")])
+def test_truncated_dataset_exits_2(cfg_file, tmp_path, capfd, name, cut, command):
+    out = tmp_path / "r"
+    assert run(cfg_file, out, "simulate") == 0
+    path = out / name
+    path.write_bytes(CUTS[cut](path.read_bytes()))
+    capfd.readouterr()
+    assert main([command, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def _lookup(config: dict, path: str):
+    for key in path.split("."):
+        config = config[key]
+    return config
+
+
+@pytest.mark.parametrize("flag,command", [(f, c) for f in FLAGS if f.path for c in f.commands],
+                         ids=lambda v: getattr(v, "name", v))
+def test_flag_table_row_sets_its_config_key(flag, command):
+    if command != "load":
+        companions = []
+    elif flag.path in ("dataset.images", "dataset.labels"):
+        companions = ["--idx-images", "images", "--idx-labels", "labels"]
+    else:
+        companions = ["--csv", "data.csv"]
+    value = [] if flag.kwargs.get("action") == "store_true" else \
+        [{int: "3", float: "0.25"}.get(flag.kwargs.get("type"), "v")]
+    args = build_parser().parse_args([command, *companions, flag.name, *value])
+    config = resolve_config({}, _overrides(args))
+    defaults = DEFAULT_CONFIG
+    if flag.path.startswith("dataset."):
+        defaults = {"dataset": DEFAULT_DATASET[config["dataset"]["source"]]}
+    assert _lookup(config, flag.path) == getattr(args, flag.dest)
+    assert _lookup(config, flag.path) != _lookup(defaults, flag.path)
+
+
+def test_selectors_stay_out_of_the_config():
+    for argv in (["cluster", "--source", "tree"], ["train", "--model", "mlp"],
+                 ["waterfall", "--clustered"], ["report", "--out", "x"]):
+        assert _overrides(build_parser().parse_args(argv)) == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--on", "all"], ["explain", "--background", "5"],
+    ["explain", "--coalitions", "20"], ["cluster", "--min-cluster-size", "8"],
+    ["cluster", "--min-samples", "2"], ["train", "--n", "60"], ["explain", "--scale"]],
+    ids=" ".join)
+def test_flags_that_cannot_take_effect_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
