@@ -354,16 +354,27 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
+def _load_labeling(manifest: RunManifest, n: int) -> ClusterLabeling:
+    """The cluster labels of the n explained rows; a damaged file is a DataError."""
     path = manifest.require("clusters", hint="run `shappaths cluster` first")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}")
+    rows = [line.split(",") for line in text.split("\n")[1:-1]]
+    # cluster ends every row with a line break, so a file without a final
+    # one was cut, possibly inside a stability that still parses
+    if not text.endswith("\n") or len(rows) != n or any(len(r) != 3 for r in rows):
+        raise DataError(f"{path} is truncated or damaged: expected a header and "
+                        f"{n} rows of 3 cells")
     labels, stabilities = [], {}
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            _, lab, stab = line.rstrip("\n").split(",")
+    try:
+        for _, lab, stab in rows:
             labels.append(int(lab))
             if stab:
                 stabilities[int(lab)] = float(stab)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
     n_clusters = max(stabilities) + 1 if stabilities else 0
     stability = np.array([stabilities.get(c, 0.0) for c in range(n_clusters)])
     return ClusterLabeling(labels=np.array(labels), n_clusters=n_clusters,
@@ -382,7 +393,7 @@ def cmd_embed(args) -> int:
         _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
                     ([repr(float(v)) for v in row] for row in scores))
         if manifest.has("clusters"):
-            colors, names = _load_labeling(manifest), None
+            colors, names = _load_labeling(manifest, tensor.n), None
             title = f"SHAP embedding [{source}] by cluster"
         else:
             colors, names = ds.labels[tensor.sample_ids], list(ds.class_names)
@@ -404,7 +415,7 @@ def cmd_waterfall(args) -> int:
     source, tensor = _read_tensor(args, manifest)
     spec = _plot_spec(manifest)
     if args.clustered:
-        labeling = _load_labeling(manifest)
+        labeling = _load_labeling(manifest, tensor.n)
         with manifest.stage("waterfall.clustered"):
             paths = build_paths(tensor, labeling, top_n=spec.top_n)
             projected, _ = project_paths(paths, r=2)
@@ -444,7 +455,7 @@ def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
     ds, _ = _load_dataset(manifest)
     _, tensor = _read_tensor(args, manifest)
-    labeling = _load_labeling(manifest)
+    labeling = _load_labeling(manifest, tensor.n)
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
         totals = mean_abs(tensor).sum(axis=1)

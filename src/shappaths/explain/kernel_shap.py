@@ -10,16 +10,19 @@ to margin(x) - base. When the budget covers all 2^p - 2 proper coalitions
 they are enumerated and the result is the exact interventional Shapley
 value.
 
-Coalition sampling follows the symmetric-kernel heuristic: complete
-size strata are enumerated from the outside in while the budget allows;
-the remainder is sampled by kernel weight, each coalition paired with its
-complement.
+One generator makes every coalition set, exact or sampled: complete size
+strata are enumerated from the outside in while the budget allows, and
+the remainder is sampled by kernel weight, each coalition paired with
+its complement. The normal matrix of the regression depends only on the
+coalitions and weights, so it is built once and solved for every sample
+and class in one call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +39,8 @@ DEFAULT_BACKGROUND = 100
 # size, so model evaluation runs on one core without page faults and its time
 # does not depend on whether another process holds the second core.
 _BLOCK_ROWS = 512
+# model evaluations one explanation may make: (coalitions + 1) * background * rows
+MAX_MODEL_EVALS = 50_000_000
 
 
 def kernel_weight(p: int, size: int) -> float:
@@ -45,8 +50,6 @@ def kernel_weight(p: int, size: int) -> float:
 
 def _enumerate_size(p: int, size: int) -> np.ndarray:
     """All coalitions of one size as a (count, p) 0/1 matrix, lexicographic."""
-    from itertools import combinations
-
     rows = np.zeros((math.comb(p, size), p))
     for i, combo in enumerate(combinations(range(p), size)):
         rows[i, list(combo)] = 1.0
@@ -55,46 +58,35 @@ def _enumerate_size(p: int, size: int) -> np.ndarray:
 
 def sample_coalitions(p: int, budget: int, rng: np.random.Generator):
     """(coalitions, weights): enumerated strata get exact kernel weights,
-    the sampled remainder splits the leftover kernel mass evenly."""
-    sizes = np.arange(1, p)
-    stratum_weight = np.array([kernel_weight(p, s) * math.comb(p, s) for s in sizes])
-    paired: list[tuple[int, ...]] = []
-    seen = set()
-    for s in sizes[: (p - 1 + 1) // 2]:
-        pair = (s,) if 2 * s == p else (s, p - s)
-        if pair not in seen:
-            paired.append(pair)
-            seen.add(pair)
-
+    the sampled remainder splits the leftover kernel mass evenly. A budget
+    of 2^p - 2 or more enumerates every proper coalition and draws nothing."""
     blocks, weights = [], []
     remaining = budget
-    enumerated_sizes = set()
-    for pair in paired:
-        count = sum(math.comb(p, s) for s in pair)
+    leftover = list(range(1, p))
+    for s in range(1, p // 2 + 1):
+        pair = (s,) if 2 * s == p else (s, p - s)
+        count = sum(math.comb(p, t) for t in pair)
         if count > remaining:
             break
-        for s in pair:
-            block = _enumerate_size(p, s)
+        for t in pair:
+            block = _enumerate_size(p, t)
             blocks.append(block)
-            weights.append(np.full(block.shape[0], kernel_weight(p, s)))
-            enumerated_sizes.add(s)
+            weights.append(np.full(block.shape[0], kernel_weight(p, t)))
+            leftover.remove(t)
         remaining -= count
 
-    leftover_sizes = np.array([s for s in sizes if s not in enumerated_sizes])
-    if leftover_sizes.size and remaining >= 2:
-        mass = np.array([stratum_weight[s - 1] for s in leftover_sizes])
+    if leftover and remaining >= 2:
+        mass = np.array([kernel_weight(p, s) * math.comb(p, s) for s in leftover])
         probs = mass / mass.sum()
         drawn = []
         for _ in range(remaining // 2):
-            s = int(rng.choice(leftover_sizes, p=probs))
+            s = int(rng.choice(leftover, p=probs))
             members = rng.choice(p, size=s, replace=False)
             z = np.zeros(p)
             z[members] = 1.0
             drawn.append(z)
             drawn.append(1.0 - z)
-        drawn = np.array(drawn)
-        uniq, inverse, counts = np.unique(drawn, axis=0,
-                                          return_inverse=True, return_counts=True)
+        uniq, counts = np.unique(np.array(drawn), axis=0, return_counts=True)
         blocks.append(uniq)
         weights.append(mass.sum() * counts / counts.sum())
     if not blocks:
@@ -118,37 +110,21 @@ def _coalition_values(model, x: np.ndarray, coalitions: np.ndarray,
     return np.vstack(outputs)
 
 
-def _solve_constrained(coalitions, weights, values, base, fx):
-    """Weighted least squares with the sum constraint eliminated on the
-    last feature; returns (p, k) attributions."""
-    p = coalitions.shape[1]
-    delta = fx - base                      # (k,)
-    z_last = coalitions[:, -1:]            # (C, 1)
-    design = coalitions[:, :-1] - z_last   # (C, p-1)
-    target = values - base - z_last * delta[None, :]
-    w = weights / weights.sum()
-    a = design.T @ (design * w[:, None])
-    b = design.T @ (target * w[:, None])
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b, with a small ridge when a is singular."""
     try:
-        head = np.linalg.solve(a, b)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         scale = float(np.trace(a)) / max(a.shape[0], 1)
         log.warning("singular kernel regression; adding ridge %.1e", 1e-6 * scale)
         try:
-            head = np.linalg.solve(a + 1e-6 * scale * np.eye(a.shape[0]), b)
+            return np.linalg.solve(a + 1e-6 * scale * np.eye(a.shape[0]), b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"kernel regression is singular: {exc}") from exc
-    if not np.isfinite(head).all():
-        raise NumericalError("kernel regression produced non-finite attributions")
-    phi = np.empty((p, head.shape[1]))
-    phi[:-1] = head
-    phi[-1] = delta - head.sum(axis=0)
-    return phi
 
 
 def kernel_shap(model, X: np.ndarray, background: Background,
                 n_coalitions: int = DEFAULT_COALITIONS, seed: int = 0,
-                max_model_evals: int | None = 50_000_000,
                 feature_names=None, class_names=None,
                 sample_ids=None) -> ShapTensor:
     """Sampled (or fully enumerated) Kernel SHAP tensor for any margin model.
@@ -162,31 +138,38 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         raise DataError("need at least one feature")
     if background.data.shape[1] != p:
         raise DataError(f"background has {background.data.shape[1]} features, data has {p}")
-    total = 2 ** p - 2 if p < 63 else np.inf
-    exact = total <= n_coalitions
-    if exact:
-        coalitions = np.vstack([_enumerate_size(p, s) for s in range(1, p)]) \
-            if p > 1 else np.zeros((0, p))
-        weights = np.array([kernel_weight(p, int(z.sum())) for z in coalitions])
-    else:
-        coalitions, weights = sample_coalitions(p, n_coalitions, generator(seed, "shap.kernel"))
+    exact = 2 ** p - 2 <= n_coalitions
+    coalitions, weights = (sample_coalitions(p, n_coalitions, generator(seed, "shap.kernel"))
+                           if p > 1 else (np.zeros((0, p)), np.zeros(0)))
     evals = (coalitions.shape[0] + 1) * background.m * n
-    if max_model_evals is not None and evals > max_model_evals:
+    if evals > MAX_MODEL_EVALS:
         raise InvalidSpecError(
             f"kernel explanation needs {evals} model evaluations, over the "
-            f"budget of {max_model_evals}; lower n_coalitions or the background size")
+            f"budget of {MAX_MODEL_EVALS}; lower n_coalitions or the background size")
 
     base = model.predict_margin(background.data).mean(axis=0)
     k = base.shape[0]
-    margins = model.predict_margin(X)
-    values = np.zeros((n, p, k))
+    delta = model.predict_margin(X) - base         # (n, k)
+    values = np.empty((n, p, k))
     if p == 1:
         # additivity pins the single attribution down exactly
-        values[:, 0, :] = margins - base
+        values[:, 0, :] = delta
     else:
+        # the sum constraint is eliminated on the last feature: regress the
+        # first p-1 attributions on z[:-1] - z[-1] with weights w
+        z_last = coalitions[:, -1:]                # (C, 1)
+        design = coalitions[:, :-1] - z_last       # (C, p-1)
+        w = (weights / weights.sum())[:, None]
+        a = design.T @ (design * w)
+        b = np.empty((p - 1, n, k))
         for i in range(n):
             v = _coalition_values(model, X[i], coalitions, background.data)
-            values[i] = _solve_constrained(coalitions, weights, v, base, margins[i])
+            b[:, i, :] = design.T @ ((v - base - z_last * delta[i]) * w)
+        head = _solve(a, b.reshape(p - 1, n * k)).reshape(p - 1, n, k)
+        if not np.isfinite(head).all():
+            raise NumericalError("kernel regression produced non-finite attributions")
+        values[:, :-1, :] = head.transpose(1, 0, 2)
+        values[:, -1, :] = delta - head.sum(axis=0)
     return ShapTensor(
         values=values, base=base, sample_ids=sample_ids,
         feature_names=feature_names, class_names=class_names,

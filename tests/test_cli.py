@@ -287,6 +287,36 @@ def test_truncated_dataset_exits_2(cfg_file, tmp_path, capfd, name, cut, command
     assert str(path) in err and "Traceback" not in err
 
 
+def _last_commas(b: bytes) -> tuple[int, int]:
+    last = b.rindex(b",")
+    return b.rindex(b",", 0, last), last
+
+
+CLUSTER_DAMAGE = {"id,label": lambda b: b[: _last_commas(b)[1]],
+                  "id,": lambda b: b[: _last_commas(b)[0] + 1],
+                  "id": lambda b: b[: _last_commas(b)[0]],
+                  "in-stability": lambda b: b[:-3],
+                  "whole-row": _cut_last_row,
+                  "bad-stability": lambda b: b[: _last_commas(b)[1]] + b",x\n",
+                  "not-utf8": lambda b: b[:-3] + b"\xff\n"}
+
+
+@pytest.mark.parametrize("command", [["embed"], ["waterfall", "--clustered"], ["heatmap"]],
+                         ids=["embed", "waterfall", "heatmap"])
+@pytest.mark.parametrize("damage", list(CLUSTER_DAMAGE))
+def test_damaged_clusters_exits_2(cfg_file, tmp_path, capfd, damage, command):
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train", "--model", "boosted"], ["explain", "--model", "boosted"],
+                ["cluster"]):
+        assert run(cfg_file, out, *cmd) == 0
+    path = out / "clusters.csv"
+    path.write_bytes(CLUSTER_DAMAGE[damage](path.read_bytes()))
+    capfd.readouterr()
+    assert main([*command, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def _lookup(config: dict, path: str):
     for key in path.split("."):
         config = config[key]

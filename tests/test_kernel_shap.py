@@ -92,12 +92,13 @@ def test_single_feature_model():
     assert abs(t.values[0, 0, 0] - 3.0 * (5.0 - 2.0)) < 1e-12
 
 
-def test_eval_budget_enforced():
+def test_eval_budget_enforced(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("shappaths.explain.kernel_shap"),
+                        "MAX_MODEL_EVALS", 1000)
     model = LinearModel([[1.0] * 12])
     bg = Background(np.zeros((50, 12)))
     with pytest.raises(InvalidSpecError, match="budget"):
-        kernel_shap(model, np.zeros((10, 12)), bg, n_coalitions=2048, seed=0,
-                    max_model_evals=1000)
+        kernel_shap(model, np.zeros((10, 12)), bg, n_coalitions=2048, seed=0)
 
 
 def test_kernel_on_trained_mlp(sim_small_split):
@@ -158,3 +159,50 @@ def test_model_evaluated_in_small_blocks(monkeypatch):
         assert max(model.calls) <= max(rows, bg.m)
     assert np.abs(values[0] - values[1]).max() < 1e-12
     assert np.abs(values[2] - values[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10])
+def test_full_budget_enumerates_every_coalition_once(p):
+    """A budget of 2^p - 2 yields each proper coalition once with its exact
+    kernel weight and draws nothing from the rng."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    coalitions, weights = sample_coalitions(p, 2 ** p - 2, rng)
+    assert rng.bit_generator.state == state
+    codes = coalitions @ (2 ** np.arange(p))
+    assert sorted(codes.astype(int).tolist()) == list(range(1, 2 ** p - 1))
+    sizes = coalitions.sum(axis=1).astype(int)
+    assert np.array_equal(weights, [kernel_weight(p, s) for s in sizes])
+
+
+@pytest.mark.parametrize("budget", [2 ** 6 - 2, 30])
+def test_batched_solve_matches_one_row_at_a_time(budget):
+    """Solving all samples against one normal matrix gives each row the
+    values it gets when explained alone."""
+    rng = np.random.default_rng(8)
+    model = init_mlp((6, 8, 3), rng)
+    bg = Background(rng.normal(size=(15, 6)))
+    X = rng.normal(size=(5, 6))
+    batch = kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values
+    for i in range(X.shape[0]):
+        alone = kernel_shap(model, X[i:i + 1], bg, n_coalitions=budget, seed=2).values
+        assert np.abs(batch[i] - alone[0]).max() < 1e-12
+
+
+def test_singular_regression_warns_once(monkeypatch, caplog):
+    """A singular normal matrix gets one ridge and one warning per call,
+    not one per explained row."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    monkeypatch.setattr(ks, "sample_coalitions", lambda p, budget, rng: (
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.ones(2)))
+    model = LinearModel([[1.0, -2.0, 0.5]], intercept=[0.2])
+    rng = np.random.default_rng(9)
+    bg = Background(rng.normal(size=(10, 3)))
+    X = rng.normal(size=(5, 3))
+    with caplog.at_level("WARNING", logger=ks.__name__):
+        t = kernel_shap(model, X, bg, n_coalitions=4, seed=0)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "singular" in caplog.records[0].getMessage()
+    assert np.isfinite(t.values).all()
+    margins = model.predict_margin(X)
+    assert np.abs(t.values.sum(axis=1) - (margins - t.base)).max() < 1e-9
