@@ -11,21 +11,18 @@ __version__ = "0.1.0"
 
 from .data import (Dataset, ScalingMeta, SimulationSpec, SplitSpec, load_csv,
                    load_idx_images, min_max_scale, simulate, split, write_csv)
-from .explain import (Background, ShapTensor, cluster_mean, flatten, kernel_shap,
-                      load_tensor, mean_abs, sample_background, save_tensor, tree_shap,
-                      unflatten_values)
-from .models import (BoostedEnsemble, DecisionTree, EvalReport, GridSearchSpec,
-                     MarginModel, Mlp, evaluate, grid_search, leaf_id, load_model,
+from .explain import (Background, ShapTensor, flatten, kernel_shap, load_tensor, mean_abs,
+                      sample_background, save_tensor, tree_shap, unflatten_values)
+from .models import (BoostedEnsemble, DecisionTree, EvalReport, Mlp, evaluate, load_model,
                      save_model, train_boosted, train_mlp, train_tree)
 from .subgroup import (ClusterLabeling, HdbscanParams, PcaModel, cluster_purity,
                        hdbscan, pca_fit, pca_transform)
 
 __all__ = [
     "Background", "BoostedEnsemble", "ClusterLabeling", "Dataset", "DecisionTree",
-    "EvalReport", "GridSearchSpec", "HdbscanParams", "MarginModel", "Mlp", "PcaModel",
-    "ScalingMeta", "ShapTensor", "SimulationSpec", "SplitSpec", "cluster_mean",
-    "cluster_purity", "evaluate", "flatten", "grid_search", "hdbscan", "kernel_shap",
-    "leaf_id", "load_csv", "load_idx_images", "load_model", "load_tensor", "mean_abs",
+    "EvalReport", "HdbscanParams", "Mlp", "PcaModel", "ScalingMeta", "ShapTensor",
+    "SimulationSpec", "SplitSpec", "cluster_purity", "evaluate", "flatten", "hdbscan",
+    "kernel_shap", "load_csv", "load_idx_images", "load_model", "load_tensor", "mean_abs",
     "min_max_scale", "pca_fit", "pca_transform", "sample_background", "save_model",
     "save_tensor", "simulate", "split", "train_boosted", "train_mlp", "train_tree",
     "tree_shap", "unflatten_values", "write_csv",

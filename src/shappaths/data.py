@@ -301,10 +301,6 @@ class ScalingMeta:
     def to_dict(self) -> dict:
         return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingMeta":
-        return cls(np.array(d["mins"], dtype=float), np.array(d["ranges"], dtype=float))
-
 
 def min_max_scale(ds: Dataset) -> tuple[Dataset, ScalingMeta]:
     """Rescale every column to [0, 1]; constant columns map to 0."""

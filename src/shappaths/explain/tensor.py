@@ -117,25 +117,6 @@ def mean_abs(t: ShapTensor) -> np.ndarray:
     return np.abs(t.values).mean(axis=0)
 
 
-def cluster_mean(t: ShapTensor, labeling) -> dict[int, tuple[np.ndarray, int]]:
-    """Mean (p, k) slice and size per cluster; noise points are excluded.
-
-    ``labeling`` is a ClusterLabeling or a plain label array with -1 noise.
-    """
-    labels = np.asarray(getattr(labeling, "labels", labeling), dtype=int)
-    if labels.shape != (t.n,):
-        raise DataError(f"labels must have length {t.n}")
-    out: dict[int, tuple[np.ndarray, int]] = {}
-    for cluster in np.unique(labels):
-        if cluster == -1:
-            continue
-        members = np.flatnonzero(labels == cluster)
-        if members.size == 0:
-            raise DataError(f"cluster {cluster} is empty after noise removal")
-        out[int(cluster)] = (t.values[members].mean(axis=0), int(members.size))
-    return out
-
-
 def save_tensor(t: ShapTensor, json_path, csv_path) -> None:
     """Manifest JSON plus a CSV of the flattened values (exact floats)."""
     manifest = {

@@ -81,6 +81,10 @@ def resolve_config(file_config: dict | None = None,
             bad = set(requested) - set(DEFAULT_MODELS)
             if bad:
                 raise ConfigError(f"unknown model kinds: {sorted(bad)}")
+            for kind, params in requested.items():
+                bad = set(params or {}) - set(DEFAULT_MODELS[kind])
+                if bad:
+                    raise ConfigError(f"unknown models.{kind} parameters: {sorted(bad)}")
             current = merged["models"]
             merged["models"] = {
                 kind: _merge(current.get(kind, DEFAULT_MODELS[kind]), params or {})

@@ -7,32 +7,14 @@ class-frequency vectors; the boosted ensemble and the network report
 logits.
 """
 
-from typing import Protocol, runtime_checkable
-
-import numpy as np
-
 from .boosted import BoostedEnsemble, log_loss, softmax, train_boosted
-from .io import load_model, model_from_dict, model_to_dict, save_model
+from .io import load_model, model_to_dict, save_model
 from .metrics import EvalReport, evaluate
 from .mlp import Mlp, init_mlp, loss_and_grads, train_mlp
-from .search import CvCell, GridSearchResult, GridSearchSpec, fold_assignments, grid_search
-from .tree import DecisionTree, leaf_id, train_tree
-
-
-@runtime_checkable
-class MarginModel(Protocol):
-    n_features: int
-    n_classes: int
-
-    def predict_margin(self, X: np.ndarray) -> np.ndarray: ...
-
-    def predict_class(self, X: np.ndarray) -> np.ndarray: ...
-
+from .tree import DecisionTree, train_tree
 
 __all__ = [
-    "BoostedEnsemble", "CvCell", "DecisionTree", "EvalReport", "GridSearchResult",
-    "GridSearchSpec", "MarginModel", "Mlp", "evaluate", "fold_assignments",
-    "grid_search", "init_mlp", "leaf_id", "load_model", "log_loss", "loss_and_grads",
-    "model_from_dict", "model_to_dict", "save_model", "softmax", "train_boosted",
-    "train_mlp", "train_tree",
+    "BoostedEnsemble", "DecisionTree", "EvalReport", "Mlp", "evaluate", "init_mlp",
+    "load_model", "log_loss", "loss_and_grads", "model_to_dict", "save_model", "softmax",
+    "train_boosted", "train_mlp", "train_tree",
 ]

@@ -63,7 +63,7 @@ def model_to_dict(model) -> dict:
     raise ModelIOError(f"cannot serialize {type(model).__name__}")
 
 
-def model_from_dict(d: dict):
+def _model_from_payload(d: dict):
     try:
         version = d["schema_version"]
         if version != SCHEMA_VERSION:
@@ -105,4 +105,4 @@ def load_model(path):
         raise ModelIOError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelIOError(f"corrupt model file {path}: expected a JSON object")
-    return model_from_dict(payload)
+    return _model_from_payload(payload)

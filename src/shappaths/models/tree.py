@@ -49,9 +49,6 @@ class DecisionTree:
                 depth[self.right[node]] = depth[node] + 1
         return int(depth.max())
 
-    def is_leaf(self, node) -> np.ndarray:
-        return self.feature[node] == LEAF
-
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Index of the unique leaf each row routes to."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -88,55 +85,16 @@ class DecisionTree:
                     raise DataError(f"cover mismatch at node {node}")
 
 
-class _TreeBuilder:
-    """Accumulates nodes in preorder; children patched in after recursion."""
-
-    def __init__(self, value_dim: int):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.cover: list[float] = []
-        self.value: list[np.ndarray] = []
-        self.value_dim = value_dim
-
-    def add(self, cover: float, value: np.ndarray) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(np.nan)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.cover.append(float(cover))
-        self.value.append(np.asarray(value, dtype=float))
-        return len(self.feature) - 1
-
-    def make_internal(self, node: int, feature: int, threshold: float,
-                      left: int, right: int) -> None:
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-
-    def build(self, n_features: int) -> DecisionTree:
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=int),
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=int),
-            right=np.array(self.right, dtype=int),
-            cover=np.array(self.cover, dtype=float),
-            value=np.vstack(self.value).reshape(len(self.feature), self.value_dim),
-            n_features=n_features,
-        )
-
-
-def best_split(X: np.ndarray, gain_fn) -> tuple[int, float, float] | None:
+def best_split(X: np.ndarray, gain_fn, min_leaf: int) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gain) over all midpoint splits, or None.
 
-    ``gain_fn(order, distinct)`` receives the per-column sort order and a
-    mask of split positions whose neighboring sorted values differ; it
-    returns a gain matrix with -inf at disallowed positions. Ties resolve
-    to the lowest feature index, then the lowest threshold.
+    ``gain_fn(order)`` receives the per-column sort order and returns the
+    (m - 1, p) gains of splitting after each sorted position. Positions
+    between equal values, or leaving fewer than ``min_leaf`` rows on a
+    side, are masked here. Ties resolve to the lowest feature index, then
+    the lowest threshold.
     """
-    m, p = X.shape
+    m = X.shape[0]
     if m < 2:
         return None
     order = np.argsort(X, axis=0, kind="stable")
@@ -144,15 +102,61 @@ def best_split(X: np.ndarray, gain_fn) -> tuple[int, float, float] | None:
     distinct = sorted_x[:-1] != sorted_x[1:]
     if not distinct.any():
         return None
-    gains = gain_fn(order, distinct)
-    best = gains.max()
+    gains = gain_fn(order)
+    gains[~distinct] = -np.inf
+    gains[: min_leaf - 1] = -np.inf
+    gains[m - min_leaf:] = -np.inf
+    # the first maximum in feature-major order; a nan anywhere is found first
+    feat, pos = divmod(int(np.argmax(gains.T)), m - 1)
+    best = gains[pos, feat]
     if not np.isfinite(best) or best <= 0.0:
         return None
-    where = np.argwhere(gains == best)
-    feat = int(where[:, 1].min())
-    pos = int(where[where[:, 1] == feat][:, 0].min())
     threshold = 0.5 * (sorted_x[pos, feat] + sorted_x[pos + 1, feat])
     return feat, float(threshold), float(best)
+
+
+def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
+              min_leaf: int) -> DecisionTree:
+    """Greedy preorder growth over the rows of ``X``.
+
+    ``node_value(rows)`` is the value a node stores; ``node_gains(rows)`` is
+    the ``gain_fn`` of :func:`best_split` for those rows, or None to keep
+    the node a leaf. A node also stays a leaf at ``max_depth``, below
+    ``2 * min_leaf`` rows, or when no split has positive gain.
+    """
+    if max_depth < 0 or min_leaf < 1:
+        raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
+    feature, threshold, left, right, cover, value = [], [], [], [], [], []
+
+    def grow(rows: np.ndarray, depth: int) -> int:
+        node = len(feature)
+        feature.append(LEAF)
+        threshold.append(np.nan)
+        left.append(LEAF)
+        right.append(LEAF)
+        cover.append(float(rows.size))
+        value.append(node_value(rows))
+        if depth >= max_depth or rows.size < 2 * min_leaf:
+            return node
+        gain_fn = node_gains(rows)
+        found = None if gain_fn is None else best_split(X[rows], gain_fn, min_leaf)
+        if found is None:
+            return node
+        feat, thr, _ = found
+        feature[node], threshold[node] = feat, thr
+        goes_left = X[rows, feat] < thr
+        left[node] = grow(rows[goes_left], depth + 1)
+        right[node] = grow(rows[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return DecisionTree(feature=np.array(feature, dtype=int),
+                        threshold=np.array(threshold, dtype=float),
+                        left=np.array(left, dtype=int),
+                        right=np.array(right, dtype=int),
+                        cover=np.array(cover, dtype=float),
+                        value=np.vstack(value),
+                        n_features=X.shape[1])
 
 
 def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
@@ -162,20 +166,19 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
     Splitting stops on purity, depth, or when no split with positive gain
     keeps ``min_leaf`` samples on both sides.
     """
-    if max_depth < 0 or min_leaf < 1:
-        raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
     if train.n < 2 * min_leaf:
         raise DataError(f"need at least {2 * min_leaf} rows, got {train.n}")
     X, y, k = train.features, train.labels, train.k
-    builder = _TreeBuilder(value_dim=k)
 
     def node_value(rows):
         return np.bincount(y[rows], minlength=k) / rows.size
 
     def gini_gains(rows):
         yr = y[rows]
+        if np.unique(yr).size == 1:
+            return None
 
-        def gain_fn(order, distinct):
+        def gain_fn(order):
             m = rows.size
             n_left = np.arange(1, m, dtype=float)[:, None]
             n_right = m - n_left
@@ -187,34 +190,8 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
                 sq_right += (cum[-1] - cum[:-1]) ** 2
             child = (n_left - sq_left / n_left + n_right - sq_right / n_right) / m
             parent = 1.0 - np.sum((np.bincount(yr, minlength=k) / m) ** 2)
-            gains = parent - child
-            gains[~distinct] = -np.inf
-            gains[: min_leaf - 1] = -np.inf
-            gains[gains.shape[0] + 1 - min_leaf:] = -np.inf
-            return gains
+            return parent - child
 
         return gain_fn
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = builder.add(rows.size, node_value(rows))
-        if depth >= max_depth or rows.size < 2 * min_leaf:
-            return node
-        if np.unique(y[rows]).size == 1:
-            return node
-        found = best_split(X[rows], gini_gains(rows))
-        if found is None:
-            return node
-        feat, threshold, _ = found
-        goes_left = X[rows, feat] < threshold
-        left = grow(rows[goes_left], depth + 1)
-        right = grow(rows[~goes_left], depth + 1)
-        builder.make_internal(node, feat, threshold, left, right)
-        return node
-
-    grow(np.arange(train.n), 0)
-    return builder.build(train.p)
-
-
-def leaf_id(model: DecisionTree, x) -> int:
-    """The leaf node index a single sample routes to."""
-    return int(model.leaf_ids(np.atleast_2d(x))[0])
+    return grow_tree(X, node_value, gini_gains, max_depth, min_leaf)

@@ -74,8 +74,6 @@ def build_paths(t: ShapTensor, grouping, top_n: int | None = None) -> list[Water
     """
     paths = []
     for name, members in _groups_from(grouping, t.n):
-        if members.size == 0:
-            raise DataError(f"empty group {name!r}")
         mean_matrix = t.values[members].mean(axis=0)  # (p, k)
         norms = np.linalg.norm(mean_matrix, axis=1)
         order = np.lexsort((np.arange(t.p), -norms))

@@ -358,3 +358,34 @@ def test_flags_that_cannot_take_effect_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["tree", "boosted"])
+@pytest.mark.parametrize("bad", [{"min_leaf": 0}, {"max_depth": -1}], ids=["min_leaf", "max_depth"])
+def test_bad_tree_hyperparameters_exit_2(tmp_path, capsys, kind, bad):
+    cfg = {"dataset": {"n_samples": 120, "n_features": 4}, "models": {kind: bad},
+           "cluster": {"source": kind}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(cfg_path, out, "simulate") == 0
+    assert run(cfg_path, out, "train") == 2
+    assert "max_depth must be >= 0 and min_leaf >= 1" in capsys.readouterr().err
+    assert not (out / f"model_{kind}.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "load"])
+@pytest.mark.parametrize("kind,key", [("tree", "depth"), ("boosted", "min_leaves"),
+                                      ("mlp", "bogus")])
+def test_unknown_model_parameter_rejected(tmp_path, capsys, command, kind, key):
+    data_file = tmp_path / "data.csv"
+    data_file.write_text("x1,x2,target\n0.5,1.0,a\n1.5,0.0,b\n")
+    cfg = {"models": {kind: {key: 0}}, "cluster": {"source": kind}}
+    if command == "load":
+        cfg["dataset"] = {"source": "csv", "path": str(data_file)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(cfg_path, tmp_path / "run", command) == 2
+    err = capsys.readouterr().err
+    assert f"models.{kind}" in err and key in err
+    assert "Traceback" not in err

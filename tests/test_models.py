@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import perceptron_separable
-from shappaths import (Dataset, GridSearchSpec, evaluate, grid_search, leaf_id,
-                       load_model, save_model, train_boosted, train_mlp, train_tree)
+from shappaths import (Dataset, evaluate, load_model, save_model, train_boosted, train_mlp,
+                       train_tree)
 from shappaths.errors import DataError, InvalidSpecError, ModelIOError
-from shappaths.models import fold_assignments, loss_and_grads
+from shappaths.models import loss_and_grads
 from shappaths.models.tree import LEAF
 
 
@@ -47,16 +47,20 @@ def test_min_leaf_respected(sim_small_split):
     tree = train_tree(train, max_depth=8, min_leaf=9)
     leaves = tree.feature == LEAF
     assert tree.cover[leaves].min() >= 9
+    model = train_boosted(train, n_rounds=3, max_depth=4, min_leaf=7)
+    trees = [t for r in model.rounds for t in r]
+    assert any(t.n_nodes > 1 for t in trees)
+    for t in trees:
+        assert t.cover[t.feature == LEAF].min() >= 7
 
 
 def test_leaf_id_examples():
     ds = tiny_ds([[1.0], [1.0]], [0, 1])
     single = train_tree(ds, max_depth=3)  # no split possible: identical xs
-    assert leaf_id(single, [0.5]) == 0
+    assert single.leaf_ids([0.5]).tolist() == [0]
     X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
     stump = train_tree(tiny_ds(X, (X[:, 0] > 0).astype(int)), max_depth=1)
-    assert leaf_id(stump, [-2.0]) == stump.left[0]
-    assert leaf_id(stump, [2.0]) == stump.right[0]
+    assert stump.leaf_ids([[-2.0], [2.0]]).tolist() == [stump.left[0], stump.right[0]]
 
 
 def test_leaf_partition_property(sim_small_split):
@@ -228,75 +232,6 @@ def test_evaluate_feature_count_mismatch(sim_small, two_class_ds):
     model = train_tree(two_class_ds, max_depth=2)
     with pytest.raises(DataError):
         evaluate(model, sim_small)
-
-
-# ---------------------------------------------------------------------------
-# grid search
-
-def test_grid_single_cell(two_class_ds):
-    spec = GridSearchSpec(grids={"max_depth": [2]}, n_folds=2, seed=0)
-    result = grid_search(two_class_ds, "tree", spec)
-    assert result.best_params == {"max_depth": 2}
-    assert len(result.table) == 1
-
-
-def test_grid_table_size_and_tie_break(two_class_ds):
-    spec = GridSearchSpec(grids={"max_depth": [1, 2], "min_leaf": [1, 2, 4]},
-                          n_folds=2, seed=1)
-    result = grid_search(two_class_ds, "tree", spec)
-    assert len(result.table) == 6
-    best = max(cell.mean_accuracy for cell in result.table)
-    winners = [cell.params for cell in result.table
-               if cell.mean_accuracy == best]
-    assert result.best_params == winners[0]  # first-listed wins ties
-
-
-def test_grid_selects_generating_depth():
-    # depth-2 concept: class = (x0 > 0) xor (x1 > 0); depth 1 cannot express it
-    rng = np.random.default_rng(7)
-    X = rng.uniform(-1, 1, size=(240, 2))
-    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-    ds = Dataset(X, y, ("a", "b"), ("n", "p"))
-    spec = GridSearchSpec(grids={"max_depth": [1, 2, 3]}, n_folds=3, seed=0)
-    result = grid_search(ds, "tree", spec)
-    # oracle: replay the same folds by hand and pick the best mean accuracy
-    folds = fold_assignments(ds.labels, 3, True, 0)
-    hand = {}
-    for depth in (1, 2, 3):
-        accs = []
-        for f in range(3):
-            model = train_tree(ds.take(np.flatnonzero(folds != f)), max_depth=depth)
-            accs.append(evaluate(model, ds.take(np.flatnonzero(folds == f))).accuracy)
-        hand[depth] = np.mean(accs)
-    assert result.best_params["max_depth"] == max(hand, key=lambda d: (hand[d], -d))
-    assert result.best_params["max_depth"] >= 2
-
-
-def test_grid_empty_rejected(two_class_ds):
-    with pytest.raises(InvalidSpecError):
-        grid_search(two_class_ds, "tree", GridSearchSpec(grids={"max_depth": []}))
-
-
-def test_grid_covers_boosted_and_mlp_kinds(two_class_ds):
-    boosted = grid_search(two_class_ds, "boosted",
-                          GridSearchSpec(grids={"n_rounds": [2], "max_depth": [1, 2]},
-                                         n_folds=2, seed=0))
-    assert len(boosted.table) == 2
-    assert set(boosted.best_params) == {"n_rounds", "max_depth"}
-    mlp = grid_search(two_class_ds, "mlp",
-                      GridSearchSpec(grids={"hidden": [(4,)], "epochs": [3],
-                                            "learning_rate": [0.2]},
-                                     n_folds=2, seed=0))
-    assert mlp.best_params["hidden"] == (4,)
-
-
-def test_stratified_folds_need_enough_class_members():
-    labels = np.array([0] * 10 + [1] * 2)
-    with pytest.raises(InvalidSpecError, match="folds"):
-        fold_assignments(labels, n_folds=3, stratified=True, seed=0)
-    # non-stratified folds are fine with tiny classes
-    folds = fold_assignments(labels, n_folds=3, stratified=False, seed=0)
-    assert set(folds) == {0, 1, 2}
 
 
 def test_identical_seeds_identical_serialized_models(sim_small_split):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shappaths import ShapTensor, cluster_mean, flatten, load_tensor, mean_abs, save_tensor, unflatten_values
+from shappaths import ShapTensor, flatten, load_tensor, mean_abs, save_tensor, unflatten_values
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
 
@@ -47,28 +47,6 @@ def test_mean_abs():
     assert np.array_equal(mean_abs(t), np.zeros((3, 2)))
     one = make_tensor([[[-2.0, 1.0], [0.5, -0.5]]])
     assert np.array_equal(mean_abs(one), [[2.0, 1.0], [0.5, 0.5]])
-
-
-def test_cluster_mean_examples():
-    values = np.stack([np.full((2, 2), 1.0), np.full((2, 2), 3.0),
-                       np.full((2, 2), 8.0), np.full((2, 2), 100.0)])
-    t = make_tensor(values)
-    labels = np.array([0, 0, 1, -1])  # noise excluded
-    means = cluster_mean(t, labels)
-    assert set(means) == {0, 1}
-    matrix, size = means[0]
-    assert size == 2 and np.allclose(matrix, 2.0)
-    matrix, size = means[1]
-    assert size == 1 and np.allclose(matrix, 8.0)  # singleton: the sample itself
-    # one cluster containing everything equals the global mean
-    all_one = cluster_mean(t, np.zeros(4, dtype=int))
-    assert np.allclose(all_one[0][0], values.mean(axis=0))
-
-
-def test_cluster_mean_length_check():
-    t = make_tensor(np.zeros((3, 2, 2)))
-    with pytest.raises(DataError):
-        cluster_mean(t, np.array([0, 0]))
 
 
 def test_tensor_round_trip(tmp_path):

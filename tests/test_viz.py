@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shappaths import Dataset, ShapTensor
-from shappaths.errors import InvalidSpecError
+from shappaths.errors import DataError, InvalidSpecError
 from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
                            paths_to_csv, pca_scatter, project_paths, render_paths,
                            stacked_bar, waterfall_entries)
@@ -93,6 +93,8 @@ def test_build_paths_singleton_cluster_is_sample_row():
     sums = {p.group: p.endpoint for p in paths}
     assert np.allclose(sums["group 0"], values[0].sum(axis=0))
     assert np.allclose(sums["group 1"], values[3].sum(axis=0))
+    with pytest.raises(DataError, match="length 4"):
+        build_paths(t, labels[:2])
 
 
 def test_build_paths_top_n_remainder():
