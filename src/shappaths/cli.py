@@ -8,8 +8,9 @@ then flags. A later command whose --out directory already holds a manifest
 starts from the config stored there unless --config is given; a different
 pipeline config is rejected either way. Artifacts land in one run
 directory (--out, else $SHAPPATHS_OUT/<config-hash>, else
-./runs/<config-hash>). Exit codes: 0 success, 2 config or data error,
-3 missing upstream artifact, 4 numerical failure.
+./runs/<config-hash>). Exit codes: 0 success, 2 config or data error (an
+artifact whose bytes differ from the digest recorded when its stage
+finished included), 3 missing upstream artifact, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 from . import __version__
 from .data import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
                    min_max_scale, simulate, split_indices, write_csv)
-from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
-                     ShappathsError)
+from .errors import ConfigError, MissingArtifactError, NumericalError, ShappathsError
 from .explain import (flatten, load_tensor, mean_abs, kernel_shap, sample_background,
                       save_tensor, tree_shap)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_manifest,
@@ -97,12 +97,9 @@ FLAGS = [
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _read_json(path, error=DataError):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{path} is not valid JSON: {exc}")
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -117,9 +114,11 @@ def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        loaded = _read_json(path, ConfigError)
+        loaded = _read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return loaded
@@ -164,10 +163,6 @@ def _load_dataset(manifest: RunManifest) -> tuple[Dataset, dict]:
     # `explain` ran ~10 % slower in 10 of 10 paired runs (cause not found)
     ds = load_csv(csv_path, "__target__")
     meta = _read_json(json_path)
-    if ds.n != meta["n"] or set(ds.class_names) != set(meta["class_names"]):
-        raise DataError(f"{csv_path} holds {ds.n} rows of classes {list(ds.class_names)}, "
-                        f"but {json_path.name} records {meta['n']} rows of "
-                        f"{meta['class_names']}; the file is damaged")
     # class order in the CSV is first-appearance; restore the saved order
     if list(ds.class_names) != meta["class_names"]:
         remap = {name: i for i, name in enumerate(meta["class_names"])}
@@ -256,8 +251,7 @@ def cmd_train(args) -> int:
     ds, meta = _load_dataset(manifest)
     train = ds.take(meta["split"]["train"])
     test = ds.take(meta["split"]["test"])
-    metrics_path = manifest.set_artifact("metrics", "metrics.json")
-    metrics = _read_json(metrics_path) if metrics_path.exists() else {}
+    metrics = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
     for kind in _selected_kinds(args, manifest):
         with manifest.stage(f"train.{kind}"):
             model = _train_one(kind, manifest.config["models"][kind], train,
@@ -267,7 +261,7 @@ def cmd_train(args) -> int:
             metrics[kind] = {"accuracy": report.accuracy,
                              "classes": report.as_rows()}
             print(f"train {kind}: test accuracy {report.accuracy:.3f}")
-    _write_json(metrics_path, metrics)
+    _write_json(manifest.set_artifact("metrics", "metrics.json"), metrics)
     manifest.save()
     return EXIT_OK
 
@@ -354,31 +348,15 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _load_labeling(manifest: RunManifest, n: int) -> ClusterLabeling:
-    """The cluster labels of the n explained rows; a damaged file is a DataError."""
+def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
+    """The cluster labels of the explained rows, as `cluster` wrote them."""
     path = manifest.require("clusters", hint="run `shappaths cluster` first")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}")
-    rows = [line.split(",") for line in text.split("\n")[1:-1]]
-    # cluster ends every row with a line break, so a file without a final
-    # one was cut, possibly inside a stability that still parses
-    if not text.endswith("\n") or len(rows) != n or any(len(r) != 3 for r in rows):
-        raise DataError(f"{path} is truncated or damaged: expected a header and "
-                        f"{n} rows of 3 cells")
-    labels, stabilities = [], {}
-    try:
-        for _, lab, stab in rows:
-            labels.append(int(lab))
-            if stab:
-                stabilities[int(lab)] = float(stab)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    stabilities = {int(lab): float(stab) for _, lab, stab in rows if stab}
     n_clusters = max(stabilities) + 1 if stabilities else 0
     stability = np.array([stabilities.get(c, 0.0) for c in range(n_clusters)])
-    return ClusterLabeling(labels=np.array(labels), n_clusters=n_clusters,
-                           stability=stability)
+    return ClusterLabeling(labels=np.array([int(lab) for _, lab, _ in rows]),
+                           n_clusters=n_clusters, stability=stability)
 
 
 def cmd_embed(args) -> int:
@@ -393,7 +371,7 @@ def cmd_embed(args) -> int:
         _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
                     ([repr(float(v)) for v in row] for row in scores))
         if manifest.has("clusters"):
-            colors, names = _load_labeling(manifest, tensor.n), None
+            colors, names = _load_labeling(manifest), None
             title = f"SHAP embedding [{source}] by cluster"
         else:
             colors, names = ds.labels[tensor.sample_ids], list(ds.class_names)
@@ -415,7 +393,7 @@ def cmd_waterfall(args) -> int:
     source, tensor = _read_tensor(args, manifest)
     spec = _plot_spec(manifest)
     if args.clustered:
-        labeling = _load_labeling(manifest, tensor.n)
+        labeling = _load_labeling(manifest)
         with manifest.stage("waterfall.clustered"):
             paths = build_paths(tensor, labeling, top_n=spec.top_n)
             projected, _ = project_paths(paths, r=2)
@@ -455,7 +433,7 @@ def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
     ds, _ = _load_dataset(manifest)
     _, tensor = _read_tensor(args, manifest)
-    labeling = _load_labeling(manifest, tensor.n)
+    labeling = _load_labeling(manifest)
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
         totals = mean_abs(tensor).sum(axis=1)
@@ -470,15 +448,6 @@ def cmd_heatmap(args) -> int:
 
 def cmd_report(args) -> int:
     manifest = _open_run(args)
-    required = ["dataset_manifest", "metrics"]
-    missing = [name for name in required if not manifest.has(name)]
-    tensors = [k for k in manifest.config["models"] if manifest.has(f"shap_{k}")]
-    if not tensors:
-        missing.append("shap_<model>")
-    if missing:
-        raise MissingArtifactError(
-            manifest.run_dir / "manifest.json",
-            hint="incomplete run, missing stages: " + ", ".join(missing))
     with manifest.stage("report"):
         html = _render_report(manifest)
         path = manifest.set_artifact("report", "report.html")
@@ -490,7 +459,7 @@ def cmd_report(args) -> int:
 def _render_report(manifest: RunManifest) -> str:
     from html import escape
 
-    metrics = _read_json(manifest.require("metrics"))
+    metrics = _read_json(manifest.require("metrics", hint="run `shappaths train` first"))
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'><title>shappaths report</title>",
@@ -529,7 +498,7 @@ def _render_report(manifest: RunManifest) -> str:
     parts.append("<h2>Plots</h2>")
     for name, filename in sorted(manifest.state["artifacts"].items()):
         if filename.endswith(".svg"):
-            svg = (manifest.run_dir / filename).read_text(encoding="utf-8")
+            svg = manifest.require(name).read_text(encoding="utf-8")
             parts.append(f"<div>{svg}</div>")
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

@@ -10,7 +10,7 @@ class ShappathsError(Exception):
 
 
 class InvalidSpecError(ShappathsError):
-    """A spec object (simulation, split, grid, plot, ...) violates its invariants."""
+    """A spec object (simulation, split, plot, ...) violates its invariants."""
 
 
 class DataError(ShappathsError):

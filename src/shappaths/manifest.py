@@ -1,7 +1,8 @@
 """Run configuration, config hashing, and the per-run artifact manifest.
 
 A run is one output directory. Its manifest records the semantic config
-hash, artifact paths relative to the directory, and per-stage timings;
+hash, artifact paths relative to the directory, the SHA-256 of every
+artifact as it was when its stage finished, and per-stage timings;
 resuming a directory with a different config is an error. Two runs from
 the same config produce byte-identical artifacts and manifests except for
 the timing block.
@@ -15,7 +16,7 @@ import json
 import time
 from pathlib import Path
 
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, DataError, MissingArtifactError
 
 ENV_OUT = "SHAPPATHS_OUT"
 
@@ -48,7 +49,14 @@ DEFAULT_CONFIG = {
               "waterfall_sample": 0, "waterfall_class": 0},
 }
 
-_TOP_KEYS = set(DEFAULT_CONFIG.keys())
+
+def _check_keys(layer: dict, defaults: dict, prefix: str = "") -> None:
+    """Every key of ``layer``, at any depth, must be a key of ``defaults``."""
+    for key, value in layer.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(defaults[key], dict):
+            _check_keys(value, defaults[key], f"{prefix}{key}.")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -66,25 +74,16 @@ def resolve_config(file_config: dict | None = None,
     """Defaults <- config file <- flag overrides, with structural checks."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
     for layer in (file_config or {}, overrides or {}):
-        unknown = set(layer.keys()) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        source = layer.get("dataset", {}).get("source", merged["dataset"]["source"])
+        if source not in DEFAULT_DATASET:
+            raise ConfigError(f"unknown dataset source {source!r}")
+        _check_keys(layer, {**DEFAULT_CONFIG, "dataset": DEFAULT_DATASET[source]})
         if "dataset" in layer:
-            source = layer["dataset"].get("source", merged["dataset"].get("source"))
-            if source not in DEFAULT_DATASET:
-                raise ConfigError(f"unknown dataset source {source!r}")
-            base = merged["dataset"] if merged["dataset"].get("source") == source \
+            base = merged["dataset"] if merged["dataset"]["source"] == source \
                 else DEFAULT_DATASET[source]
             merged["dataset"] = _merge(base, layer["dataset"])
         if "models" in layer:
             requested = layer["models"]
-            bad = set(requested) - set(DEFAULT_MODELS)
-            if bad:
-                raise ConfigError(f"unknown model kinds: {sorted(bad)}")
-            for kind, params in requested.items():
-                bad = set(params or {}) - set(DEFAULT_MODELS[kind])
-                if bad:
-                    raise ConfigError(f"unknown models.{kind} parameters: {sorted(bad)}")
             current = merged["models"]
             merged["models"] = {
                 kind: _merge(current.get(kind, DEFAULT_MODELS[kind]), params or {})
@@ -119,6 +118,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def read_manifest(path: Path) -> dict:
     """The state stored in a run's manifest.json; a damaged file is a ConfigError."""
     try:
@@ -139,6 +142,7 @@ class RunManifest:
         self.path = self.run_dir / "manifest.json"
         self.config = config
         self.hash = config_hash(config)
+        self._written: set[str] = set()  # artifacts to digest at the next save
         if self.path.exists():
             self.state = read_manifest(self.path)
             if self.state.get("config_hash") != self.hash:
@@ -146,36 +150,52 @@ class RunManifest:
                     f"run directory {self.run_dir} was created with a different "
                     f"config (hash {self.state.get('config_hash', '?')[:12]} != "
                     f"{self.hash[:12]}); use a fresh directory")
+            self.state.setdefault("digests", {})
         else:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self.state = {"version": version, "config_hash": self.hash,
-                          "config": config, "artifacts": {}, "stages": {}}
+                          "config": config, "artifacts": {}, "digests": {}, "stages": {}}
             self.save()
 
     def save(self) -> None:
+        """Write manifest.json, with the digest of every artifact written since."""
+        for name in self._written:
+            self.state["digests"][name] = _sha256(self.run_dir / self.state["artifacts"][name])
+        self._written.clear()
         ordered = {"version": self.state["version"],
                    "config_hash": self.state["config_hash"],
                    "config": self.state["config"],
                    "artifacts": dict(sorted(self.state["artifacts"].items())),
+                   "digests": dict(sorted(self.state["digests"].items())),
                    "stages": self.state["stages"]}
         with open(self.path, "w", encoding="utf-8") as fh:
             json.dump(ordered, fh, indent=1, sort_keys=False)
             fh.write("\n")
 
     def set_artifact(self, name: str, filename: str) -> Path:
+        """The path to write artifact ``name`` to; the next save digests it."""
         self.state["artifacts"][name] = filename
+        self._written.add(name)
         return self.run_dir / filename
 
     def require(self, name: str, hint: str = "") -> Path:
+        """The path of artifact ``name``, once its bytes match the recorded digest."""
         filename = self.state["artifacts"].get(name)
-        if filename is None or not (self.run_dir / filename).exists():
-            expected = self.run_dir / (filename or f"{name}.json")
-            raise MissingArtifactError(expected, hint=hint)
-        return self.run_dir / filename
+        path = self.run_dir / (filename or f"{name}.json")
+        if filename is None or not path.exists():
+            raise MissingArtifactError(path, hint=hint)
+        digest = self.state["digests"].get(name)
+        if digest is None:
+            raise DataError(f"{path} has no digest in {self.path} (a run directory from "
+                            f"before digests were recorded); re-run the stage that writes it")
+        if _sha256(path) != digest:
+            raise DataError(f"{path} differs from the digest recorded when its stage "
+                            f"finished; re-run the stage that writes it")
+        return path
 
     def has(self, name: str) -> bool:
-        filename = self.state["artifacts"].get(name)
-        return filename is not None and (self.run_dir / filename).exists()
+        """Whether the manifest lists artifact ``name``."""
+        return name in self.state["artifacts"]
 
     def record_stage(self, name: str, seconds: float) -> None:
         self.state["stages"][name] = {"seconds": round(seconds, 6)}

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DataError, InvalidSpecError, NumericalError
 # best_split is not called here; it stays importable because the benchmark's
 # tracer (perfbench/launch.py) wraps it by name on this module too
-from .tree import DecisionTree, best_split, grow_tree  # noqa: F401
+from .tree import DecisionTree, best_split, check_growth, grow_tree  # noqa: F401
 
 
 @dataclass
@@ -108,6 +108,9 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
         raise InvalidSpecError("learning_rate must lie in (0, 1]")
     if lam < 0:
         raise InvalidSpecError("lam must be nonnegative")
+    if n_rounds < 0:
+        raise InvalidSpecError("n_rounds must be >= 0")
+    check_growth(max_depth, min_leaf)
     X, y, k, n = train.features, train.labels, train.k, train.n
     counts = np.maximum(train.class_counts(), 0.5)  # finite base for absent classes
     base_score = np.log(counts / n)

@@ -115,6 +115,12 @@ def best_split(X: np.ndarray, gain_fn, min_leaf: int) -> tuple[int, float, float
     return feat, float(threshold), float(best)
 
 
+def check_growth(max_depth: int, min_leaf: int) -> None:
+    """The limits :func:`grow_tree` needs; both tree kinds check them before fitting."""
+    if max_depth < 0 or min_leaf < 1:
+        raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
+
+
 def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
               min_leaf: int) -> DecisionTree:
     """Greedy preorder growth over the rows of ``X``.
@@ -124,8 +130,6 @@ def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
     the node a leaf. A node also stays a leaf at ``max_depth``, below
     ``2 * min_leaf`` rows, or when no split has positive gain.
     """
-    if max_depth < 0 or min_leaf < 1:
-        raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
     feature, threshold, left, right, cover, value = [], [], [], [], [], []
 
     def grow(rows: np.ndarray, depth: int) -> int:
@@ -166,6 +170,7 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
     Splitting stops on purity, depth, or when no split with positive gain
     keeps ``min_leaf`` samples on both sides.
     """
+    check_growth(max_depth, min_leaf)
     if train.n < 2 * min_leaf:
         raise DataError(f"need at least {2 * min_leaf} rows, got {train.n}")
     X, y, k = train.features, train.labels, train.k

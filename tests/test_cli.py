@@ -1,5 +1,9 @@
+import copy
+import hashlib
 import json
+import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -389,3 +393,113 @@ def test_unknown_model_parameter_rejected(tmp_path, capsys, command, kind, key):
     err = capsys.readouterr().err
     assert f"models.{kind}" in err and key in err
     assert "Traceback" not in err
+
+
+def _small_csv(tmp_path) -> Path:
+    rng = np.random.default_rng(2)
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,target\n" + "".join(
+        f"{a},{b},{'hi' if a > 0 else 'lo'}\n" for a, b in rng.normal(size=(40, 2))))
+    return path
+
+
+TYPOS = {"dataset.n_sample": {"dataset": {"n_sample": 100}},
+         "explain.n_coalition": {"explain": {"n_coalition": 10}},
+         "explain.methods.tre": {"explain": {"methods": {"tre": "tree"}}},
+         "cluster.min_size": {"cluster": {"min_size": 5}},
+         "plots.topn": {"plots": {"topn": 3}}}
+
+
+@pytest.mark.parametrize("command", ["simulate", "load"])
+@pytest.mark.parametrize("key", list(TYPOS))
+def test_unknown_key_in_any_config_block_rejected(tmp_path, capsys, command, key):
+    cfg = copy.deepcopy(TYPOS[key])
+    if command == "load":
+        cfg.setdefault("dataset", {}).update(source="csv", path=str(_small_csv(tmp_path)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(cfg_path, tmp_path / "run", command) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------------------
+# artifact digests: every damage to a finished run is caught by its reader
+
+TREE_RUN = {"seed": 3, "dataset": {"n_samples": 200, "n_features": 4},
+            "models": {"tree": {"max_depth": 3, "min_leaf": 4}},
+            "cluster": {"source": "tree", "min_cluster_size": 5}}
+SVGS = ["scatter.svg", "waterfall_tree_s0_c0.svg", "waterfall_clustered_tree.svg",
+        "bar_tree.svg", "heatmap.svg"]
+READER = {"dataset.csv": "train", "dataset.json": "train", "model_tree.json": "explain",
+          "shap_tree.json": "cluster", "shap_tree.csv": "cluster", "clusters.csv": "embed",
+          "metrics.json": "report", "purity.json": "report",
+          **{name: "report" for name in SVGS}}
+
+
+def _flip_mid_byte(b: bytes) -> bytes:
+    i = len(b) // 2
+    return b[:i] + bytes([b[i] ^ 0xFF]) + b[i + 1:]
+
+
+def _first_decimal_to_nan(b: bytes) -> bytes:
+    damaged = re.sub(rb"\d+\.\d+", b"nan", b, count=1)
+    assert damaged != b, "no decimal number to replace"
+    return damaged
+
+
+DAMAGE = {"half": lambda b: b[: len(b) // 2], "delete": None,
+          "flip-byte": _flip_mid_byte, "nan": _first_decimal_to_nan}
+
+
+@pytest.fixture(scope="module")
+def tree_run(tmp_path_factory) -> Path:
+    """A finished tree-only run: every command, once."""
+    root = tmp_path_factory.mktemp("tree_run")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(TREE_RUN))
+    out = root / "run"
+    for cmd in (["simulate"], ["train"], ["explain"], ["cluster"], ["embed"], ["waterfall"],
+                ["waterfall", "--clustered"], ["bar"], ["heatmap"], ["report"]):
+        assert run(cfg_path, out, *cmd) == 0, cmd
+    return out
+
+
+def test_every_artifact_has_its_digest(tree_run):
+    manifest = json.loads((tree_run / "manifest.json").read_text())
+    assert set(manifest["digests"]) == set(manifest["artifacts"])
+    for name, filename in manifest["artifacts"].items():
+        data = (tree_run / filename).read_bytes()
+        assert manifest["digests"][name] == hashlib.sha256(data).hexdigest(), name
+    assert {f for f in manifest["artifacts"].values() if f.endswith(".svg")} == set(SVGS)
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+@pytest.mark.parametrize("name", list(READER))
+def test_damaged_artifact_is_caught_by_its_reader(tree_run, tmp_path, capfd, name, damage):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    path = out / name
+    if DAMAGE[damage] is None:
+        path.unlink()
+    else:
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    capfd.readouterr()
+    assert main([READER[name], "--out", str(out)]) == (3 if damage == "delete" else 2)
+    err = capfd.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "cluster", "embed", "report"])
+def test_run_without_digests_asks_for_a_rerun(tree_run, tmp_path, capfd, command):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["digests"]  # as versions before digests wrote it
+    manifest_path.write_text(json.dumps(manifest, indent=1))
+    capfd.readouterr()
+    assert main([command, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert str(manifest_path) in err and "re-run" in err and "Traceback" not in err

@@ -90,6 +90,14 @@ def test_zero_rounds_is_base_score(sim_small_split):
     assert np.allclose(model.base_score, np.log(counts / train.n))
 
 
+@pytest.mark.parametrize("bad", [{"n_rounds": -3}, {"n_rounds": 0, "min_leaf": 0},
+                                 {"n_rounds": 0, "max_depth": -2}],
+                         ids=["n_rounds", "min_leaf", "max_depth"])
+def test_bad_boosted_hyperparameters_rejected_before_any_round(sim_small_split, bad):
+    with pytest.raises(InvalidSpecError):
+        train_boosted(sim_small_split[0], **bad)
+
+
 def test_boosting_solves_threshold_concept():
     rng = np.random.default_rng(3)
     X = rng.uniform(-1, 1, size=(200, 4))
