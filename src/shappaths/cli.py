@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .data import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
                    min_max_scale, simulate, split_indices, write_csv)
-from .errors import ConfigError, MissingArtifactError, NumericalError, ShappathsError
+from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
+                     ShappathsError)
 from .explain import (flatten, load_tensor, mean_abs, kernel_shap, sample_background,
                       save_tensor, tree_shap)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_manifest,
@@ -251,7 +252,11 @@ def cmd_train(args) -> int:
     ds, meta = _load_dataset(manifest)
     train = ds.take(meta["split"]["train"])
     test = ds.take(meta["split"]["test"])
-    metrics = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
+    try:  # only train writes metrics.json, so one that fails its check starts afresh
+        metrics = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
+    except (MissingArtifactError, DataError) as exc:
+        print(f"train: {exc}; starting the metrics afresh", file=sys.stderr)
+        metrics = {}
     for kind in _selected_kinds(args, manifest):
         with manifest.stage(f"train.{kind}"):
             model = _train_one(kind, manifest.config["models"][kind], train,
@@ -448,6 +453,15 @@ def cmd_heatmap(args) -> int:
 
 def cmd_report(args) -> int:
     manifest = _open_run(args)
+    required = ["dataset_manifest", "metrics"]
+    missing = [name for name in required if not manifest.has(name)]
+    tensors = [k for k in manifest.config["models"] if manifest.has(f"shap_{k}")]
+    if not tensors:
+        missing.append("shap_<model>")
+    if missing:
+        raise MissingArtifactError(
+            manifest.run_dir / "manifest.json",
+            hint="incomplete run, missing stages: " + ", ".join(missing))
     with manifest.stage("report"):
         html = _render_report(manifest)
         path = manifest.set_artifact("report", "report.html")
@@ -459,7 +473,7 @@ def cmd_report(args) -> int:
 def _render_report(manifest: RunManifest) -> str:
     from html import escape
 
-    metrics = _read_json(manifest.require("metrics", hint="run `shappaths train` first"))
+    metrics = _read_json(manifest.require("metrics"))
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'><title>shappaths report</title>",

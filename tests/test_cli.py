@@ -131,6 +131,8 @@ def test_report_incomplete_run(cfg_file, tmp_path):
     out = tmp_path / "r"
     assert run(cfg_file, out, "simulate") == 0
     assert run(cfg_file, out, "report") == 3
+    assert run(cfg_file, out, "train", "--model", "tree") == 0
+    assert run(cfg_file, out, "report") == 3  # trained, but no SHAP tensor yet
 
 
 def test_csv_load_pipeline(tmp_path):
@@ -503,3 +505,35 @@ def test_run_without_digests_asks_for_a_rerun(tree_run, tmp_path, capfd, command
     assert main([command, "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert str(manifest_path) in err and "re-run" in err and "Traceback" not in err
+
+
+def _strip_digests(out: Path) -> None:
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["digests"]
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
+# damage -> the commands that mend it, re-run in place
+RECOVERY = {
+    "delete-metrics": (lambda out: (out / "metrics.json").unlink(), [["train"]]),
+    "cut-metrics": (lambda out: (out / "metrics.json").write_bytes(
+        (out / "metrics.json").read_bytes()[:40]), [["train"]]),
+    "no-digests": (_strip_digests,
+                   [["simulate"], ["train"], ["explain"], ["cluster"], ["embed"],
+                    ["waterfall"], ["waterfall", "--clustered"], ["bar"], ["heatmap"]]),
+}
+
+
+@pytest.mark.parametrize("damage", list(RECOVERY))
+def test_rerunning_the_writing_stage_mends_the_run(tree_run, tmp_path, damage):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    apply, commands = RECOVERY[damage]
+    apply(out)
+    for cmd in commands:
+        assert main([cmd[0], "--out", str(out), *cmd[1:]]) == 0, cmd
+    assert main(["report", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["digests"]) == set(manifest["artifacts"])
+    assert json.loads((out / "metrics.json").read_text()) == \
+        json.loads((tree_run / "metrics.json").read_text())
