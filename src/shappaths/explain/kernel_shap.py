@@ -16,12 +16,23 @@ the remainder is sampled by kernel weight, each coalition paired with
 its complement. The normal matrix of the regression depends only on the
 coalitions and weights, so it is built once and solved for every sample
 and class in one call.
+
+The right-hand side of that solve is one column block per sample, filled
+by the same per-sample code in up to MAX_WORKERS processes: the parent
+fills the first contiguous chunk of samples and forked children the
+others, each writing its columns into one shared anonymous mmap. The
+worker count is the CPUs this process may run on, capped at MAX_WORKERS
+and at n, and 1 where fork or CPU affinity is unavailable. It changes
+which process computes a column, never how, so the values are
+byte-identical for any worker count and the count is not configurable.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
+import os
 from itertools import combinations
 
 import numpy as np
@@ -36,9 +47,11 @@ DEFAULT_COALITIONS = 2048
 DEFAULT_BACKGROUND = 100
 # masked rows per model call (whole coalitions). Blocks this small keep the
 # activations in cache and each matrix product below OpenBLAS's multithreading
-# size, so model evaluation runs on one core without page faults and its time
-# does not depend on whether another process holds the second core.
+# size, so each worker's model evaluation runs on its own core without page
+# faults or BLAS threads competing with the other workers.
 _BLOCK_ROWS = 512
+# processes that fill the right-hand side at once, the parent included
+MAX_WORKERS = 4
 # model evaluations one explanation may make: (coalitions + 1) * background * rows
 MAX_MODEL_EVALS = 50_000_000
 
@@ -110,6 +123,53 @@ def _coalition_values(model, x: np.ndarray, coalitions: np.ndarray,
     return np.vstack(outputs)
 
 
+def _in_workers(fill, n: int) -> None:
+    """fill(lo, hi) over contiguous, balanced chunks of range(n): the first
+    chunk in this process, each other one in a forked child. A child that
+    fails is a NumericalError naming its rows; no child outlives the call."""
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS, n))
+    bounds = [n * j // workers for j in range(workers + 1)]
+    children: dict[int, tuple[int, int]] = {}
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                # leave through _exit whatever happens: no atexit hooks, no
+                # flush of the parent's buffered output, no test teardown
+                status = 1
+                try:
+                    fill(lo, hi)
+                    status = 0
+                except BaseException as exc:
+                    os.write(2, f"kernel SHAP worker, rows {lo}-{hi - 1}: "
+                                f"{type(exc).__name__}: {exc}\n".encode())
+                finally:
+                    os._exit(status)
+            children[pid] = (lo, hi)
+        fill(bounds[0], bounds[1])
+        failed = []
+        while children:
+            pid, status = os.waitpid(next(iter(children)), 0)
+            lo, hi = children.pop(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                failed.append(f"rows {lo}-{hi - 1} " + (f"exited with status {code}"
+                              if code > 0 else f"was killed by signal {-code}"))
+        if failed:
+            raise NumericalError("kernel SHAP worker failed: " + "; ".join(failed))
+    finally:
+        if children:
+            import signal  # ~1 ms to import; only this path needs it
+            for pid in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped just before an interrupt reached this block
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b, with a small ridge when a is singular."""
     try:
@@ -161,10 +221,16 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         design = coalitions[:, :-1] - z_last       # (C, p-1)
         w = (weights / weights.sum())[:, None]
         a = design.T @ (design * w)
-        b = np.empty((p - 1, n, k))
-        for i in range(n):
-            v = _coalition_values(model, X[i], coalitions, background.data)
-            b[:, i, :] = design.T @ ((v - base - z_last * delta[i]) * w)
+        # shared with the forked workers, each of which fills its own columns
+        shared = mmap.mmap(-1, (p - 1) * n * k * 8 or 1)
+        b = np.frombuffer(shared, count=(p - 1) * n * k).reshape(p - 1, n, k)
+
+        def fill(lo: int, hi: int) -> None:
+            for i in range(lo, hi):
+                v = _coalition_values(model, X[i], coalitions, background.data)
+                b[:, i, :] = design.T @ ((v - base - z_last * delta[i]) * w)
+
+        _in_workers(fill, n)
         head = _solve(a, b.reshape(p - 1, n * k)).reshape(p - 1, n, k)
         if not np.isfinite(head).all():
             raise NumericalError("kernel regression produced non-finite attributions")
@@ -181,6 +247,8 @@ def kernel_shap(model, X: np.ndarray, background: Background,
 def sample_background(X: np.ndarray, size: int = DEFAULT_BACKGROUND,
                       seed: int = 0) -> Background:
     """A seeded row subsample (all rows when there are fewer than ``size``)."""
+    if size < 1:
+        raise InvalidSpecError(f"background size must be at least 1, got {size}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] <= size:
         return Background(X, label=f"all:{X.shape[0]}")

@@ -51,11 +51,15 @@ DEFAULT_CONFIG = {
 
 
 def _check_keys(layer: dict, defaults: dict, prefix: str = "") -> None:
-    """Every key of ``layer``, at any depth, must be a key of ``defaults``."""
+    """Every key of ``layer``, at any depth, must be a key of ``defaults``
+    and hold a JSON object wherever the default is one."""
     for key, value in layer.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix + key!r} must be a JSON object, "
+                                  f"not {value!r}")
             _check_keys(value, defaults[key], f"{prefix}{key}.")
 
 
@@ -74,8 +78,10 @@ def resolve_config(file_config: dict | None = None,
     """Defaults <- config file <- flag overrides, with structural checks."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
     for layer in (file_config or {}, overrides or {}):
-        source = layer.get("dataset", {}).get("source", merged["dataset"]["source"])
-        if source not in DEFAULT_DATASET:
+        dataset = layer.get("dataset", {})  # not an object: _check_keys names it
+        source = dataset.get("source", merged["dataset"]["source"]) \
+            if isinstance(dataset, dict) else merged["dataset"]["source"]
+        if not isinstance(source, str) or source not in DEFAULT_DATASET:
             raise ConfigError(f"unknown dataset source {source!r}")
         _check_keys(layer, {**DEFAULT_CONFIG, "dataset": DEFAULT_DATASET[source]})
         if "dataset" in layer:
@@ -86,13 +92,17 @@ def resolve_config(file_config: dict | None = None,
             requested = layer["models"]
             current = merged["models"]
             merged["models"] = {
-                kind: _merge(current.get(kind, DEFAULT_MODELS[kind]), params or {})
+                kind: _merge(current.get(kind, DEFAULT_MODELS[kind]), params)
                 for kind, params in requested.items()}
         for key in ("explain", "cluster", "plots"):
             if key in layer:
                 merged[key] = _merge(merged[key], layer[key])
         if "seed" in layer:
-            merged["seed"] = int(layer["seed"])
+            try:
+                merged["seed"] = int(layer["seed"])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"config key 'seed' must be an integer, "
+                                  f"not {layer['seed']!r}") from None
     if merged["dataset"]["source"] == "csv" and not merged["dataset"]["path"]:
         raise ConfigError("csv dataset needs a path")
     if merged["dataset"]["source"] == "idx" and not (

@@ -426,6 +426,41 @@ def test_unknown_key_in_any_config_block_rejected(tmp_path, capsys, command, key
     assert not (tmp_path / "run").exists()
 
 
+MALFORMED = {"dataset": ({"dataset": 5}, "must be a JSON object"),
+             "models.tree": ({"models": {"tree": 5}}, "must be a JSON object"),
+             "explain": ({"explain": []}, "must be a JSON object"),
+             "seed": ({"seed": "x"}, "must be an integer")}
+
+
+@pytest.mark.parametrize("command", ["simulate", "load"])
+@pytest.mark.parametrize("key", list(MALFORMED))
+def test_malformed_config_shape_rejected(tmp_path, capsys, command, key):
+    cfg, problem = MALFORMED[key]
+    argv = ["--csv", str(_small_csv(tmp_path))] if command == "load" else []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(cfg_path, tmp_path / "run", command, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} {problem}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_background_size_below_one_exits_2(tmp_path, capsys, size):
+    cfg = {"dataset": {"n_samples": 120, "n_features": 4},
+           "models": {"mlp": {"hidden": [4], "epochs": 2}},
+           "explain": {"background_size": size}, "cluster": {"source": "mlp"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(cfg_path, out, "simulate") == 0
+    assert run(cfg_path, out, "train") == 0
+    assert run(cfg_path, out, "explain") == 2
+    err = capsys.readouterr().err
+    assert f"background size must be at least 1, got {size}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # artifact digests: every damage to a finished run is caught by its reader
 

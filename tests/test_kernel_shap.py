@@ -1,13 +1,16 @@
 import importlib
+import json
+import os
 
 import numpy as np
 import pytest
 
 from oracles import brute_shapley_interventional
 from shappaths import Background, kernel_shap, sample_background, train_mlp
+from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
-from shappaths.models.mlp import init_mlp
+from shappaths.models.mlp import Mlp, init_mlp
 from util import ConstantModel, LinearModel, random_tree
 
 
@@ -206,3 +209,139 @@ def test_singular_regression_warns_once(monkeypatch, caplog):
     assert np.isfinite(t.values).all()
     margins = model.predict_margin(X)
     assert np.abs(t.values.sum(axis=1) - (margins - t.base)).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# worker processes: the worker count never changes a value
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets MAX_WORKERS (1 or 2) on a host that reports two CPUs, and
+    counts the forks."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_max(count):
+        assert count in (1, 2)
+        monkeypatch.setattr(ks, "MAX_WORKERS", count)
+        forks.clear()
+        return forks
+
+    return set_max
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("budget", [2 ** 6 - 2, 30], ids=["exact", "sampled"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_values_byte_identical_for_any_worker_count(workers, budget, n):
+    """n = 1 never forks; n = 3 splits into uneven chunks of 1 and 2 rows."""
+    rng = np.random.default_rng(10)
+    model = init_mlp((6, 8, 3), rng)
+    bg = Background(rng.normal(size=(15, 6)))
+    X = rng.normal(size=(n, 6))
+    out = []
+    for count in (1, 2):
+        forks = workers(count)
+        t = kernel_shap(model, X, bg, n_coalitions=budget, seed=2)
+        out.append((t.values.tobytes(), t.base.tobytes()))
+        assert len(forks) == min(count, n) - 1
+    assert out[0] == out[1]
+    _assert_no_child_left()
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    monkeypatch.setattr(ks, "MAX_WORKERS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork():
+        raise AssertionError("forked on a one-CPU affinity")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rng = np.random.default_rng(11)
+    model = init_mlp((4, 6, 2), rng)
+    t = kernel_shap(model, rng.normal(size=(5, 4)), Background(rng.normal(size=(10, 4))),
+                    n_coalitions=14, seed=0)
+    assert np.isfinite(t.values).all()
+
+
+MLP_RUN = {"seed": 4, "dataset": {"n_samples": 120, "n_features": 5},
+           "models": {"mlp": {"hidden": [8], "epochs": 10}},
+           "explain": {"background_size": 20, "n_coalitions": 30},
+           "cluster": {"source": "mlp"}}
+
+
+@pytest.fixture()
+def mlp_run(tmp_path):
+    """A run directory with a trained MLP, ready for `explain` (36 test rows)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MLP_RUN))
+    out = tmp_path / "run"
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_explain_byte_identical_for_any_worker_count(workers, mlp_run):
+    csvs = []
+    for count in (1, 2):
+        forks = workers(count)
+        assert main(["explain", "--out", str(mlp_run)]) == 0
+        assert len(forks) == count - 1
+        csvs.append((mlp_run / "shap_mlp.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    _assert_no_child_left()
+
+
+def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, capfd):
+    parent, predict = os.getpid(), Mlp.predict_margin
+
+    def predict_in_parent_only(self, X):
+        if os.getpid() != parent:
+            raise RuntimeError("model failed in a worker")
+        return predict(self, X)
+
+    monkeypatch.setattr(Mlp, "predict_margin", predict_in_parent_only)
+    workers(2)
+    assert main(["explain", "--out", str(mlp_run)]) == 4
+    err = capfd.readouterr().err
+    assert "kernel SHAP worker failed: rows 18-35 exited with status 1" in err
+    assert "Traceback" not in err
+    assert not (mlp_run / "shap_mlp.csv").exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_failure_in_parent_chunk_stops_every_worker(workers, monkeypatch, exc):
+    """The parent's own chunk raising (or an interrupt) kills and reaps the
+    children before the exception propagates."""
+    rng = np.random.default_rng(12)
+    model = init_mlp((5, 8, 3), rng)
+    parent, parent_calls = os.getpid(), []
+
+    class FailsInParentChunk:
+        def predict_margin(self, X):
+            if os.getpid() == parent:
+                parent_calls.append(X.shape[0])
+                if len(parent_calls) == 3:  # after the base and delta: the first chunk
+                    raise exc("parent chunk failed")
+            return model.predict_margin(X)
+
+    forks = workers(2)
+    with pytest.raises(exc, match="parent chunk failed"):
+        kernel_shap(FailsInParentChunk(), rng.normal(size=(4, 5)),
+                    Background(rng.normal(size=(10, 5))), n_coalitions=30, seed=0)
+    assert len(forks) == 1
+    _assert_no_child_left()
