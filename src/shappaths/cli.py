@@ -160,8 +160,6 @@ def _load_dataset(manifest: RunManifest) -> tuple[Dataset, dict]:
     hint = "run `shappaths simulate` or `load` first"
     csv_path = manifest.require("dataset_csv", hint=hint)
     json_path = manifest.require("dataset_manifest", hint=hint)
-    # CSV before JSON: in the other order the Kernel SHAP that follows in
-    # `explain` ran ~10 % slower in 10 of 10 paired runs (cause not found)
     ds = load_csv(csv_path, "__target__")
     meta = _read_json(json_path)
     # class order in the CSV is first-appearance; restore the saved order

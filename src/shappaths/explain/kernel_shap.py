@@ -17,6 +17,14 @@ its complement. The normal matrix of the regression depends only on the
 coalitions and weights, so it is built once and solved for every sample
 and class in one call.
 
+A sample's coalition values come from model calls on blocks of masked
+rows, background-major within a block. The boolean coalition mask and
+the background repeated to a block's shape depend only on the
+coalitions, so they too are built once per call, before any worker
+forks: per sample and block there remain one np.where, the model call
+and one sum over the background axis, and one division per sample
+turns the sums into means.
+
 The right-hand side of that solve is one column block per sample, filled
 by the same per-sample code in up to MAX_WORKERS processes: the parent
 fills the first contiguous chunk of samples and forked children the
@@ -45,10 +53,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_COALITIONS = 2048
 DEFAULT_BACKGROUND = 100
-# masked rows per model call (whole coalitions). Blocks this small keep the
-# activations in cache and each matrix product below OpenBLAS's multithreading
-# size, so each worker's model evaluation runs on its own core without page
-# faults or BLAS threads competing with the other workers.
+# masked rows per model call (whole coalitions), background-major: row
+# i * nz + j is background row i under the block's coalition j. Blocks this
+# small keep the activations in cache and each matrix product below
+# OpenBLAS's multithreading size, so each worker's model evaluation runs on
+# its own core without page faults or BLAS threads competing with the others.
 _BLOCK_ROWS = 512
 # processes that fill the right-hand side at once, the parent included
 MAX_WORKERS = 4
@@ -108,19 +117,22 @@ def sample_coalitions(p: int, budget: int, rng: np.random.Generator):
     return np.vstack(blocks), np.concatenate(weights)
 
 
-def _coalition_values(model, x: np.ndarray, coalitions: np.ndarray,
-                      background: np.ndarray) -> np.ndarray:
-    """(n_coalitions, k) mean margins with masked features drawn from background."""
-    n_coal, p = coalitions.shape
-    m = background.shape[0]
-    per_block = max(1, _BLOCK_ROWS // m)
-    outputs = []
-    for start in range(0, n_coal, per_block):
-        z = coalitions[start:start + per_block]
-        mixed = np.where(z[:, None, :] == 1.0, x[None, None, :], background[None, :, :])
+def _coalition_values(model, x: np.ndarray, mask: np.ndarray, rep: np.ndarray,
+                      v: np.ndarray) -> None:
+    """Fill v (n_coalitions, k) with the mean margins of x, masked features
+    drawn from the background. mask is the coalitions as booleans and rep
+    the background repeated background-major, (m, width, p): each model
+    call takes the next ``width`` coalitions, its rows background-major, so
+    each coalition's mean is a sum over the outer axis and one division."""
+    m, width, p = rep.shape
+    xs = np.tile(x, (width, 1))  # contiguous like the mask, so np.where runs whole blocks
+    for start in range(0, mask.shape[0], width):
+        z = mask[start:start + width]
+        nz = z.shape[0]
+        mixed = np.where(z, xs[:nz], rep[:, :nz])
         margins = model.predict_margin(mixed.reshape(-1, p))
-        outputs.append(margins.reshape(z.shape[0], m, -1).mean(axis=1))
-    return np.vstack(outputs)
+        np.add.reduce(margins.reshape(m, nz, -1), axis=0, out=v[start:start + nz])
+    v /= m
 
 
 def _in_workers(fill, n: int) -> None:
@@ -225,9 +237,15 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         shared = mmap.mmap(-1, (p - 1) * n * k * 8 or 1)
         b = np.frombuffer(shared, count=(p - 1) * n * k).reshape(p - 1, n, k)
 
+        # what every sample's model calls share, built before any fork
+        width = min(max(1, _BLOCK_ROWS // background.m), coalitions.shape[0])
+        rep = np.repeat(background.data[:, None, :], width, axis=1)
+        mask = coalitions == 1.0
+        v = np.empty((coalitions.shape[0], k))
+
         def fill(lo: int, hi: int) -> None:
             for i in range(lo, hi):
-                v = _coalition_values(model, X[i], coalitions, background.data)
+                _coalition_values(model, X[i], mask, rep, v)
                 b[:, i, :] = design.T @ ((v - base - z_last * delta[i]) * w)
 
         _in_workers(fill, n)

@@ -50,17 +50,46 @@ DEFAULT_CONFIG = {
 }
 
 
+# what a key whose default is null takes besides null
+_NULLABLE = {"dataset.path": str, "dataset.images": str, "dataset.labels": str,
+             "cluster.min_samples": int}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON typing: a bool is no number, and an integer is also a number."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _check_keys(layer: dict, defaults: dict, prefix: str = "") -> None:
-    """Every key of ``layer``, at any depth, must be a key of ``defaults``
-    and hold a JSON object wherever the default is one."""
+    """Every key of ``layer``, at any depth, must be a key of ``defaults``,
+    hold a JSON object wherever the default is one, and otherwise hold a
+    value of the default's type: an int default takes only integers, a
+    float default any number, and a null default null or the type
+    _NULLABLE names."""
     for key, value in layer.items():
+        name = prefix + key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        if isinstance(defaults[key], dict):
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {prefix + key!r} must be a JSON object, "
+                raise ConfigError(f"config key {name!r} must be a JSON object, "
                                   f"not {value!r}")
-            _check_keys(value, defaults[key], f"{prefix}{key}.")
+            _check_keys(value, default, f"{name}.")
+        elif isinstance(default, list):  # models.mlp.hidden, the only list
+            if not isinstance(value, list) or not all(_is_a(v, int) for v in value):
+                raise ConfigError(f"config key {name!r} must be a list of integers, "
+                                  f"not {value!r}")
+        elif default is None:
+            if value is not None and not _is_a(value, _NULLABLE[name]):
+                raise ConfigError(f"config key {name!r} must be "
+                                  f"{_TYPE_NAMES[_NULLABLE[name]]} or null, not {value!r}")
+        elif not _is_a(value, type(default)):
+            raise ConfigError(f"config key {name!r} must be "
+                              f"{_TYPE_NAMES[type(default)]}, not {value!r}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -98,11 +127,7 @@ def resolve_config(file_config: dict | None = None,
             if key in layer:
                 merged[key] = _merge(merged[key], layer[key])
         if "seed" in layer:
-            try:
-                merged["seed"] = int(layer["seed"])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"config key 'seed' must be an integer, "
-                                  f"not {layer['seed']!r}") from None
+            merged["seed"] = layer["seed"]
     if merged["dataset"]["source"] == "csv" and not merged["dataset"]["path"]:
         raise ConfigError("csv dataset needs a path")
     if merged["dataset"]["source"] == "idx" and not (

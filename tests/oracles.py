@@ -91,6 +91,23 @@ def brute_shapley_interventional(model, x, background) -> np.ndarray:
     return phi / len(orderings)
 
 
+def blocked_coalition_values(model, x, coalitions, background, block_rows):
+    """(n_coalitions, k) mean margins, one model call per block of whole
+    coalitions with the rows coalition-major and the mean taken per block:
+    the evaluation loop Kernel SHAP used before its blocks became
+    background-major. Kept as the byte-for-byte reference for that change."""
+    n_coal, p = coalitions.shape
+    m = background.shape[0]
+    per_block = max(1, block_rows // m)
+    outputs = []
+    for start in range(0, n_coal, per_block):
+        z = coalitions[start:start + per_block]
+        mixed = np.where(z[:, None, :] == 1.0, x[None, None, :], background[None, :, :])
+        margins = model.predict_margin(mixed.reshape(-1, p))
+        outputs.append(margins.reshape(z.shape[0], m, -1).mean(axis=1))
+    return np.vstack(outputs)
+
+
 # ---------------------------------------------------------------------------
 # Graph oracles
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from shappaths.cli import FLAGS, _overrides, build_parser, main
+from shappaths.errors import ConfigError
 from shappaths.manifest import DEFAULT_CONFIG, DEFAULT_DATASET, config_hash, resolve_config
 
 CFG = {
@@ -429,7 +430,11 @@ def test_unknown_key_in_any_config_block_rejected(tmp_path, capsys, command, key
 MALFORMED = {"dataset": ({"dataset": 5}, "must be a JSON object"),
              "models.tree": ({"models": {"tree": 5}}, "must be a JSON object"),
              "explain": ({"explain": []}, "must be a JSON object"),
-             "seed": ({"seed": "x"}, "must be an integer")}
+             "seed": ({"seed": "x"}, "must be an integer"),
+             "dataset.n_samples": ({"dataset": {"n_samples": "x"}}, "must be an integer"),
+             "explain.background_size": ({"explain": {"background_size": "x"}},
+                                         "must be an integer"),
+             "explain.n_coalitions": ({"explain": {"n_coalitions": 2.5}}, "must be an integer")}
 
 
 @pytest.mark.parametrize("command", ["simulate", "load"])
@@ -443,6 +448,28 @@ def test_malformed_config_shape_rejected(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     assert f"config key {key!r} {problem}" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("layer, ok", [
+    ({"dataset": {"half_width": 5}}, True),      # an integer is a number
+    ({"cluster": {"min_samples": None}}, True),
+    ({"cluster": {"min_samples": 3}}, True),
+    ({"models": {"mlp": {"hidden": []}}, "cluster": {"source": "mlp"}}, True),
+    ({"seed": True}, False),                     # a bool is not an integer
+    ({"dataset": {"n_samples": 1500.0}}, False),
+    ({"dataset": {"stratified": 1}}, False),
+    ({"dataset": {"half_width": "5"}}, False),
+    ({"cluster": {"min_samples": 2.0}}, False),
+    ({"models": {"mlp": {"hidden": [8, "x"]}}}, False),
+    ({"explain": {"methods": {"mlp": 1}}}, False),
+    ({"dataset": {"source": "csv", "path": 3}}, False),
+])
+def test_config_scalars_take_the_type_of_their_default(layer, ok):
+    if ok:
+        resolve_config(layer)
+    else:
+        with pytest.raises(ConfigError, match="must be"):
+            resolve_config(layer)
 
 
 @pytest.mark.parametrize("size", [0, -3])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import brute_shapley_interventional
+from oracles import blocked_coalition_values, brute_shapley_interventional
 from shappaths import Background, kernel_shap, sample_background, train_mlp
 from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
@@ -258,6 +258,42 @@ def test_values_byte_identical_for_any_worker_count(workers, budget, n):
         out.append((t.values.tobytes(), t.base.tobytes()))
         assert len(forks) == min(count, n) - 1
     assert out[0] == out[1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("budget", [2 ** 6 - 2, 30], ids=["exact", "sampled"])
+@pytest.mark.parametrize("m", [40, 600])
+def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, budget, m):
+    """Background-major blocks with their masks built once per call give the
+    bytes of the coalition-major loop that took a mean per block, for 1 and
+    2 workers. m = 40 leaves a short last block; m = 600 puts one coalition
+    in each block."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    rng = np.random.default_rng(13)
+    model = init_mlp((6, 8, 3), rng)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    bg = Background(rng.normal(size=(m, 6)))
+    X = rng.normal(size=(3, 6))
+    out = []
+    for count in (1, 2):
+        workers(count)
+        out.append(kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values.tobytes())
+
+    drawn, sample = [], ks.sample_coalitions
+
+    def recording_sample(*args):
+        drawn.append(sample(*args))
+        return drawn[-1]
+
+    def reference(model, x, mask, rep, v):
+        v[:] = blocked_coalition_values(model, x, drawn[-1][0], bg.data, ks._BLOCK_ROWS)
+
+    monkeypatch.setattr(ks, "sample_coalitions", recording_sample)
+    monkeypatch.setattr(ks, "_coalition_values", reference)
+    workers(1)
+    expected = kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values.tobytes()
+    assert out == [expected, expected]
     _assert_no_child_left()
 
 

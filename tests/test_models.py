@@ -203,6 +203,48 @@ def test_gradient_check_at_init_and_after_epoch(two_class_ds):
             b -= 0.1 * g
 
 
+def _plain_forward(model, X):
+    """The MLP forward pass written out with broadcasting and nothing cached."""
+    a = X
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ W + b
+        if i < len(model.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500, 501, 1100])
+def test_mlp_cached_tiles_never_go_stale(rows):
+    """predict_margin equals the plain forward pass byte for byte, also
+    after a bias and a weight change in place between two calls with the
+    same row count; the tiles never reach the saved model, == or repr."""
+    import json
+
+    from shappaths.models import model_to_dict
+    from shappaths.models.mlp import Mlp, init_mlp
+
+    rng = np.random.default_rng(rows)
+    model = init_mlp((4, 6, 5, 3), rng)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    saved = json.dumps(model_to_dict(model), sort_keys=True)
+    twin = Mlp(model.layer_sizes, model.weights, model.biases)
+    X = rng.normal(size=(rows, 4))
+    for _ in range(2):
+        before = model.predict_margin(X)
+        assert before.tobytes() == _plain_forward(model, X).tobytes()
+    assert json.dumps(model_to_dict(model), sort_keys=True) == saved
+    assert model == twin and repr(model) == repr(twin)
+
+    model.biases[0] += 0.5
+    model.weights[1] *= -1.0
+    after = model.predict_margin(X)
+    assert after.tobytes() == _plain_forward(model, X).tobytes()
+    assert after.tobytes() != before.tobytes()
+    model.biases[-1] = np.zeros(3)  # a new array in place of the old one
+    assert model.predict_margin(X).tobytes() == _plain_forward(model, X).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
