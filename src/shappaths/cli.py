@@ -286,7 +286,7 @@ def cmd_explain(args) -> int:
             if method == "tree":
                 tensor = tree_shap(model, X, feature_names=ds.feature_names,
                                    class_names=ds.class_names, sample_ids=rows)
-            elif method == "kernel":
+            else:  # resolve_config admits only tree and kernel
                 background = sample_background(ds.features[train_rows],
                                                size=cfg["background_size"],
                                                seed=manifest.config["seed"])
@@ -295,8 +295,6 @@ def cmd_explain(args) -> int:
                                      seed=manifest.config["seed"],
                                      feature_names=ds.feature_names,
                                      class_names=ds.class_names, sample_ids=rows)
-            else:
-                raise ConfigError(f"unknown explain method {method!r} for {kind}")
             save_tensor(tensor,
                         manifest.set_artifact(f"shap_{kind}", f"shap_{kind}.json"),
                         manifest.set_artifact(f"shap_{kind}_csv", f"shap_{kind}.csv"))

@@ -135,6 +135,17 @@ def resolve_config(file_config: dict | None = None,
         raise ConfigError("idx dataset needs images and labels paths")
     if merged["explain"]["on"] not in ("test", "train", "all"):
         raise ConfigError("explain.on must be test, train, or all")
+    for kind, method in merged["explain"]["methods"].items():
+        if method not in ("tree", "kernel"):
+            raise ConfigError(f"config key 'explain.methods.{kind}' must be "
+                              f"tree or kernel, not {method!r}")
+    cluster = merged["cluster"]
+    if cluster["min_cluster_size"] < 2:
+        raise ConfigError(f"config key 'cluster.min_cluster_size' must be at least 2, "
+                          f"not {cluster['min_cluster_size']!r}")
+    if cluster["min_samples"] is not None and cluster["min_samples"] < 1:
+        raise ConfigError(f"config key 'cluster.min_samples' must be at least 1 or null, "
+                          f"not {cluster['min_samples']!r}")
     if merged["cluster"]["source"] not in merged["models"]:
         raise ConfigError(f"cluster.source {merged['cluster']['source']!r} "
                           f"is not a configured model")

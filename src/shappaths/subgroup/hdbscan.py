@@ -4,9 +4,12 @@ Stages, all deterministic:
 
 1. core distances: for each point, the ``min_samples``-th smallest
    distance to the data including the point itself (duplicates count, so
-   exact duplicates can have core distance zero);
+   exact duplicates can have core distance zero), from blocks of
+   ``BLOCK_ROWS`` distance rows;
 2. mutual reachability: max(core(a), core(b), dist(a, b));
-3. minimum spanning tree of the mutual-reachability graph (Prim);
+3. minimum spanning tree of the mutual-reachability graph (Prim), each
+   vertex's row of weights computed from the points when it joins the tree
+   (McInnes & Healy 2017, ``mst_linkage_core_vector``);
 4. single-linkage hierarchy from the sorted MST edges;
 5. condensation: walking the hierarchy top-down, a merge is a true split
    only if both sides hold at least ``min_cluster_size`` points and the
@@ -23,11 +26,15 @@ condensation produces no splits at all and the dataset itself reaches
 (this is what makes a pure-duplicate dataset one cluster instead of
 noise). Points belonging to no selected cluster get label -1. Cluster ids
 are canonical: sorted by each cluster's smallest member index.
+
+No stage holds an n x n array: the distances take O(n * BLOCK_ROWS)
+memory and the tree O(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,45 +92,100 @@ class CondensedTree:
     children: list[list[int]] = field(default_factory=list)
 
 
-def pairwise_distances(X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    sq = (X ** 2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+# Rows of distances held at once by core_distances: 32 rows at n = 20k are 5 MB.
+BLOCK_ROWS = 32
+
+
+class Points(NamedTuple):
+    """The rows to cluster, with what every distance row is computed from."""
+
+    X: np.ndarray   # (n, d)
+    XT: np.ndarray  # X.T laid out row-major: at n = 1600, d = 30 a two-row
+    #                 product against it takes ~10 us, against the X.T view
+    #                 ~26 us (OpenBLAS 0.3.31, 2-vCPU Xeon)
+    sq: np.ndarray  # (n,) squared row norms
+
+    @classmethod
+    def of(cls, X) -> Points:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return cls(X, np.ascontiguousarray(X.T), (X ** 2).sum(axis=1))
+
+
+def pairwise_distances(points: Points, rows: slice) -> np.ndarray:
+    """Euclidean distances from the points in ``rows`` to every point, zero
+    at self.
+
+    The Gram form sq[a] + sq[b] - 2 x_a.x_b is evaluated in the order of the
+    full-matrix form, so a row is byte-equal to that row of the full
+    distance matrix wherever the BLAS rounds the block's product as it
+    rounds ``X @ X.T`` (with OpenBLAS 0.3.31 every row does at n = 1600,
+    d = 30; at other shapes a few entries differ in the last bit).
+    """
+    X, XT, sq = points
+    start, stop, _ = rows.indices(X.shape[0])
+    if stop - start == 1:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from the gemm behind longer blocks: multiply the row twice, keep one
+        gram = (X[rows].repeat(2, axis=0) @ XT)[:1]
+    else:
+        gram = X[rows] @ XT
+    d2 = sq[rows, None] + sq
+    gram *= 2.0
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    np.fill_diagonal(d, 0.0)
-    return d
+    np.sqrt(d2, out=d2)
+    np.fill_diagonal(d2[:, rows], 0.0)
+    return d2
 
 
-def core_distances(dist: np.ndarray, min_samples: int) -> np.ndarray:
-    k = min(min_samples, dist.shape[0])
-    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+def core_distances(points: Points, min_samples: int) -> np.ndarray:
+    """Distance of each point to its ``min_samples``-th nearest point, itself
+    included, from distance rows taken ``BLOCK_ROWS`` at a time."""
+    n = points.X.shape[0]
+    k = min(min_samples, n)
+    core = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        dist = pairwise_distances(points, rows)
+        dist.partition(k - 1, axis=1)
+        core[rows] = dist[:, k - 1]
+    return core
 
 
-def mutual_reachability(dist: np.ndarray, core: np.ndarray) -> np.ndarray:
-    mr = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
-    np.fill_diagonal(mr, 0.0)
-    return mr
+def mutual_reachability(dist: np.ndarray, row_core: np.ndarray,
+                        core: np.ndarray) -> np.ndarray:
+    """Turn distance rows into mutual-reachability rows, in place:
+    max(row_core[a], core[b], dist[a, b]) for row a and column b."""
+    np.maximum(dist, row_core[:, None], out=dist)
+    np.maximum(dist, core, out=dist)
+    return dist
 
 
-def minimum_spanning_tree(weights: np.ndarray) -> np.ndarray:
-    """Prim's algorithm on a dense symmetric matrix -> (n-1, 3) edge rows
-    (a, b, weight), in insertion order."""
-    n = weights.shape[0]
-    if n == 1:
-        return np.zeros((0, 3))
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = weights[0].copy()
-    source = np.zeros(n, dtype=int)
+def minimum_spanning_tree(points: Points, core: np.ndarray) -> np.ndarray:
+    """Prim's algorithm on the mutual-reachability graph -> (n-1, 3) edge rows
+    (a, b, weight), in insertion order.
+
+    Each vertex's row of weights is computed when it joins the tree and
+    dropped after the update, so memory is O(n). A vertex in the tree has
+    an infinite ``reach`` (so no weight to it beats ``best``) and an
+    infinite ``best`` (so ``argmin`` picks the lowest-index nearest vertex
+    outside the tree, as it would over a masked copy of ``best``)."""
+    n = points.X.shape[0]
     edges = np.empty((n - 1, 3))
+    reach = core.copy()
+    best = np.full(n, np.inf)
+    source = np.zeros(n, dtype=int)
+    better = np.empty(n, dtype=bool)
+    u = 0
     for i in range(n - 1):
-        u = int(np.argmin(np.where(in_tree, np.inf, best)))
-        edges[i] = (source[u], u, best[u])
-        in_tree[u] = True
-        better = ~in_tree & (weights[u] < best)
-        best[better] = weights[u][better]
+        reach[u] = best[u] = np.inf
+        rows = slice(u, u + 1)
+        weights = mutual_reachability(pairwise_distances(points, rows), core[rows], reach)[0]
+        np.less(weights, best, out=better)
+        np.copyto(best, weights, where=better)
         source[better] = u
+        u = int(np.argmin(best))
+        edges[i] = (source[u], u, best[u])
     return edges
 
 
@@ -219,31 +281,23 @@ def condense(merges: np.ndarray, n: int, min_cluster_size: int) -> CondensedTree
                     member_lambda[pt] = lam
 
     n_clusters = len(parent)
-    stability = np.zeros(n_clusters)
+    parent_arr = np.array(parent)
     birth_arr = np.array(birth)
-    for pt in range(n):
-        c = member_cluster[pt]
-        stability[c] += member_lambda[pt] - birth_arr[c]
-    for c in range(1, n_clusters):
-        stability[parent[c]] += (birth_arr[c] - birth_arr[parent[c]]) * _cluster_points(
-            c, children, member_cluster, n)
-    return CondensedTree(parent=np.array(parent), birth_lambda=birth_arr,
+    stability = np.zeros(n_clusters)
+    # np.add.at adds in index order, so the sums round as per-point, then
+    # per-cluster loops would
+    np.add.at(stability, member_cluster, member_lambda - birth_arr[member_cluster])
+    # points inside each cluster or a descendant: a child's id exceeds its
+    # parent's, so summing children into parents in reverse id order is complete
+    inside = np.bincount(member_cluster, minlength=n_clusters)
+    for c in range(n_clusters - 1, 0, -1):
+        inside[parent_arr[c]] += inside[c]
+    up = parent_arr[1:]
+    np.add.at(stability, up, (birth_arr[1:] - birth_arr[up]) * inside[1:])
+    return CondensedTree(parent=parent_arr, birth_lambda=birth_arr,
                          member_cluster=member_cluster, member_lambda=member_lambda,
                          stability=stability,
                          selected=np.zeros(n_clusters, dtype=bool), children=children)
-
-
-def _cluster_points(cluster: int, children: list[list[int]],
-                    member_cluster: np.ndarray, n: int) -> int:
-    """Number of points inside a cluster or any of its descendants."""
-    total = 0
-    stack = [cluster]
-    direct = np.bincount(member_cluster, minlength=len(children))
-    while stack:
-        c = stack.pop()
-        total += int(direct[c])
-        stack.extend(children[c])
-    return total
 
 
 def select_excess_of_mass(tree: CondensedTree) -> None:
@@ -272,26 +326,23 @@ def _deselect_descendants(tree: CondensedTree, cluster: int) -> None:
 
 
 def labels_from_tree(tree: CondensedTree, n: int) -> ClusterLabeling:
-    def nearest_selected(cluster: int) -> int:
-        walk = cluster
-        while walk != -1 and not tree.selected[walk]:
-            walk = tree.parent[walk]
-        return walk
+    # nearest selected ancestor-or-self of every cluster, parents first
+    nearest = np.full(tree.parent.shape[0], -1)
+    for c, up in enumerate(tree.parent):
+        nearest[c] = c if tree.selected[c] else (-1 if up == -1 else nearest[up])
+    raw = nearest[tree.member_cluster]
 
-    raw = np.empty(n, dtype=int)
-    for pt in range(n):
-        raw[pt] = nearest_selected(tree.member_cluster[pt])
-
-    chosen = [c for c in np.unique(raw) if c != -1]
-    if not chosen:
+    chosen, first_member = np.unique(raw, return_index=True)
+    keep = chosen != -1
+    chosen, first_member = chosen[keep], first_member[keep]
+    if not chosen.size:
         return ClusterLabeling(labels=np.full(n, -1), n_clusters=0,
                                stability=np.zeros(0))
-    first_member = {c: int(np.flatnonzero(raw == c)[0]) for c in chosen}
-    canonical = sorted(chosen, key=lambda c: first_member[c])
-    remap = {c: i for i, c in enumerate(canonical)}
-    labels = np.array([-1 if c == -1 else remap[c] for c in raw])
-    return ClusterLabeling(labels=labels, n_clusters=len(canonical),
-                           stability=tree.stability[np.array(canonical)])
+    canonical = chosen[np.argsort(first_member)]
+    remap = np.full(tree.parent.shape[0] + 1, -1)  # the last slot maps noise (-1)
+    remap[canonical] = np.arange(canonical.size)
+    return ClusterLabeling(labels=remap[raw], n_clusters=canonical.size,
+                           stability=tree.stability[canonical])
 
 
 def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
@@ -301,10 +352,11 @@ def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
     n = X.shape[0]
     if n < 1:
         raise DataError("need at least one point")
-    dist = pairwise_distances(X)
-    core = core_distances(dist, params.effective_min_samples)
-    mr = mutual_reachability(dist, core)
-    mst = minimum_spanning_tree(mr)
+    if not np.isfinite(X).all():
+        raise DataError("points must be finite")
+    points = Points.of(X)
+    core = core_distances(points, params.effective_min_samples)
+    mst = minimum_spanning_tree(points, core)
     merges = single_linkage(mst, n)
     tree = condense(merges, n, params.min_cluster_size)
     select_excess_of_mass(tree)

@@ -111,6 +111,52 @@ def blocked_coalition_values(model, x, coalitions, background, block_rows):
 # ---------------------------------------------------------------------------
 # Graph oracles
 
+def dense_distances(X: np.ndarray) -> np.ndarray:
+    """The full n x n Euclidean distance matrix from one Gram product,
+    sq[a] + sq[b] - 2 x_a.x_b, zero on the diagonal."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sq = (X ** 2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    d = np.sqrt(d2)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def dense_core_distances(dist: np.ndarray, min_samples: int) -> np.ndarray:
+    """Each row's min_samples-th smallest entry, itself included."""
+    k = min(min_samples, dist.shape[0])
+    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+
+
+def dense_mutual_reachability(dist: np.ndarray, core: np.ndarray) -> np.ndarray:
+    mr = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+    np.fill_diagonal(mr, 0.0)
+    return mr
+
+
+def dense_prim(weights: np.ndarray) -> np.ndarray:
+    """Prim's algorithm on a dense symmetric matrix -> (n-1, 3) edge rows
+    (a, b, weight) in insertion order; ties go to the lowest index, and a
+    vertex's source changes only on a strictly smaller weight."""
+    n = weights.shape[0]
+    if n == 1:
+        return np.zeros((0, 3))
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = weights[0].copy()
+    source = np.zeros(n, dtype=int)
+    edges = np.empty((n - 1, 3))
+    for i in range(n - 1):
+        u = int(np.argmin(np.where(in_tree, np.inf, best)))
+        edges[i] = (source[u], u, best[u])
+        in_tree[u] = True
+        better = ~in_tree & (weights[u] < best)
+        best[better] = weights[u][better]
+        source[better] = u
+    return edges
+
+
 def naive_mst_weight(weights: np.ndarray) -> float:
     """Kruskal over all pairs with a quadratic-scan union-find."""
     n = weights.shape[0]
@@ -132,6 +178,43 @@ def naive_mst_weight(weights: np.ndarray) -> float:
             if used == n - 1:
                 break
     return total
+
+
+def condensed_stability(tree, n: int) -> np.ndarray:
+    """Cluster stabilities by per-point and per-cluster loops: each point adds
+    its exit lambda minus its cluster's birth lambda, then each child cluster
+    adds (its birth - its parent's birth) x its points, descendants included,
+    to its parent."""
+    stability = np.zeros(len(tree.parent))
+    for pt in range(n):
+        c = tree.member_cluster[pt]
+        stability[c] += tree.member_lambda[pt] - tree.birth_lambda[c]
+    for c in range(1, len(tree.parent)):
+        inside, stack = 0, [c]
+        while stack:
+            k = stack.pop()
+            inside += int((tree.member_cluster == k).sum())
+            stack.extend(tree.children[k])
+        up = tree.parent[c]
+        stability[up] += (tree.birth_lambda[c] - tree.birth_lambda[up]) * inside
+    return stability
+
+
+def labels_by_walk(tree, n: int) -> tuple[list[int], list[float]]:
+    """Labels from walking each point up to its nearest selected cluster,
+    numbered by smallest member; and the stabilities of those clusters."""
+    raw = []
+    for pt in range(n):
+        c = tree.member_cluster[pt]
+        while c != -1 and not tree.selected[c]:
+            c = tree.parent[c]
+        raw.append(int(c))
+    order = []
+    for c in raw:
+        if c != -1 and c not in order:
+            order.append(c)
+    return ([-1 if c == -1 else order.index(c) for c in raw],
+            [float(tree.stability[c]) for c in order])
 
 
 def single_linkage_two_clusters(X: np.ndarray) -> np.ndarray:

@@ -6,11 +6,12 @@ diagnostic message on failure, so they can run standalone or under pytest.
 
 import numpy as np
 
-from oracles import finite_difference_grads, naive_mst_weight
+from oracles import (dense_core_distances, dense_distances, dense_mutual_reachability,
+                     finite_difference_grads, naive_mst_weight)
 from shappaths import SimulationSpec, SplitSpec, simulate, split, train_boosted
 from shappaths.models.mlp import init_mlp, loss_and_grads
 from shappaths.rng import generator
-from shappaths.subgroup import (HdbscanParams, core_distances, hdbscan,
+from shappaths.subgroup import (HdbscanParams, Points, core_distances, hdbscan,
                                 minimum_spanning_tree, mutual_reachability,
                                 pairwise_distances, pca_fit, pca_transform)
 
@@ -61,11 +62,10 @@ def _canonical(labels):
 def check_mst_against_oracle(seed=0, n=60):
     rng = generator(seed, "props.mst")
     X = rng.normal(size=(n, 3))
-    dist = pairwise_distances(X)
-    core = core_distances(dist, 5)
-    mr = mutual_reachability(dist, core)
-    mine = minimum_spanning_tree(mr)[:, 2].sum()
-    reference = naive_mst_weight(mr)
+    points = Points.of(X)
+    mine = minimum_spanning_tree(points, core_distances(points, 5))[:, 2].sum()
+    dist = dense_distances(X)
+    reference = naive_mst_weight(dense_mutual_reachability(dist, dense_core_distances(dist, 5)))
     assert abs(mine - reference) < 1e-9 * max(1.0, reference), \
         f"MST weight {mine} != oracle {reference}"
 
@@ -73,8 +73,10 @@ def check_mst_against_oracle(seed=0, n=60):
 def check_mutual_reachability_dominates(seed=0, n=50):
     rng = generator(seed, "props.mr")
     X = rng.normal(size=(n, 4))
-    dist = pairwise_distances(X)
-    mr = mutual_reachability(dist, core_distances(dist, 6))
+    points = Points.of(X)
+    core = core_distances(points, 6)
+    dist = pairwise_distances(points, slice(0, n))
+    mr = mutual_reachability(dist.copy(), core, core)
     off = ~np.eye(n, dtype=bool)
     assert (mr[off] >= dist[off] - 1e-12).all(), "mutual reachability below distance"
 

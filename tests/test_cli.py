@@ -450,6 +450,38 @@ def test_malformed_config_shape_rejected(tmp_path, capsys, command, key):
     assert not (tmp_path / "run").exists()
 
 
+OUT_OF_RANGE = {
+    ("cluster.min_cluster_size", 1): ({"cluster": {"min_cluster_size": 1}},
+                                      "must be at least 2, not 1"),
+    ("cluster.min_cluster_size", 0): ({"cluster": {"min_cluster_size": 0}},
+                                      "must be at least 2, not 0"),
+    ("cluster.min_samples", 0): ({"cluster": {"min_samples": 0}},
+                                 "must be at least 1 or null, not 0"),
+    ("explain.methods.mlp", "foo"): ({"explain": {"methods": {"mlp": "foo"}}},
+                                     "must be tree or kernel, not 'foo'"),
+    ("explain.methods.tree", "Tree"): ({"explain": {"methods": {"tree": "Tree"}}},
+                                       "must be tree or kernel, not 'Tree'"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "load"])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE), ids=str)
+def test_out_of_range_config_value_rejected_before_hashing(tmp_path, capsys, command, case):
+    cfg, problem = OUT_OF_RANGE[case]
+    argv = ["--csv", str(_small_csv(tmp_path))] if command == "load" else []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(cfg_path, tmp_path / "run", command, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key {case[0]!r} {problem}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_range_limits_are_admitted():
+    resolve_config({"cluster": {"min_cluster_size": 2, "min_samples": 1},
+                    "explain": {"methods": {"tree": "kernel", "mlp": "tree"}}})
+
+
 @pytest.mark.parametrize("layer, ok", [
     ({"dataset": {"half_width": 5}}, True),      # an integer is a number
     ({"cluster": {"min_samples": None}}, True),

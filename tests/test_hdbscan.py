@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import single_linkage_two_clusters
+from oracles import (condensed_stability, dense_core_distances, dense_distances,
+                     dense_mutual_reachability, dense_prim, labels_by_walk,
+                     single_linkage_two_clusters)
 from props import (check_hdbscan_permutation_invariance, check_mst_against_oracle,
                    check_mutual_reachability_dominates)
 from shappaths import HdbscanParams, cluster_purity, hdbscan
-from shappaths.errors import InvalidSpecError
-from shappaths.subgroup import condensed_tree, core_distances, pairwise_distances
+from shappaths.errors import DataError, InvalidSpecError
+from shappaths.subgroup import (Points, condensed_tree, core_distances, minimum_spanning_tree,
+                                pairwise_distances)
+from shappaths.subgroup.hdbscan import BLOCK_ROWS, labels_from_tree
 from shappaths.rng import generator
 
 
@@ -70,10 +79,93 @@ def test_duplicates_within_structured_data():
 
 def test_core_distance_counts_self_and_duplicates():
     X = np.array([[0.0], [0.0], [0.0], [10.0]])
-    dist = pairwise_distances(X)
-    core = core_distances(dist, 3)
+    core = core_distances(Points.of(X), 3)
     assert core[0] == 0.0  # three copies at zero: the 3rd nearest incl. self
     assert core[3] == 10.0
+
+
+def _grid(seed: int, n: int, d: int) -> np.ndarray:
+    """Points with small integer coordinates: every product and sum in the
+    Gram form is exact, so no BLAS rounding can tell a row block from the
+    full matrix, and equal distances (ties) and duplicates are common."""
+    return generator(seed, "test.grid").integers(-3, 4, size=(n, d)).astype(float)
+
+
+@pytest.mark.parametrize("n, d, min_samples", [
+    (1, 3, 5), (2, 3, 1), (3, 2, 2),
+    (BLOCK_ROWS + 1, 3, 5),   # a last block of one row
+    (200, 2, 7),              # 49 grid cells: exact duplicates throughout
+    (10, 3, 25),              # min_samples > n
+])
+def test_core_distances_and_mst_equal_the_dense_bytes(n, d, min_samples):
+    X = _grid(n, n, d)
+    points = Points.of(X)
+    dist = dense_distances(X)
+    core = core_distances(points, min_samples)
+    assert core.tobytes() == dense_core_distances(dist, min_samples).tobytes()
+    edges = minimum_spanning_tree(points, core)
+    assert edges.tobytes() == dense_prim(dense_mutual_reachability(dist, core)).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, BLOCK_ROWS + 1])
+def test_one_row_distances_equal_the_dense_row(n):
+    X = _grid(n + 1, n, 3)
+    points, dist = Points.of(X), dense_distances(X)
+    for i in range(n):  # the last row included
+        assert pairwise_distances(points, slice(i, i + 1)).tobytes() == dist[i:i + 1].tobytes()
+
+
+def test_one_row_distances_are_rounded_as_in_a_block():
+    """numpy computes a one-row product with gemv, which rounds differently
+    from gemm; a one-row request must give the bytes of the same row inside
+    a two-row block (Gaussian points, where rounding shows)."""
+    n = 300
+    points = Points.of(generator(6, "test.one_row").normal(size=(n, 30)))
+    for i in range(n):
+        one = pairwise_distances(points, slice(i, i + 1))[0]
+        two = pairwise_distances(points, slice(i, i + 2))[0] if i < n - 1 \
+            else pairwise_distances(points, slice(n - 2, n))[1]
+        assert one.tobytes() == two.tobytes(), f"row {i}"
+        assert one[i] == 0.0
+    # sq[i] + sq[i] - 2 x_i.x_i need not round to 0: self distances are set
+    assert (core_distances(points, 1) == 0.0).all()
+
+
+def test_stabilities_and_labels_equal_the_loop_oracles():
+    rng = generator(7, "test.nested")
+    centers = np.array([[0, 0], [3, 0], [0, 20], [3, 20], [20, 10]], dtype=float)
+    X = np.vstack([rng.normal(c, 0.6, size=(30, 2)) for c in centers])
+    X = np.vstack([X, np.tile([10.0, 10.0], (6, 1))])  # duplicates: infinite lambda
+    for min_cluster_size in (4, 8, 20):
+        tree = condensed_tree(X, HdbscanParams(min_cluster_size=min_cluster_size))
+        assert len(tree.parent) > 3
+        assert tree.stability.tobytes() == condensed_stability(tree, len(X)).tobytes()
+        labeling = labels_from_tree(tree, len(X))
+        labels, stability = labels_by_walk(tree, len(X))
+        assert labeling.labels.tolist() == labels
+        assert labeling.stability.tobytes() == np.array(stability).tobytes()
+
+
+def test_non_finite_points_rejected():
+    X = np.zeros((20, 2))
+    X[3, 1] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        hdbscan(X, HdbscanParams(min_cluster_size=5))
+
+
+def test_memory_is_linear_in_n():
+    """Clustering 5000 points of 30 dimensions stays far below one dense
+    5000 x 5000 float64 matrix (200 MB)."""
+    src = str(Path(sys.modules["shappaths"].__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import resource, numpy as np; from shappaths import HdbscanParams, hdbscan; "
+            "X = np.random.default_rng(0).normal(size=(5000, 30)); "
+            "hdbscan(X, HdbscanParams(min_cluster_size=15)); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    peak_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_permutation_invariance_and_graph_oracles():
