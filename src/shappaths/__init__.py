@@ -10,7 +10,7 @@ high-dimensional waterfall plots as deterministic SVG.
 __version__ = "0.1.0"
 
 from .data import (Dataset, ScalingMeta, SimulationSpec, SplitSpec, load_csv,
-                   load_idx_images, min_max_scale, simulate, split, write_csv)
+                   load_idx_images, min_max_scale, simulate, write_csv)
 from .explain import (Background, ShapTensor, flatten, kernel_shap, load_tensor, mean_abs,
                       sample_background, save_tensor, tree_shap, unflatten_values)
 from .models import (BoostedEnsemble, DecisionTree, EvalReport, Mlp, evaluate, load_model,
@@ -24,6 +24,6 @@ __all__ = [
     "SimulationSpec", "SplitSpec", "cluster_purity", "evaluate", "flatten", "hdbscan",
     "kernel_shap", "load_csv", "load_idx_images", "load_model", "load_tensor", "mean_abs",
     "min_max_scale", "pca_fit", "pca_transform", "sample_background", "save_model",
-    "save_tensor", "simulate", "split", "train_boosted", "train_mlp", "train_tree",
+    "save_tensor", "simulate", "train_boosted", "train_mlp", "train_tree",
     "tree_shap", "unflatten_values", "write_csv",
 ]

@@ -553,6 +553,9 @@ def main(argv=None) -> int:
         if isinstance(exc, MissingArtifactError):
             return EXIT_MISSING
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG
+    except OSError as exc:  # a missing input, or an --out that cannot be a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

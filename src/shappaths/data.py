@@ -177,16 +177,18 @@ def load_csv(path, target_column_name: str) -> Dataset:
 
     Rows containing any empty cell are dropped (the count is logged); a
     non-numeric or non-finite (nan, inf) feature cell is a DataError
-    naming the file and line.
+    naming the file and line, and so is a file that is not UTF-8.
     Target values are factor-encoded in first-appearance order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row")
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     if target_column_name not in header:
         raise DataError(f"{path}: target column {target_column_name!r} not in header")
     target_idx = header.index(target_column_name)
@@ -353,9 +355,3 @@ def split_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.n
     mask = np.ones(n, dtype=bool)
     mask[train] = False
     return train, np.flatnonzero(mask)
-
-
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Split a dataset into train and test parts."""
-    train_idx, test_idx = split_indices(ds.labels, spec)
-    return ds.take(train_idx), ds.take(test_idx)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class ShapTensor:
     @property
     def k(self) -> int:
         return self.values.shape[2]
-
-    def take(self, indices) -> "ShapTensor":
-        idx = np.asarray(indices, dtype=int)
-        return replace(self, values=self.values[idx], sample_ids=self.sample_ids[idx])
 
 
 @dataclass(frozen=True)

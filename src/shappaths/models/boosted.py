@@ -76,21 +76,16 @@ def _fit_newton_tree(X, g, h, lam, max_depth, min_leaf) -> DecisionTree:
         denom = h[rows].sum() + lam
         return np.array([-g[rows].sum() / denom if denom > 0 else 0.0])
 
-    def newton_gains(rows):
-        gr, hr = g[rows], h[rows]
+    def gain_fn(order):
+        g_cum = np.cumsum(g[order], axis=0)
+        h_cum = np.cumsum(h[order], axis=0)
+        g_left, g_total = g_cum[:-1], g_cum[-1]
+        h_left, h_total = h_cum[:-1], h_cum[-1]
+        parent = _score(np.asarray(g_total[0]), np.asarray(h_total[0]), lam)
+        return 0.5 * (_score(g_left, h_left, lam)
+                      + _score(g_total - g_left, h_total - h_left, lam) - parent)
 
-        def gain_fn(order):
-            g_cum = np.cumsum(gr[order], axis=0)
-            h_cum = np.cumsum(hr[order], axis=0)
-            g_left, g_total = g_cum[:-1], g_cum[-1]
-            h_left, h_total = h_cum[:-1], h_cum[-1]
-            parent = _score(np.asarray(g_total[0]), np.asarray(h_total[0]), lam)
-            return 0.5 * (_score(g_left, h_left, lam)
-                          + _score(g_total - g_left, h_total - h_left, lam) - parent)
-
-        return gain_fn
-
-    return grow_tree(X, leaf_weight, newton_gains, max_depth, min_leaf)
+    return grow_tree(X, leaf_weight, lambda rows: gain_fn, max_depth, min_leaf)
 
 
 def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,

@@ -9,6 +9,10 @@ the SHAP computation are built from those covers.
 Routing convention: a sample goes left iff x[feature] < threshold.
 Thresholds are midpoints of the separating gap, so training data never
 sits on a boundary.
+
+Growth makes one sort per fit; children partition it. A child keeps its
+parent's per-column order minus the other child's rows, which is a stable
+argsort of the child's own rows: ties stay in row-index order.
 """
 
 from __future__ import annotations
@@ -39,15 +43,6 @@ class DecisionTree:
     @property
     def n_classes(self) -> int:
         return self.value.shape[1]
-
-    @property
-    def max_depth(self) -> int:
-        depth = np.zeros(self.n_nodes, dtype=int)
-        for node in range(self.n_nodes):  # parents precede children
-            if self.feature[node] != LEAF:
-                depth[self.left[node]] = depth[node] + 1
-                depth[self.right[node]] = depth[node] + 1
-        return int(depth.max())
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Index of the unique leaf each row routes to."""
@@ -85,20 +80,20 @@ class DecisionTree:
                     raise DataError(f"cover mismatch at node {node}")
 
 
-def best_split(X: np.ndarray, gain_fn, min_leaf: int) -> tuple[int, float, float] | None:
+def best_split(X: np.ndarray, order: np.ndarray, gain_fn,
+               min_leaf: int) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gain) over all midpoint splits, or None.
 
-    ``gain_fn(order)`` receives the per-column sort order and returns the
-    (m - 1, p) gains of splitting after each sorted position. Positions
-    between equal values, or leaving fewer than ``min_leaf`` rows on a
-    side, are masked here. Ties resolve to the lowest feature index, then
-    the lowest threshold.
+    ``order`` is the node's (m, p) per-column sort order, as row indices
+    of ``X``. ``gain_fn(order)`` returns the (m - 1, p) gains of splitting
+    after each sorted position. Positions between equal values, or leaving
+    fewer than ``min_leaf`` rows on a side, are masked here. Ties resolve
+    to the lowest feature index, then the lowest threshold.
     """
-    m = X.shape[0]
+    m = order.shape[0]
     if m < 2:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(X, order, axis=0)
+    sorted_x = X[order, np.arange(X.shape[1])]
     distinct = sorted_x[:-1] != sorted_x[1:]
     if not distinct.any():
         return None
@@ -131,8 +126,9 @@ def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
     ``2 * min_leaf`` rows, or when no split has positive gain.
     """
     feature, threshold, left, right, cover, value = [], [], [], [], [], []
+    goes_left = np.zeros(X.shape[0], dtype=bool)  # read only at the node being split
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         node = len(feature)
         feature.append(LEAF)
         threshold.append(np.nan)
@@ -143,17 +139,21 @@ def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
         if depth >= max_depth or rows.size < 2 * min_leaf:
             return node
         gain_fn = node_gains(rows)
-        found = None if gain_fn is None else best_split(X[rows], gain_fn, min_leaf)
+        found = None if gain_fn is None else best_split(X, order, gain_fn, min_leaf)
         if found is None:
             return node
         feat, thr, _ = found
         feature[node], threshold[node] = feat, thr
-        goes_left = X[rows, feat] < thr
-        left[node] = grow(rows[goes_left], depth + 1)
-        right[node] = grow(rows[~goes_left], depth + 1)
+        split = X[rows, feat] < thr
+        goes_left[rows] = split
+        is_left = goes_left[order.T]
+        left_order = order.T[is_left].reshape(X.shape[1], -1).T
+        right_order = order.T[~is_left].reshape(X.shape[1], -1).T
+        left[node] = grow(rows[split], left_order, depth + 1)
+        right[node] = grow(rows[~split], right_order, depth + 1)
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable"), 0)
     return DecisionTree(feature=np.array(feature, dtype=int),
                         threshold=np.array(threshold, dtype=float),
                         left=np.array(left, dtype=int),
@@ -179,8 +179,7 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
         return np.bincount(y[rows], minlength=k) / rows.size
 
     def gini_gains(rows):
-        yr = y[rows]
-        if np.unique(yr).size == 1:
+        if np.unique(y[rows]).size == 1:
             return None
 
         def gain_fn(order):
@@ -190,11 +189,11 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
             sq_left = np.zeros((m - 1, order.shape[1]))
             sq_right = np.zeros((m - 1, order.shape[1]))
             for c in range(k):
-                cum = np.cumsum(yr[order] == c, axis=0).astype(float)
+                cum = np.cumsum(y[order] == c, axis=0).astype(float)
                 sq_left += cum[:-1] ** 2
                 sq_right += (cum[-1] - cum[:-1]) ** 2
             child = (n_left - sq_left / n_left + n_right - sq_right / n_right) / m
-            parent = 1.0 - np.sum((np.bincount(yr, minlength=k) / m) ** 2)
+            parent = 1.0 - np.sum((np.bincount(y[rows], minlength=k) / m) ** 2)
             return parent - child
 
         return gain_fn

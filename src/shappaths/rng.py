@@ -13,7 +13,6 @@ Labels currently in use:
     sim.points         uniform sample points
     sim.labels         class-label draws
     split              train/test shuffling
-    cv.folds           cross-validation fold assignment
     train.mlp          weight init + minibatch shuffling
     shap.background    background subsampling for kernel explanations
     shap.kernel        coalition sampling

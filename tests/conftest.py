@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shappaths import Dataset, SimulationSpec, SplitSpec, simulate, split
+from shappaths import Dataset, SimulationSpec, SplitSpec, simulate
+from shappaths.data import split_indices
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +13,8 @@ def sim_small():
 
 @pytest.fixture(scope="session")
 def sim_small_split(sim_small):
-    return split(sim_small, SplitSpec(train_fraction=0.7, seed=11))
+    train, test = split_indices(sim_small.labels, SplitSpec(train_fraction=0.7, seed=11))
+    return sim_small.take(train), sim_small.take(test)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ import numpy as np
 
 from oracles import (dense_core_distances, dense_distances, dense_mutual_reachability,
                      finite_difference_grads, naive_mst_weight)
-from shappaths import SimulationSpec, SplitSpec, simulate, split, train_boosted
+from shappaths import SimulationSpec, SplitSpec, simulate, train_boosted
+from shappaths.data import split_indices
 from shappaths.models.mlp import init_mlp, loss_and_grads
 from shappaths.rng import generator
 from shappaths.subgroup import (HdbscanParams, Points, core_distances, hdbscan,
@@ -100,7 +101,7 @@ def check_mlp_gradients(seed=0, rel_tol=1e-4, n_points=10):
 
 def check_boosting_monotone(seed=0):
     ds = simulate(SimulationSpec(n_samples=400, n_features=6, seed=seed))
-    train, _ = split(ds, SplitSpec(seed=seed))
+    train = ds.take(split_indices(ds.labels, SplitSpec(seed=seed))[0])
     model = train_boosted(train, n_rounds=40, learning_rate=0.3, max_depth=3)
     losses = np.array(model.train_loss)
     increases = np.diff(losses) > 1e-12

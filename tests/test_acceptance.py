@@ -23,7 +23,7 @@ from oracles import brute_shapley_interventional, brute_shapley_tree
 from props import ALL_CHECKS
 from shappaths import (Background, HdbscanParams, SimulationSpec, SplitSpec, evaluate,
                        flatten, hdbscan, kernel_shap, load_idx_images, mean_abs,
-                       min_max_scale, sample_background, simulate, split, train_boosted,
+                       min_max_scale, sample_background, simulate, train_boosted,
                        train_mlp, train_tree, tree_shap)
 from shappaths.data import split_indices
 from shappaths.explain.tree_shap import shap_values_tree
@@ -336,7 +336,8 @@ def test_criterion_9_idx_smoke_only(tmp_path):
     ip, lp = _write_synthetic_idx(tmp_path)
     ds = load_idx_images(ip, lp)
     assert (ds.n, ds.p, ds.k) == (1000, 784, 3)
-    train, test = split(ds, SplitSpec(seed=0))
+    tr, te = split_indices(ds.labels, SplitSpec(seed=0))
+    train, test = ds.take(tr), ds.take(te)
     model = train_boosted(train, n_rounds=6, learning_rate=0.5, max_depth=2)
     accuracy = evaluate(model, test).accuracy
     tensor = tree_shap(model, test.features[:50])

@@ -520,6 +520,35 @@ def test_background_size_below_one_exits_2(tmp_path, capsys, size):
     assert "Traceback" not in err
 
 
+def _missing_csv(tmp_path):
+    return tmp_path / "missing.csv", "load"
+
+
+def _non_utf8_csv(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x1,label\n0.5,hi\n1.5,\xff\n")
+    return path, "load"
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "F").write_text("")
+    return tmp_path / "F" / "sub", "simulate"
+
+
+@pytest.mark.parametrize("unusable", [_missing_csv, _non_utf8_csv, _out_under_a_file],
+                         ids=["missing-csv", "non-utf8-csv", "out-under-a-file"])
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, unusable):
+    path, command = unusable(tmp_path)
+    if command == "load":
+        argv = ["load", "--csv", str(path), "--target", "label", "--out", str(tmp_path / "run")]
+    else:
+        argv = ["simulate", "--n", "80", "--out", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # artifact digests: every damage to a finished run is caught by its reader
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shappaths import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
-                       min_max_scale, simulate, split, write_csv)
+                       min_max_scale, simulate, write_csv)
 from shappaths.data import class_probabilities, split_indices
 from shappaths.errors import DataError, InvalidSpecError
 
@@ -60,7 +60,7 @@ def test_positive_quadrant_monte_carlo():
 
 def test_test_set_class_frequencies_near_reported():
     ds = simulate(SimulationSpec(seed=0))
-    _, test = split(ds, SplitSpec(seed=0))
+    test = ds.take(split_indices(ds.labels, SplitSpec(seed=0))[1])
     freqs = np.bincount(test.labels, minlength=3) / test.n
     target = np.array([138, 142, 170]) / 450.0
     assert np.abs(freqs - target).max() < 0.05
@@ -68,10 +68,10 @@ def test_test_set_class_frequencies_near_reported():
 
 def test_split_sizes_and_partition():
     ds = simulate(SimulationSpec(n_samples=333, n_features=4, seed=2))
-    train, test = split(ds, SplitSpec(train_fraction=0.7, seed=3))
+    ti, si = split_indices(ds.labels, SplitSpec(train_fraction=0.7, seed=3))
+    train, test = ds.take(ti), ds.take(si)
     assert train.n == round(0.7 * 333)
     assert train.n + test.n == ds.n
-    ti, si = split_indices(ds.labels, SplitSpec(train_fraction=0.7, seed=3))
     assert np.intersect1d(ti, si).size == 0
     assert np.union1d(ti, si).size == ds.n
 

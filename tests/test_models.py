@@ -15,6 +15,14 @@ def tiny_ds(X, y, k=2):
     return Dataset(X, y, names, tuple(f"c{i}" for i in range(k)))
 
 
+def depth_of(tree):
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for node in range(tree.n_nodes):  # parents precede children
+        if tree.feature[node] != LEAF:
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return int(depth.max())
+
+
 # ---------------------------------------------------------------------------
 # decision tree
 
@@ -30,7 +38,7 @@ def test_separable_1d_stump():
     X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
     y = (X[:, 0] >= 0).astype(int)
     tree = train_tree(tiny_ds(X, y), max_depth=4)
-    assert tree.max_depth == 1
+    assert depth_of(tree) == 1
     assert -1.0 < tree.threshold[0] < 1.0  # inside the separating gap
     assert (tree.predict_class(X) == y).all()
 
@@ -71,6 +79,34 @@ def test_leaf_partition_property(sim_small_split):
     for leaf in np.unique(ids):
         rows = margins[ids == leaf]
         assert (rows == rows[0]).all()
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3, 7])
+def test_every_node_order_is_a_stable_argsort_of_its_rows(monkeypatch, min_leaf):
+    """The grower sorts once per fit and partitions down the tree; each
+    node must still see what a stable argsort of its own rows gives."""
+    from shappaths.models import tree as tree_mod
+
+    rng = np.random.default_rng(min_leaf)
+    X = np.round(rng.normal(scale=1.5, size=(150, 4)))  # few values: ties in every column
+    X = np.vstack([X, X[:60]])                           # duplicated rows tie in all columns
+    y = (X[:, 0] + X[:, 1] > 0).astype(int) + (X[:, 2] > 0.5)
+    sizes = []
+    real = tree_mod.best_split
+
+    def checked(X, order, gain_fn, min_leaf):
+        rows = np.sort(order[:, 0])
+        assert np.array_equal(order, rows[np.argsort(X[rows], axis=0, kind="stable")])
+        sizes.append(rows.size)
+        return real(X, order, gain_fn, min_leaf)
+
+    monkeypatch.setattr(tree_mod, "best_split", checked)
+    ds = tiny_ds(X, y, k=3)
+    train_tree(ds, max_depth=6, min_leaf=min_leaf)
+    n_tree = len(sizes)
+    train_boosted(ds, n_rounds=3, max_depth=4, min_leaf=min_leaf)
+    for fit in (sizes[:n_tree], sizes[n_tree:]):  # both fits reached nodes below the root
+        assert len(fit) > 3 and min(fit) < ds.n
 
 
 def test_tree_empty_dataset_rejected(sim_small):
