@@ -10,38 +10,82 @@ pipeline config is rejected either way. Artifacts land in one run
 directory (--out, else $SHAPPATHS_OUT/<config-hash>, else
 ./runs/<config-hash>). Exit codes: 0 success, 2 config or data error (an
 artifact whose bytes differ from the digest recorded when its stage
-finished included), 3 missing upstream artifact, 4 numerical failure.
+finished included, and a size too large for memory), 3 missing upstream
+artifact, 4 numerical failure, 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .data import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
-                   min_max_scale, simulate, split_indices, write_csv)
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
-from .explain import (flatten, load_tensor, mean_abs, kernel_shap, sample_background,
-                      save_tensor, tree_shap)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_manifest,
                        resolve_config)
-from .models import evaluate, load_model, save_model, train_boosted, train_mlp, train_tree
-from .subgroup import ClusterLabeling, HdbscanParams, cluster_purity, hdbscan, pca_fit, pca_transform
-from .viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
-                  paths_to_csv, pca_scatter, project_paths, render_paths, stacked_bar)
+
+
+# ---------------------------------------------------------------------------
+# the layers each command runs
+
+# Each command imports only the layers it runs: ``main`` binds their names
+# into this module before dispatch, and any other reader (the benchmark's
+# tracer, a test's monkeypatch) resolves a name on first access through the
+# module ``__getattr__``. Binding never replaces a name already bound.
+_LAYER_OF = {name: layer for layer, names in {
+    "numpy": "np",
+    ".data": "Dataset SimulationSpec SplitSpec load_csv load_idx_images min_max_scale "
+             "simulate split_indices write_csv",
+    ".models": "evaluate load_model save_model train_boosted train_mlp train_tree",
+    ".explain": "flatten kernel_shap load_tensor mean_abs sample_background save_tensor "
+                "tree_shap",
+    ".subgroup": "ClusterLabeling HdbscanParams cluster_purity hdbscan pca_fit pca_transform",
+    ".viz": "PlotSpec build_paths classical_waterfall cluster_heatmap paths_to_csv "
+            "pca_scatter project_paths render_paths stacked_bar",
+}.items() for name in names.split()}
+
+_LAYERS = {
+    "simulate": ("numpy", ".data"),
+    "load": ("numpy", ".data"),
+    "train": ("numpy", ".data", ".models"),
+    "explain": ("numpy", ".data", ".models", ".explain"),
+    "cluster": ("numpy", ".data", ".explain", ".subgroup"),
+    "embed": ("numpy", ".data", ".explain", ".subgroup", ".viz"),
+    "waterfall": ("numpy", ".explain", ".subgroup", ".viz"),
+    "bar": (".explain", ".viz"),
+    "heatmap": ("numpy", ".data", ".explain", ".subgroup", ".viz"),
+    "report": (),
+}
+
+
+def _resolve(name: str):
+    module = importlib.import_module(_LAYER_OF[name], __package__)
+    return module if name == "np" else getattr(module, name)
+
+
+def __getattr__(name):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, _resolve(name))
+
+
+def _bind_layers(command: str) -> None:
+    for name, layer in _LAYER_OF.items():
+        if layer in _LAYERS[command]:
+            globals().setdefault(name, _resolve(name))
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
+EXIT_INTERRUPTED = 130
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _bind_layers(args.command)
         return COMMANDS[args.command][0](args)
     except ShappathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -556,6 +601,12 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing input, or an --out that cannot be a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size no machine can hold; numpy names it
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -127,12 +127,11 @@ def save_tensor(t: ShapTensor, json_path, csv_path) -> None:
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    flat = flatten(t)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id"] + flat_column_names(t))
-        for i in range(t.n):
-            writer.writerow([int(t.sample_ids[i])] + [repr(float(v)) for v in flat[i]])
+        writer.writerows([sid, *map(repr, row)]
+                         for sid, row in zip(t.sample_ids.tolist(), flatten(t).tolist()))
 
 
 def load_tensor(json_path, csv_path) -> ShapTensor:
@@ -148,7 +147,7 @@ def load_tensor(json_path, csv_path) -> ShapTensor:
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     sample_ids = np.array([int(r[0]) for r in rows])
-    flat = np.array([[float(v) for v in r[1:]] for r in rows])
+    flat = np.array([r[1:] for r in rows], dtype=float)  # numpy parses each cell as float() does
     values = unflatten_values(flat, manifest["k"])
     return ShapTensor(values=values,
                       base=np.array(manifest["base"], dtype=float),

@@ -27,13 +27,17 @@ score: the training-set mean margins, because covers are training counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DataError
-from ..models.boosted import BoostedEnsemble
-from ..models.tree import LEAF, DecisionTree
 from .tensor import ShapTensor
+
+# The model layer is imported where a model is explained, not here, so that
+# a command that only reads a saved tensor loads none of it.
+if TYPE_CHECKING:
+    from ..models.tree import DecisionTree
 
 # rows per chunk make the (D, P, rows) weight array about this many floats;
 # 2 MB keeps a chunk's arrays in cache and the process near its idle size
@@ -52,6 +56,8 @@ class _Packed:
 
 def _leaf_paths(tree: DecisionTree):
     """(leaf, {feature: (z, lo, hi)}) for every root-to-leaf path, in preorder."""
+    from ..models.tree import LEAF
+
     stack = [(0, {})]
     while stack:
         node, elems = stack.pop()
@@ -143,6 +149,9 @@ def shap_values_tree(tree: DecisionTree, X: np.ndarray,
 def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
               sample_ids=None) -> ShapTensor:
     """Exact path-dependent SHAP tensor for a tree or boosted ensemble."""
+    from ..models.boosted import BoostedEnsemble
+    from ..models.tree import DecisionTree
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = X.shape[1]
     if not isinstance(model, (DecisionTree, BoostedEnsemble)):

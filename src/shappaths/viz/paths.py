@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DataError, InvalidSpecError
 from ..explain.tensor import ShapTensor
-from ..subgroup.pca import PcaModel, pca_fit, pca_transform
 from .svg import NOISE, Canvas, nice_ticks
 from .waterfall import PlotSpec
+
+if TYPE_CHECKING:
+    from ..subgroup.pca import PcaModel
 
 REMAINDER = -1  # feature id of an aggregated tail segment
 
@@ -99,6 +102,9 @@ def project_paths(paths: list[WaterfallPath],
     k = 1 no projection is needed: the polylines get x = step index and
     y = cumulative value, and the model is None.
     """
+    # imported here, so that the charts that draw no path load no subgroup layer
+    from ..subgroup.pca import pca_fit, pca_transform
+
     if not paths:
         return [], None
     k = paths[0].anchor.shape[0]

@@ -549,6 +549,26 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, unusable):
     assert str(path) in err
 
 
+def test_size_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 10^13 x 10 floats is far past the 128 TiB user address space, so the
+    # allocation fails at once under any overcommit setting
+    assert main(["simulate", "--n", "10000000000000", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_interrupt_ends_in_one_line(tmp_path, capsys, monkeypatch):
+    import shappaths.cli as cli
+
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    # main binds the command's names before it runs; the patched one must stay
+    monkeypatch.setattr(cli, "simulate", interrupted)
+    assert main(["simulate", "--n", "80", "--out", str(tmp_path / "run")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 # ---------------------------------------------------------------------------
 # artifact digests: every damage to a finished run is caught by its reader
 

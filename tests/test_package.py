@@ -17,32 +17,84 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that finds this package first."""
+    src = str(Path(importlib.import_module("shappaths").__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=_env(), check=True,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_no_process_pool():
     """Every command pays the CLI's import; Kernel SHAP's workers need only
     os and mmap, so neither process-pool package is loaded."""
-    src = str(Path(importlib.import_module("shappaths").__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, shappaths.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = _python("import sys, shappaths.cli; "
+                  "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                  "if m in sys.modules])")
     assert out.stdout.strip() == "[]"
+
+
+LAYERS = ("data", "models", "explain", "subgroup", "viz")
+_PRINT_LOADED = ("; print(json.dumps([m.split('.')[1] if m.startswith('shappaths.') else m "
+                 "for m in sys.modules if m == 'numpy' or m.startswith('shappaths.')]))")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """numpy and the shappaths layers in sys.modules after ``code``."""
+    out = _python("import json, sys; " + code + _PRINT_LOADED)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module", ["shappaths", "shappaths.cli"])
+def test_import_loads_no_numpy_and_no_layer(module):
+    """Each of the pipeline's ten processes pays this import."""
+    assert _loaded_after(f"import {module}") & {"numpy", *LAYERS} == set()
+
+
+@pytest.fixture(scope="module")
+def tree_run(tmp_path_factory) -> Path:
+    """A tiny simulated run with a tree trained and explained."""
+    from shappaths.cli import main
+
+    out = tmp_path_factory.mktemp("layers") / "run"
+    for argv in (["simulate", "--n", "80"], ["train", "--model", "tree"],
+                 ["explain", "--model", "tree"]):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+    return out
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["report"], {"numpy", *LAYERS}),
+    (["train", "--model", "tree"], {"explain", "subgroup", "viz"}),
+    (["explain", "--model", "tree"], {"subgroup", "viz"}),
+    (["bar", "--source", "tree"], {"data", "models", "subgroup"}),
+], ids=["report", "train", "explain", "bar"])
+def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
+    code = (f"from shappaths.cli import main; "
+            f"assert main({[*argv, '--out', str(tree_run)]!r}) == 0")
+    assert _loaded_after(code) & not_loaded == set()
 
 
 def test_tracer_finds_the_names_it_wraps(tmp_path):
     """perfbench/launch.py wraps package functions by the names callers use
     (``best_split`` on models.tree, ``train_tree`` on cli); a rename must
-    fail here, not leave a layer of the traced benchmark empty."""
+    fail here, not leave a layer of the traced benchmark empty. The CLI
+    binds each command's names before it runs; that binding must keep the
+    tracer's wrappers in place."""
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(importlib.import_module("shappaths").__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     names = set()
     for label, argv in [("simulate", ["simulate", "--n", "80"]),
-                        ("train", ["train", "--model", "tree"])]:
+                        ("train", ["train", "--model", "tree"]),
+                        ("explain", ["explain", "--model", "tree"]),
+                        ("bar", ["bar", "--source", "tree"])]:
         spans = tmp_path / f"{label}.spans.json"
         proc = subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"), str(spans),
                                "guard", label, "--", *argv, "--out", str(tmp_path / "run")],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert {"models.best_split", "models.train_tree"} <= names
+    assert {"data.simulate", "models.best_split", "models.train_tree", "explain.tree_shap",
+            "explain.tensor_io", "viz.render"} <= names

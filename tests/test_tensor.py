@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,41 @@ def test_tensor_round_trip(tmp_path):
     assert loaded.feature_names == t.feature_names
     assert loaded.class_names == t.class_names
     assert loaded.method == t.method
+
+
+def _loop_save(t, csv_path):
+    """The per-cell writer that save_tensor replaced, kept as its oracle."""
+    flat = flatten(t)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id"] + flat_column_names(t))
+        for i in range(t.n):
+            writer.writerow([int(t.sample_ids[i])] + [repr(float(v)) for v in flat[i]])
+
+
+def _loop_load(csv_path):
+    """The per-cell parser that load_tensor replaced, kept as its oracle."""
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) for v in r[1:]] for r in rows])
+
+
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+           1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
+           0.1, 1 / 3, -2 / 3, 0.30000000000000004, 123456789.12345679, 9007199254740993.0]
+
+
+def test_bulk_tensor_io_matches_the_per_cell_loop(tmp_path):
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal(312) * 10.0 ** rng.integers(-300, 300, 312)
+    t = make_tensor(np.concatenate([AWKWARD * 3, random]).reshape(30, 4, 3))
+    jp, cp, oracle = tmp_path / "t.json", tmp_path / "t.csv", tmp_path / "oracle.csv"
+    save_tensor(t, jp, cp)
+    _loop_save(t, oracle)
+    assert cp.read_bytes() == oracle.read_bytes()
+    loaded = flatten(load_tensor(jp, cp))
+    assert np.array_equal(loaded.view(np.uint64), _loop_load(cp).view(np.uint64))
+    assert np.array_equal(loaded.view(np.uint64), flatten(t).view(np.uint64))
 
 
 def test_default_ids_and_names():
