@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -154,6 +155,24 @@ def class_probabilities(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _size(nbytes: int) -> str:
+    """A byte count in binary units, like numpy's allocation errors: 72.8 TiB."""
+    size, unit = float(nbytes), "bytes"
+    for larger in ("KiB", "MiB", "GiB", "TiB", "PiB"):
+        if size < 1024:
+            break
+        size, unit = size / 1024, larger
+    return f"{nbytes} bytes" if unit == "bytes" else f"{size:.1f} {unit}"
+
+
 def simulate(spec: SimulationSpec) -> Dataset:
     """Draw a synthetic dataset: uniform points, logit-linked noisy labels.
 
@@ -161,6 +180,13 @@ def simulate(spec: SimulationSpec) -> Dataset:
     coefficients each come from their own named stream.
     """
     spec = spec.resolved()
+    need, have = 8 * spec.n_samples * spec.n_features, _physical_memory()
+    if have is not None and need > have:
+        # refused before numpy is asked: a host that overcommits memory would
+        # grant the allocation and then run out while filling it
+        raise MemoryError(f"Unable to allocate {_size(need)} for a ({spec.n_samples}, "
+                          f"{spec.n_features}) feature matrix, more than the "
+                          f"{_size(have)} of physical memory")
     w = spec.domain_half_width
     rng_x = generator(spec.seed, "sim.points")
     X = rng_x.uniform(-w, w, size=(spec.n_samples, spec.n_features))

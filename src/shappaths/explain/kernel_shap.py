@@ -17,13 +17,20 @@ its complement. The normal matrix of the regression depends only on the
 coalitions and weights, so it is built once and solved for every sample
 and class in one call.
 
-A sample's coalition values come from model calls on blocks of masked
-rows, background-major within a block. The boolean coalition mask and
-the background repeated to a block's shape depend only on the
-coalitions, so they too are built once per call, before any worker
-forks: per sample and block there remain one np.where, the model call
-and one sum over the background axis, and one division per sample
-turns the sums into means.
+A sample's coalition values come from blocks of masked rows,
+background-major within a block; the boolean coalition mask and the
+background repeated to a block's shape are built once per call, before
+any worker forks. One evaluator reads every model as three stages: an
+affine input stage, a nonlinear body and an affine head. Masking is
+affine in the input (a masked row is z*x + (1-z)*bg), so an MLP's
+masked-off background times its first layer is built once per block for
+a group of samples, each sample adds its own kept features times that
+layer, the body runs on the block's rows and the last layer on the
+background means. Every other model has identity ends around
+predict_margin: per sample and block one np.where, the model call and
+one sum over the background, with values byte-identical to a
+coalition-major loop that took a mean per block; the MLP's differ from
+it by rounding only.
 
 The right-hand side of that solve is one column block per sample, filled
 by the same per-sample code in up to MAX_WORKERS processes: the parent
@@ -59,6 +66,12 @@ DEFAULT_BACKGROUND = 100
 # OpenBLAS's multithreading size, so each worker's model evaluation runs on
 # its own core without page faults or BLAS threads competing with the others.
 _BLOCK_ROWS = 512
+# coalition values one process holds at once (384 KB): the samples that share
+# each block's masked-off background times an MLP's first layer number
+# _GROUP_VALUES // (coalitions * classes)
+_GROUP_VALUES = 3 << 14
+# samples whose blocks go through the model's body in one call
+_STACK = 2
 # processes that fill the right-hand side at once, the parent included
 MAX_WORKERS = 4
 # model evaluations one explanation may make: (coalitions + 1) * background * rows
@@ -117,22 +130,68 @@ def sample_coalitions(p: int, budget: int, rng: np.random.Generator):
     return np.vstack(blocks), np.concatenate(weights)
 
 
-def _coalition_values(model, x: np.ndarray, mask: np.ndarray, rep: np.ndarray,
-                      v: np.ndarray) -> None:
-    """Fill v (n_coalitions, k) with the mean margins of x, masked features
-    drawn from the background. mask is the coalitions as booleans and rep
-    the background repeated background-major, (m, width, p): each model
-    call takes the next ``width`` coalitions, its rows background-major, so
-    each coalition's mean is a sum over the outer axis and one division."""
-    m, width, p = rep.shape
-    xs = np.tile(x, (width, 1))  # contiguous like the mask, so np.where runs whole blocks
-    for start in range(0, mask.shape[0], width):
-        z = mask[start:start + width]
-        nz = z.shape[0]
-        mixed = np.where(z, xs[:nz], rep[:, :nz])
-        margins = model.predict_margin(mixed.reshape(-1, p))
-        np.add.reduce(margins.reshape(m, nz, -1), axis=0, out=v[start:start + nz])
-    v /= m
+class _CoalitionValues:
+    """The mean margins of samples under every coalition, from the model's
+    three stages (see the module docstring): an MLP's own (``Mlp.stages``),
+    identity ends around ``predict_margin`` for every other model.
+
+    Each block takes the next ``width`` coalitions, row i * nz + j being
+    background row i under the block's coalition j, so a coalition's mean
+    is a sum over the outer axis. A call fills the values of a group of
+    samples block by block, and the body takes the blocks of _STACK
+    samples at a time. Each sample's blocks are multiplied on their own
+    (numpy's matmul makes one product per slice of a stack), so its values
+    do not depend on which samples share its group or its stack.
+    """
+
+    def __init__(self, model, coalitions: np.ndarray, background: np.ndarray):
+        stages = getattr(model, "stages", None)
+        if stages is None:
+            predict = model.predict_margin
+            self.first, self.last = None, None
+            self.body = lambda blocks: np.stack([predict(rows) for rows in blocks])
+        else:
+            self.first, self.body, self.last = stages()
+        m = background.shape[0]
+        width = min(max(1, _BLOCK_ROWS // m), coalitions.shape[0])
+        self.mask = coalitions == 1.0
+        self.rep = np.repeat(background[:, None, :], width, axis=1)
+        if self.first is not None:
+            # the input-stage rows of a stack of samples, refilled per block
+            self.rows = np.empty(_STACK * m * width * self.first[0].shape[1])
+            self.mean = np.full(m, 1.0 / m)
+
+    def __call__(self, xs: np.ndarray, out: np.ndarray) -> None:
+        """Fill out[s] (n_coalitions, k) with the mean margins of xs[s]."""
+        rep, body, first, last = self.rep, self.body, self.first, self.last
+        m, width, p = rep.shape
+        # each sample tiled like the mask, so np.where runs whole blocks
+        xt = np.repeat(xs[:, None, :], width, axis=1)
+        for start in range(0, self.mask.shape[0], width):
+            z = self.mask[start:start + width]
+            nz = z.shape[0]
+            if first is not None:
+                W, b = first
+                shared = np.where(z, 0.0, rep[:, :nz]).reshape(-1, p) @ W
+                shared += b
+                shared = shared.reshape(m, nz, -1)
+                summed = self.rows[:_STACK * shared.size].reshape(_STACK, *shared.shape)
+                # numpy multiplies each sample's (nz, p) slice on its own
+                own = np.where(z, xt[:, :nz], 0.0) @ W
+            for lo in range(0, len(xs), _STACK):
+                v = out[lo:min(lo + _STACK, len(xs)), start:start + nz]
+                ns = v.shape[0]
+                if first is None:
+                    rows = np.where(z, xt[lo:lo + ns, None, :nz], rep[:, :nz])
+                else:
+                    rows = np.add(shared, own[lo:lo + ns, None], out=summed[:ns])
+                acts = body(rows.reshape(ns, m * nz, -1)).reshape(ns, m, -1)
+                if last is None:
+                    np.add.reduce(acts.reshape(ns, m, nz, -1), axis=1, out=v)
+                    v /= m
+                else:
+                    means = (self.mean @ acts).reshape(ns, nz, -1)
+                    np.add(means @ last[0], last[1], out=v)
 
 
 def _in_workers(fill, n: int) -> None:
@@ -237,16 +296,17 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         shared = mmap.mmap(-1, (p - 1) * n * k * 8 or 1)
         b = np.frombuffer(shared, count=(p - 1) * n * k).reshape(p - 1, n, k)
 
-        # what every sample's model calls share, built before any fork
-        width = min(max(1, _BLOCK_ROWS // background.m), coalitions.shape[0])
-        rep = np.repeat(background.data[:, None, :], width, axis=1)
-        mask = coalitions == 1.0
-        v = np.empty((coalitions.shape[0], k))
+        # built before any fork, shared by every sample
+        values_of = _CoalitionValues(model, coalitions, background.data)
+        group = max(1, _GROUP_VALUES // (coalitions.shape[0] * k))
 
         def fill(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                _coalition_values(model, X[i], mask, rep, v)
-                b[:, i, :] = design.T @ ((v - base - z_last * delta[i]) * w)
+            v = np.empty((min(group, hi - lo), coalitions.shape[0], k))
+            for start in range(lo, hi, group):
+                xs = X[start:min(start + group, hi)]
+                values_of(xs, v)
+                for i, vi in zip(range(start, start + len(xs)), v):
+                    b[:, i, :] = design.T @ ((vi - base - z_last * delta[i]) * w)
 
         _in_workers(fill, n)
         head = _solve(a, b.reshape(p - 1, n * k)).reshape(p - 1, n, k)

@@ -189,15 +189,18 @@ class RunManifest:
         self.config = config
         self.hash = config_hash(config)
         self._written: set[str] = set()  # artifacts to digest at the next save
-        if self.path.exists():
-            self.state = read_manifest(self.path)
-            if self.state.get("config_hash") != self.hash:
-                raise ConfigError(
-                    f"run directory {self.run_dir} was created with a different "
-                    f"config (hash {self.state.get('config_hash', '?')[:12]} != "
-                    f"{self.hash[:12]}); use a fresh directory")
+        state = read_manifest(self.path) if self.path.exists() else None
+        if state is not None and state.get("config_hash") != self.hash and state.get("artifacts"):
+            raise ConfigError(
+                f"run directory {self.run_dir} was created with a different "
+                f"config (hash {state.get('config_hash', '?')[:12]} != "
+                f"{self.hash[:12]}); use a fresh directory")
+        if state is not None and state.get("config_hash") == self.hash:
+            self.state = state
             self.state.setdefault("digests", {})
         else:
+            # a new run, or one whose first stage failed before it wrote any
+            # artifact: that manifest protects nothing, so a new config replaces it
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self.state = {"version": version, "config_hash": self.hash,
                           "config": config, "artifacts": {}, "digests": {}, "stages": {}}

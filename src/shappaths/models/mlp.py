@@ -27,9 +27,9 @@ class Mlp:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]  # (fan_in, fan_out) per layer
     biases: list[np.ndarray]   # (fan_out,) per layer
-    # (the biases' bytes, each bias tiled to (_TILE_ROWS, fan_out), a zero
-    # tile per hidden layer viewed from one buffer); never saved, compared
-    # or printed
+    # (the bytes of the biases the body adds, each of those biases tiled to
+    # (_TILE_ROWS, fan_out), a zero tile per hidden layer viewed from one
+    # buffer); never saved, compared or printed
     _tiles: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
@@ -41,34 +41,54 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        """The logits, (n, n_classes): ``a @ W + b`` per layer, ReLU between.
+        """The logits, (n, n_classes): the three ``stages`` in turn."""
+        (W, b), body, last = self.stages()
+        a = body(np.atleast_2d(np.asarray(X, dtype=float)) @ W + b)
+        return a if last is None else a @ last[0] + last[1]
 
-        Each bias is added from a cached tile and each ReLU takes the
-        maximum against a zero tile, in place on the product: the same
-        operations and bytes as broadcasting, at a fraction of the cost on
-        the small blocks Kernel SHAP evaluates.
+    def stages(self):
+        """The network as (first, body, last): the first layer's (W, b); the
+        rectified middle, a function of the first layer's outputs (rows,
+        or a stack of row blocks, each multiplied on its own) that may
+        overwrite them; and the last layer's (W, b), None when the first
+        layer is also the last. Kernel SHAP evaluates the same stages.
+
+        The body is ReLU, then each hidden layer ``a @ W + b`` and its ReLU.
+        It adds each bias from a tile and takes each ReLU as the maximum
+        against a zero tile, in place: the same operations and bytes as
+        broadcasting, at a fraction of the cost on the small blocks Kernel
+        SHAP evaluates. The tiles are the ones current when ``stages`` is
+        called.
         """
-        a = np.atleast_2d(np.asarray(X, dtype=float))
         biases, zeros = self._current_tiles()
-        for i, W in enumerate(self.weights):
-            a = a @ W
-            for start in range(0, a.shape[0], _TILE_ROWS):
-                rows = a[start:start + _TILE_ROWS]
-                rows += biases[i][:rows.shape[0]]
-                if i < len(zeros):
-                    np.maximum(rows, zeros[i][:rows.shape[0]], out=rows)
-        return a
+        weights = self.weights
+
+        def body(a: np.ndarray) -> np.ndarray:
+            for i, zero in enumerate(zeros):
+                if i:
+                    a = a @ weights[i]
+                for start in range(0, a.shape[-2], _TILE_ROWS):
+                    rows = a[..., start:start + _TILE_ROWS, :]
+                    if i:
+                        rows += biases[i - 1][:rows.shape[-2]]
+                    np.maximum(rows, zero[:rows.shape[-2]], out=rows)
+            return a
+
+        last = None if len(weights) == 1 else (weights[-1], self.biases[-1])
+        return (weights[0], self.biases[0]), body, last
 
     def _current_tiles(self):
-        """The bias and zero tiles, rebuilt whenever a bias has changed
-        since they were made."""
+        """The tiles of the biases after the first hidden layer's and the
+        zero tiles, rebuilt whenever one of those biases has changed since
+        they were made."""
         # a list: a tuple built on every call grew CPython's tuple free list by ~100 KB
-        key = [b.tobytes() for b in self.biases]
+        hidden = self.biases[:-1]
+        key = [b.tobytes() for b in hidden[1:]]
         if not self._tiles or self._tiles[0] != key:
-            zero = np.zeros(_TILE_ROWS * max(b.shape[0] for b in self.biases))
-            self._tiles = (key, [np.tile(b, (_TILE_ROWS, 1)) for b in self.biases],
+            zero = np.zeros(_TILE_ROWS * max((b.shape[0] for b in hidden), default=0))
+            self._tiles = (key, [np.tile(b, (_TILE_ROWS, 1)) for b in hidden[1:]],
                            [zero[:_TILE_ROWS * b.shape[0]].reshape(_TILE_ROWS, -1)
-                            for b in self.biases[:-1]])
+                            for b in hidden])
         return self._tiles[1], self._tiles[2]
 
     def predict_class(self, X: np.ndarray) -> np.ndarray:

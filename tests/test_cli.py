@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
@@ -555,6 +556,48 @@ def test_size_too_large_for_memory_exits_2(tmp_path, capsys):
     assert main(["simulate", "--n", "10000000000000", "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_feature_matrix_beyond_physical_memory_exits_2(tmp_path):
+    """simulate refuses a feature matrix larger than the machine's physical
+    memory before it allocates it, so a host that overcommits cannot grant
+    it and then fill it. The child's address space is capped, so without
+    the check numpy's own MemoryError fails this test instead."""
+    import resource
+    import subprocess
+    import sys
+
+    import shappaths
+
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        pytest.skip("os.sysconf cannot tell the physical memory here")
+    n = physical // (8 * 10) + 1  # just past it at the default 10 features
+    cap = min(2 << 30, physical // 2)
+    src = Path(shappaths.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shappaths", "simulate", "--n", str(n),
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "physical memory" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_failed_first_stage_leaves_its_directory_free(tmp_path, capsys):
+    """A run directory whose manifest lists no artifact holds nothing to
+    protect, so a new config replaces it; one artifact pins the config."""
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--n", "10000000000000", "--out", out]) == 2
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["artifacts"] == {}
+    assert main(["simulate", "--n", "80", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--n", "90", "--out", out]) == 2
+    assert "was created with a different config" in capsys.readouterr().err
 
 
 def test_interrupt_ends_in_one_line(tmp_path, capsys, monkeypatch):

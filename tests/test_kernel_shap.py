@@ -1,6 +1,10 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
 from shappaths.models.mlp import Mlp, init_mlp
+from shappaths.rng import generator
 from util import ConstantModel, LinearModel, random_tree
 
 
@@ -264,36 +269,56 @@ def test_values_byte_identical_for_any_worker_count(workers, budget, n):
 @pytest.mark.parametrize("budget", [2 ** 6 - 2, 30], ids=["exact", "sampled"])
 @pytest.mark.parametrize("m", [40, 600])
 def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, budget, m):
-    """Background-major blocks with their masks built once per call give the
-    bytes of the coalition-major loop that took a mean per block, for 1 and
-    2 workers. m = 40 leaves a short last block; m = 600 puts one coalition
-    in each block."""
+    """The evaluator's coalition values against the coalition-major loop
+    that took a mean per block: the same bytes for a tree, whose stages
+    have identity ends, and within 1e-12 for the MLP, whose staged
+    evaluation reassociates its sums. kernel_shap gives the same values
+    from either loop, for 1 and 2 workers. m = 40 leaves a short last
+    block; m = 600 puts one coalition in each block."""
     ks = importlib.import_module("shappaths.explain.kernel_shap")
     rng = np.random.default_rng(13)
-    model = init_mlp((6, 8, 3), rng)
-    for b in model.biases:
+    mlp = init_mlp((6, 8, 3), rng)
+    for b in mlp.biases:
         b[:] = rng.normal(size=b.shape)
+    tree = random_tree(rng, n_features=6, max_depth=4, value_dim=3)
     bg = Background(rng.normal(size=(m, 6)))
     X = rng.normal(size=(3, 6))
-    out = []
-    for count in (1, 2):
-        workers(count)
-        out.append(kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values.tobytes())
+    coalitions, _ = ks.sample_coalitions(6, budget, generator(2, "shap.kernel"))
+    explained = []
 
-    drawn, sample = [], ks.sample_coalitions
+    class Reference:
+        """kernel_shap's evaluator, answered by the coalition-major loop."""
 
-    def recording_sample(*args):
-        drawn.append(sample(*args))
-        return drawn[-1]
+        def __init__(self, model, coalitions, background):
+            self.args = model, coalitions, background
 
-    def reference(model, x, mask, rep, v):
-        v[:] = blocked_coalition_values(model, x, drawn[-1][0], bg.data, ks._BLOCK_ROWS)
+        def __call__(self, xs, out):
+            model, coalitions, background = self.args
+            for x, v in zip(xs, out):
+                v[:] = blocked_coalition_values(model, x, coalitions, background,
+                                                ks._BLOCK_ROWS)
+                explained.append(x)
 
-    monkeypatch.setattr(ks, "sample_coalitions", recording_sample)
-    monkeypatch.setattr(ks, "_coalition_values", reference)
-    workers(1)
-    expected = kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values.tobytes()
-    assert out == [expected, expected]
+    def same(a, b, model):
+        return a.tobytes() == b.tobytes() if model is tree else np.abs(a - b).max() < 1e-12
+
+    for model in (tree, mlp):
+        values = np.empty((3, coalitions.shape[0], 3))
+        ks._CoalitionValues(model, coalitions, bg.data)(X, values)
+        for x, v in zip(X, values):
+            assert same(v, blocked_coalition_values(model, x, coalitions, bg.data,
+                                                    ks._BLOCK_ROWS), model)
+        out = []
+        for count in (1, 2):
+            workers(count)
+            out.append(kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values)
+        with monkeypatch.context() as patch:
+            patch.setattr(ks, "_CoalitionValues", Reference)
+            workers(1)
+            explained.clear()
+            expected = kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values
+        assert np.array_equal(explained, X)
+        assert out[0].tobytes() == out[1].tobytes() and same(out[0], expected, model)
     _assert_no_child_left()
 
 
@@ -341,15 +366,67 @@ def test_cli_explain_byte_identical_for_any_worker_count(workers, mlp_run):
     _assert_no_child_left()
 
 
+def test_explain_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`explain --model mlp` writes the same shap_mlp.csv with one OpenBLAS
+    thread as with its default count: every product Kernel SHAP makes stays
+    below OpenBLAS's threading size. The MLP's widths and the background
+    size are the defaults, so the blocks have the pipeline's shapes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "dataset": {"n_samples": 160},
+                               "models": {"mlp": {"epochs": 5}},
+                               "cluster": {"source": "mlp"}}))
+    out = tmp_path / "run"
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    src = Path(importlib.import_module("shappaths").__file__).resolve().parents[1]
+    csvs = []
+    for threads in ("1", None):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "shappaths", "explain", "--model", "mlp",
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        csvs.append((out / "shap_mlp.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_evaluator_memory_does_not_grow_with_coalitions_times_background():
+    """One call whose MLP input stage, cached for every block, would take
+    C * m * H * 8 bytes (52 MB here) peaks below a tenth of that: each
+    block's masked background times the first layer is built in turn."""
+    rng = np.random.default_rng(14)
+    p, m, hidden = 12, 200, 8
+    model = init_mlp((p, hidden, 3), rng)
+    bg = Background(rng.normal(size=(m, p)))
+    cached = (2 ** p - 2) * m * hidden * 8
+    assert cached >= 50e6
+    tracemalloc.start()
+    try:
+        kernel_shap(model, rng.normal(size=(1, p)), bg, n_coalitions=2 ** p - 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cached / 10
+
+
 def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, capfd):
-    parent, predict = os.getpid(), Mlp.predict_margin
+    # the workers evaluate the MLP through the body its stages return
+    parent, stages = os.getpid(), Mlp.stages
 
-    def predict_in_parent_only(self, X):
-        if os.getpid() != parent:
-            raise RuntimeError("model failed in a worker")
-        return predict(self, X)
+    def stages_failing_in_workers(self):
+        first, body, last = stages(self)
 
-    monkeypatch.setattr(Mlp, "predict_margin", predict_in_parent_only)
+        def body_in_parent_only(a):
+            if os.getpid() != parent:
+                raise RuntimeError("model failed in a worker")
+            return body(a)
+
+        return first, body_in_parent_only, last
+
+    monkeypatch.setattr(Mlp, "stages", stages_failing_in_workers)
     workers(2)
     assert main(["explain", "--out", str(mlp_run)]) == 4
     err = capfd.readouterr().err
