@@ -408,9 +408,12 @@ def cmd_embed(args) -> int:
     manifest = _open_run(args)
     ds, _ = _load_dataset(manifest)
     source, tensor = _read_tensor(args, manifest)
+    if tensor.n < 3:
+        raise DataError(f"embed needs at least 3 explained rows for a 2-D embedding; "
+                        f"shap_{source} has {tensor.n}")
     with manifest.stage("embed"):
         flat = flatten(tensor)
-        model = pca_fit(flat, r=min(2, min(flat.shape[0] - 1, flat.shape[1])))
+        model = pca_fit(flat, r=2)
         scores = pca_transform(model, flat)
         path = manifest.set_artifact("embedding", "embed.csv")
         _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,

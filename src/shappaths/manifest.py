@@ -10,6 +10,7 @@ the timing block.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -246,21 +247,10 @@ class RunManifest:
         """Whether the manifest lists artifact ``name``."""
         return name in self.state["artifacts"]
 
-    def record_stage(self, name: str, seconds: float) -> None:
-        self.state["stages"][name] = {"seconds": round(seconds, 6)}
-
+    @contextlib.contextmanager
     def stage(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return manifest
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc_type is None:
-                    manifest.record_stage(name, time.perf_counter() - self.start)
-                    manifest.save()
-                return False
-
-        return _Timer()
+        """Time the block; record the timing and save only if it exits cleanly."""
+        start = time.perf_counter()
+        yield self
+        self.state["stages"][name] = {"seconds": round(time.perf_counter() - start, 6)}
+        self.save()

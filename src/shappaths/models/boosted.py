@@ -36,10 +36,6 @@ class BoostedEnsemble:
     def n_classes(self) -> int:
         return self.base_score.shape[0]
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         margins = np.tile(self.base_score, (X.shape[0], 1))

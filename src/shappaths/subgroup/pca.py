@@ -1,4 +1,4 @@
-"""Principal components by eigendecomposition, with a fixed sign convention."""
+"""Principal components by one thin SVD, with a fixed sign convention."""
 
 from __future__ import annotations
 
@@ -13,12 +13,8 @@ from ..errors import DataError, InvalidSpecError
 class PcaModel:
     mean: np.ndarray         # (d,)
     loadings: np.ndarray     # (d, r), orthonormal columns
-    eigenvalues: np.ndarray  # (r,), descending, clipped at 0
+    eigenvalues: np.ndarray  # (r,), descending
     degenerate: bool = False  # all-constant input: loadings are arbitrary
-
-    @property
-    def r(self) -> int:
-        return self.loadings.shape[1]
 
     @property
     def d(self) -> int:
@@ -33,31 +29,13 @@ def _fix_signs(loadings: np.ndarray) -> np.ndarray:
     return loadings
 
 
-def _complete_orthonormal(loadings: np.ndarray, r: int) -> np.ndarray:
-    """Deterministically extend to r orthonormal columns from the identity basis."""
-    d = loadings.shape[0]
-    cols = [loadings[:, j] for j in range(loadings.shape[1])]
-    basis = 0
-    while len(cols) < r and basis < d:
-        candidate = np.zeros(d)
-        candidate[basis] = 1.0
-        for c in cols:
-            candidate -= (candidate @ c) * c
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-8:
-            cols.append(candidate / norm)
-        basis += 1
-    if len(cols) < r:
-        raise DataError("cannot complete an orthonormal basis")
-    return np.column_stack(cols)
-
-
 def pca_fit(X: np.ndarray, r: int) -> PcaModel:
     """Top-r principal directions of the sample covariance.
 
-    Requires n >= 2 and r <= min(n - 1, d). The covariance is
-    eigendecomposed directly when d <= n, otherwise through the n x n Gram
-    matrix. Each loading is oriented so its largest-magnitude coordinate is
+    Requires n >= 2 and r <= min(n - 1, d). One thin SVD of the centred
+    data, U S Vᵀ, gives both: the loadings are the first r right singular
+    vectors and the eigenvalues s² / (n - 1), for tall and wide X alike.
+    Each loading is oriented so its largest-magnitude coordinate is
     positive. All-constant input yields zero eigenvalues, an arbitrary
     orthonormal basis, and ``degenerate=True``.
     """
@@ -68,32 +46,9 @@ def pca_fit(X: np.ndarray, r: int) -> PcaModel:
     if not (1 <= r <= min(n - 1, d)):
         raise InvalidSpecError(f"r must lie in [1, min(n-1, d)] = [1, {min(n - 1, d)}]")
     mean = X.mean(axis=0)
-    centered = X - mean
-    total_var = float((centered ** 2).sum()) / (n - 1)
-    if total_var == 0.0:
-        return PcaModel(mean=mean, loadings=_complete_orthonormal(np.zeros((d, 0)), r),
-                        eigenvalues=np.zeros(r), degenerate=True)
-
-    if d <= n:
-        cov = centered.T @ centered / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:r]
-        values = np.maximum(eigvals[order], 0.0)
-        loadings = eigvecs[:, order]
-    else:
-        gram = centered @ centered.T / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-        values_all = np.maximum(eigvals[order], 0.0)
-        keep = [i for i in range(min(r, len(order))) if values_all[i] > 1e-12 * total_var]
-        scale = np.sqrt(values_all[keep] * (n - 1))
-        loadings = centered.T @ eigvecs[:, order[keep]] / scale
-        values = np.zeros(r)
-        values[: len(keep)] = values_all[keep]
-        if loadings.shape[1] < r:
-            loadings = _complete_orthonormal(loadings, r)
-    return PcaModel(mean=mean, loadings=_fix_signs(loadings.copy()),
-                    eigenvalues=values, degenerate=False)
+    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
+    return PcaModel(mean=mean, loadings=_fix_signs(vt[:r].T.copy()),
+                    eigenvalues=s[:r] ** 2 / (n - 1), degenerate=not s.any())
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .svg import NOISE, Canvas, nice_ticks
+from .svg import NOISE, PALETTE, Canvas, nice_ticks
 from .waterfall import PlotSpec
 
 
@@ -38,18 +38,18 @@ def stacked_bar(meanabs: np.ndarray, spec: PlotSpec = PlotSpec(),
         for c in range(k):
             h = meanabs[j, c] / (hi * 1.05) * plot_h
             if h > 0:
-                canvas.rect(x, y - h, bar_w, h, fill=spec.palette[c % len(spec.palette)],
+                canvas.rect(x, y - h, bar_w, h, fill=PALETTE[c % len(PALETTE)],
                             cls=f"bar-{c}")
             y -= h
         canvas.text(x + bar_w / 2, top + plot_h + 14, feature_names[j],
                     anchor="middle", size=9)
-    canvas.text(left + plot_w / 2, spec.height - 12, spec.x_label or "feature",
+    canvas.text(left + plot_w / 2, spec.height - 12, "feature",
                 anchor="middle", size=11)
     legend_x = left + plot_w + 12
     canvas.text(legend_x, top, "classes", size=11, weight="bold")
     for c, name in enumerate(class_names):
         y = top + 16 + c * 16
-        canvas.rect(legend_x, y - 9, 10, 10, fill=spec.palette[c % len(spec.palette)])
+        canvas.rect(legend_x, y - 9, 10, 10, fill=PALETTE[c % len(PALETTE)])
         canvas.text(legend_x + 14, y, name, size=10)
     return canvas.to_svg()
 
@@ -85,7 +85,7 @@ def cluster_heatmap(ds, labeling, feature_subset=None,
         members = labels == c
         cells[i] = ds.features[members][:, features].mean(axis=0)
     deviation = cells - global_mean
-    scale = np.maximum(np.abs(deviation).max(axis=0), 1e-300)
+    scale = np.maximum(np.abs(deviation).max(axis=0, initial=0.0), 1e-300)
 
     left, right, top, bottom = 110, 30, 56, 46
     plot_w = spec.width - left - right
@@ -132,14 +132,14 @@ def pca_scatter(scores: np.ndarray, labels, spec: PlotSpec = PlotSpec(),
                 top + plot_h - (pt[1] - lo[1]) / (hi[1] - lo[1]) * plot_h)
 
     for pt, lab in zip(scores, labels):
-        color = NOISE if lab == -1 else spec.palette[lab % len(spec.palette)]
+        color = NOISE if lab == -1 else PALETTE[lab % len(PALETTE)]
         x, y = pix(pt)
         canvas.circle(x, y, 2.4, fill=color, cls="point")
     legend_x = left + plot_w + 12
     present = [int(v) for v in np.unique(labels)]
     for i, v in enumerate(present):
         y = top + 16 + i * 16
-        color = NOISE if v == -1 else spec.palette[v % len(spec.palette)]
+        color = NOISE if v == -1 else PALETTE[v % len(PALETTE)]
         name = "noise" if v == -1 else (
             label_names[v] if label_names and v < len(label_names) else str(v))
         canvas.circle(legend_x + 5, y - 4, 4, fill=color)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import DataError, InvalidSpecError
 from ..explain.tensor import ShapTensor
-from .svg import NOISE, Canvas, nice_ticks
+from .svg import NOISE, PALETTE, Canvas, nice_ticks
 from .waterfall import PlotSpec
 
 if TYPE_CHECKING:
@@ -33,7 +33,6 @@ class WaterfallPath:
     entries: tuple[tuple[int, np.ndarray], ...]  # (feature id, k-vector segment)
     anchor: np.ndarray                           # (k,)
     endpoint: np.ndarray                         # (k,) anchor + sum of segments
-    size: int                                    # samples averaged into the path
 
     def vertices(self) -> np.ndarray:
         """(m + 1, k) cumulative polyline including the anchor."""
@@ -89,8 +88,7 @@ def build_paths(t: ShapTensor, grouping, top_n: int | None = None) -> list[Water
         for _, segment in entries:
             endpoint = endpoint + segment
         paths.append(WaterfallPath(group=name, entries=tuple(entries),
-                                   anchor=anchor, endpoint=endpoint,
-                                   size=int(members.size)))
+                                   anchor=anchor, endpoint=endpoint))
     return paths
 
 
@@ -171,13 +169,13 @@ def render_paths(projected: list[ProjectedPath], spec: PlotSpec = PlotSpec(),
         _, y = pix((lo[0], tick))
         canvas.line(left, y, left + plot_w, y, stroke="#f0f0f0")
         canvas.text(left - 4, y + 3, f"{tick:g}", anchor="end", size=9)
-    canvas.text(left + plot_w / 2, spec.height - 8, spec.x_label or "component 1",
+    canvas.text(left + plot_w / 2, spec.height - 8, "component 1",
                 anchor="middle", size=11)
-    canvas.text(14, top + plot_h / 2, spec.y_label or "component 2",
+    canvas.text(14, top + plot_h / 2, "component 2",
                 anchor="middle", size=11)
 
     for idx, path in enumerate(projected):
-        color = spec.palette[idx % len(spec.palette)]
+        color = PALETTE[idx % len(PALETTE)]
         points = [pix(pt) for pt in path.points]
         canvas.polyline(points, stroke=color, width=2.0, cls="path")
         for s, (a, b) in enumerate(zip(points[:-1], points[1:])):
@@ -198,7 +196,7 @@ def render_paths(projected: list[ProjectedPath], spec: PlotSpec = PlotSpec(),
     canvas.text(legend_x, top, "groups", size=11, weight="bold")
     for idx, path in enumerate(projected):
         y = top + 16 + idx * 16
-        canvas.rect(legend_x, y - 9, 10, 10, fill=spec.palette[idx % len(spec.palette)])
+        canvas.rect(legend_x, y - 9, 10, 10, fill=PALETTE[idx % len(PALETTE)])
         canvas.text(legend_x + 14, y, path.group, size=10)
     if footnote:
         canvas.text(legend_x, top + 24 + len(projected) * 16, footnote,

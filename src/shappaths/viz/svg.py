@@ -29,10 +29,8 @@ class Canvas:
         if title:
             self.text(width / 2, 18, title, size=14, anchor="middle", weight="bold")
 
-    def rect(self, x, y, w, h, fill, stroke="none", cls="", opacity=None):
+    def rect(self, x, y, w, h, fill, stroke="none", cls=""):
         extra = f' class="{cls}"' if cls else ""
-        if opacity is not None:
-            extra += f' fill-opacity="{fmt(opacity)}"'
         self.parts.append(
             f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" '
             f'fill="{fill}" stroke="{stroke}"{extra}/>')

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import InvalidSpecError
 from ..explain.tensor import ShapTensor
-from .svg import NEGATIVE, PALETTE, POSITIVE, Canvas, nice_ticks
+from .svg import NEGATIVE, POSITIVE, Canvas, nice_ticks
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class PlotSpec:
     width: int = 760
     height: int = 520
     top_n: int = 9
-    palette: tuple[str, ...] = PALETTE
-    x_label: str = ""
-    y_label: str = ""
 
     def validate(self):
         if self.top_n < 1:
@@ -84,7 +81,7 @@ def classical_waterfall(t: ShapTensor, sample: int, class_index: int | None = No
         canvas.line(x, top, x, top + plot_h, stroke="#eeeeee")
         canvas.text(x, top + plot_h + 16, f"{tick:g}", anchor="middle", size=10)
     canvas.text(left + plot_w / 2, spec.height - 10,
-                spec.x_label or "margin contribution", anchor="middle", size=11)
+                "margin contribution", anchor="middle", size=11)
 
     n_rows = max(len(entries), 1)
     row_h = plot_h / (n_rows + 1)

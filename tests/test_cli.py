@@ -12,7 +12,8 @@ import pytest
 
 from shappaths.cli import FLAGS, _overrides, build_parser, main
 from shappaths.errors import ConfigError
-from shappaths.manifest import DEFAULT_CONFIG, DEFAULT_DATASET, config_hash, resolve_config
+from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
+                                resolve_config)
 
 CFG = {
     "seed": 13,
@@ -323,6 +324,48 @@ def test_damaged_clusters_exits_2(cfg_file, tmp_path, capfd, damage, command):
     assert main([*command, "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+def _small_run(tmp_path, n_samples, **dataset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "dataset": {**CFG["dataset"], "n_samples": n_samples,
+                                                  **dataset},
+                               "cluster": {"source": "boosted", "min_cluster_size": 15}}))
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train", "--model", "boosted"], ["explain", "--model", "boosted"]):
+        assert run(cfg, out, *cmd) == 0
+    return cfg, out
+
+
+def test_heatmap_without_clusters_draws_the_noise_footnote(tmp_path, capfd):
+    # 12 explained rows, fewer than min_cluster_size: HDBSCAN finds no cluster
+    cfg, out = _small_run(tmp_path, 40)
+    assert run(cfg, out, "cluster") == 0
+    capfd.readouterr()
+    assert main(["heatmap", "--out", str(out)]) == 0
+    assert "heatmap: 0 clusters" in capfd.readouterr().out
+    svg = (out / "heatmap.svg").read_text(encoding="utf-8")
+    assert "noise: 12 samples excluded" in svg and 'class="cell"' not in svg
+
+
+@pytest.mark.parametrize("train_fraction,n_explained", [(0.87, 2), (0.94, 1)])
+def test_embed_of_fewer_than_3_rows_exits_2(tmp_path, capfd, train_fraction, n_explained):
+    _, out = _small_run(tmp_path, 15, train_fraction=train_fraction)
+    capfd.readouterr()
+    assert main(["embed", "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert f"has {n_explained}" in err and "Traceback" not in err
+    assert not (out / "embed.csv").exists()
+
+
+def test_stage_records_only_a_clean_exit(tmp_path):
+    manifest = RunManifest(tmp_path / "r", resolve_config({}), "test")
+    with manifest.stage("ok") as same:
+        assert same is manifest
+    with pytest.raises(RuntimeError), manifest.stage("failed"):
+        raise RuntimeError("stage failed")
+    saved = json.loads(manifest.path.read_text(encoding="utf-8"))["stages"]
+    assert list(saved) == ["ok"] and saved["ok"]["seconds"] >= 0
 
 
 def _lookup(config: dict, path: str):

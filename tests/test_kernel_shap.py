@@ -370,7 +370,9 @@ def test_explain_bytes_do_not_depend_on_blas_threads(tmp_path):
     """`explain --model mlp` writes the same shap_mlp.csv with one OpenBLAS
     thread as with its default count: every product Kernel SHAP makes stays
     below OpenBLAS's threading size. The MLP's widths and the background
-    size are the defaults, so the blocks have the pipeline's shapes."""
+    size are the defaults, so the blocks have the pipeline's shapes. The
+    `cluster` and `embed` that follow on the MLP's tensor (HDBSCAN distances
+    and PCA) write the same clusters.csv and embed.csv too."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "dataset": {"n_samples": 160},
                                "models": {"mlp": {"epochs": 5}},
@@ -379,18 +381,19 @@ def test_explain_bytes_do_not_depend_on_blas_threads(tmp_path):
     for command in ("simulate", "train"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     src = Path(importlib.import_module("shappaths").__file__).resolve().parents[1]
-    csvs = []
+    outputs = []
     for threads in ("1", None):
         env = {key: value for key, value in os.environ.items()
                if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         if threads:
             env["OPENBLAS_NUM_THREADS"] = threads
-        subprocess.run([sys.executable, "-m", "shappaths", "explain", "--model", "mlp",
-                        "--out", str(out)], env=env, check=True, capture_output=True,
-                       timeout=300)
-        csvs.append((out / "shap_mlp.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+        for command in (["explain", "--model", "mlp"], ["cluster"], ["embed"]):
+            subprocess.run([sys.executable, "-m", "shappaths", *command, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("shap_mlp.csv", "clusters.csv", "embed.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluator_memory_does_not_grow_with_coalitions_times_background():

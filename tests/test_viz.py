@@ -254,6 +254,8 @@ def test_heatmap_hand_built_cells():
     assert "noise" not in svg
     with_noise = cluster_heatmap(ds, np.array([0, 0, 1, -1]))
     assert "noise: 1 samples excluded" in with_noise
+    only_noise = cluster_heatmap(ds, np.full(4, -1))
+    assert "noise: 4 samples excluded" in only_noise and 'class="cell"' not in only_noise
 
 
 def test_scatter_renders_noise():
