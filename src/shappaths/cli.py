@@ -41,7 +41,7 @@ from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_m
 _LAYER_OF = {name: layer for layer, names in {
     "numpy": "np",
     ".data": "Dataset SimulationSpec SplitSpec load_csv load_idx_images min_max_scale "
-             "simulate split_indices write_csv",
+             "read_csv simulate split_indices write_csv",
     ".models": "evaluate load_model save_model train_boosted train_mlp train_tree",
     ".explain": "flatten kernel_shap load_tensor mean_abs sample_background save_tensor "
                 "tree_shap",
@@ -203,15 +203,8 @@ def _open_run(args) -> RunManifest:
 def _load_dataset(manifest: RunManifest) -> tuple[Dataset, dict]:
     hint = "run `shappaths simulate` or `load` first"
     csv_path = manifest.require("dataset_csv", hint=hint)
-    json_path = manifest.require("dataset_manifest", hint=hint)
-    ds = load_csv(csv_path, "__target__")
-    meta = _read_json(json_path)
-    # class order in the CSV is first-appearance; restore the saved order
-    if list(ds.class_names) != meta["class_names"]:
-        remap = {name: i for i, name in enumerate(meta["class_names"])}
-        labels = np.array([remap[ds.class_names[v]] for v in ds.labels])
-        ds = Dataset(ds.features, labels, ds.feature_names, tuple(meta["class_names"]))
-    return ds, meta
+    meta = _read_json(manifest.require("dataset_manifest", hint=hint))
+    return read_csv(csv_path, meta["class_names"]), meta
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +315,7 @@ def cmd_explain(args) -> int:
     X = ds.features[rows]
     train_rows = np.array(meta["split"]["train"], dtype=int)
     for kind in _selected_kinds(args, manifest):
-        method = cfg["methods"].get(kind, "tree" if kind in ("tree", "boosted") else "kernel")
+        method = cfg["methods"][kind]
         model_path = manifest.require(f"model_{kind}",
                                       hint=f"run `shappaths train --model {kind}` first")
         model = load_model(model_path)

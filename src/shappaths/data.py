@@ -263,9 +263,17 @@ def write_csv(ds: Dataset, path, target_column_name: str = "target") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [target_column_name])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.features[i]]
-                            + [ds.class_names[ds.labels[i]]])
+        writer.writerows([*map(repr, row), ds.class_names[label]]
+                         for row, label in zip(ds.features.tolist(), ds.labels.tolist()))
+
+
+def read_csv(path, class_names) -> Dataset:
+    """The dataset as :func:`write_csv` wrote it, labels coded by ``class_names``; unchecked."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))  # a quoted name may span lines
+        table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                           converters={len(header) - 1: list(class_names).index})
+    return Dataset(table[:, :-1], table[:, -1], header[:-1], class_names)
 
 
 def _read_idx(path, expected_magic: int) -> np.ndarray:

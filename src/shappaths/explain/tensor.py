@@ -145,13 +145,11 @@ def load_tensor(json_path, csv_path) -> ShapTensor:
     if version != TENSOR_SCHEMA_VERSION:
         raise DataError(f"unsupported tensor schema version {version}")
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    sample_ids = np.array([int(r[0]) for r in rows])
-    flat = np.array([r[1:] for r in rows], dtype=float)  # numpy parses each cell as float() does
-    values = unflatten_values(flat, manifest["k"])
-    return ShapTensor(values=values,
+        next(csv.reader(fh))  # the header: a quoted name may span lines
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    return ShapTensor(values=unflatten_values(table[:, 1:], manifest["k"]),
                       base=np.array(manifest["base"], dtype=float),
-                      sample_ids=sample_ids,
+                      sample_ids=table[:, 0],
                       feature_names=tuple(manifest["feature_names"]),
                       class_names=tuple(manifest["class_names"]),
                       method=manifest.get("method", ""),

@@ -96,9 +96,12 @@ def project_paths(paths: list[WaterfallPath],
                   r: int = 2) -> tuple[list[ProjectedPath], PcaModel | None]:
     """Map every path vertex through one shared PCA frame.
 
-    The frame is fitted on the pooled segment vectors of all paths. For
-    k = 1 no projection is needed: the polylines get x = step index and
-    y = cumulative value, and the model is None.
+    The frame is fitted on the pooled segment vectors of all paths. A pool
+    of m segments spans at most m - 1 axes (one cluster at ``top_n`` = 1
+    pools two), so the frame may have fewer than ``min(r, k)`` axes; the
+    points then read 0 on the missing ones. For k = 1 no projection is
+    needed: the polylines get x = step index and y = cumulative value, and
+    the model is None.
     """
     # imported here, so that the charts that draw no path load no subgroup layer
     from ..subgroup.pca import pca_fit, pca_transform
@@ -120,10 +123,12 @@ def project_paths(paths: list[WaterfallPath],
     pool = np.vstack([np.vstack([s for _, s in path.entries]) for path in paths])
     if np.unique(pool, axis=0).shape[0] < 2:
         raise DataError("need at least 2 distinct segment vectors to fit a projection")
-    model = pca_fit(pool, min(r, k))
+    axes = min(r, k)
+    model = pca_fit(pool, min(axes, pool.shape[0] - 1))
     projected = []
     for path in paths:
         points = pca_transform(model, path.vertices())
+        points = np.pad(points, ((0, 0), (0, axes - points.shape[1])))
         projected.append(ProjectedPath(group=path.group,
                                        feature_ids=tuple(f for f, _ in path.entries),
                                        points=points))

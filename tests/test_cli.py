@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -10,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shappaths.cli import FLAGS, _overrides, build_parser, main
+from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
+from shappaths.data import load_csv
 from shappaths.errors import ConfigError
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 resolve_config)
+from util import QUOTED_CLASSES, QUOTED_FEATURES
 
 CFG = {
     "seed": 13,
@@ -159,6 +162,36 @@ def test_csv_load_pipeline(tmp_path):
     meta = json.loads((out / "dataset.json").read_text())
     assert meta["scaling"] is not None
     assert meta["class_names"] == ["hi", "lo"] or meta["class_names"] == ["lo", "hi"]
+
+
+def test_quoted_names_survive_the_reload(tmp_path):
+    """Names holding a delimiter, a quote and a line break, read back by
+    train and explain as `load` ingested them."""
+    target = 'the "class",\nsaid'
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(60, len(QUOTED_FEATURES)))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([QUOTED_FEATURES[0], target, *QUOTED_FEATURES[1:]])
+        writer.writerows([repr(row[0]), QUOTED_CLASSES[c], *map(repr, row[1:])]
+                         for row, c in zip(X.tolist(), y))
+    out = tmp_path / "run"
+    assert main(["load", "--csv", str(path), "--target", target, "--out", str(out)]) == 0
+    for cmd in (["train", "--model", "tree"], ["explain", "--model", "tree"]):
+        assert main([*cmd, "--out", str(out)]) == 0, cmd
+    ingested = load_csv(path, target)
+    reloaded, _ = _load_dataset(_open_run(build_parser().parse_args(["train", "--out",
+                                                                     str(out)])))
+    assert reloaded.feature_names == ingested.feature_names == QUOTED_FEATURES
+    assert reloaded.class_names == ingested.class_names
+    assert set(reloaded.class_names) == set(QUOTED_CLASSES)
+    assert np.array_equal(reloaded.labels, ingested.labels)
+    assert np.array_equal(reloaded.features.view(np.uint64), ingested.features.view(np.uint64))
+    shap = json.loads((out / "shap_tree.json").read_text(encoding="utf-8"))
+    assert (shap["feature_names"], shap["class_names"]) == \
+        (list(QUOTED_FEATURES), list(ingested.class_names))
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -335,6 +368,22 @@ def _small_run(tmp_path, n_samples, **dataset):
     for cmd in (["simulate"], ["train", "--model", "boosted"], ["explain", "--model", "boosted"]):
         assert run(cfg, out, *cmd) == 0
     return cfg, out
+
+
+def test_clustered_waterfall_of_one_cluster_is_drawn(tmp_path):
+    """One cluster at --top-n 1 pools two segments, which span one axis."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"n_samples": 160}, "models": {"mlp": {}},
+                               "cluster": {"source": "mlp"}}))
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train"], ["explain"], ["cluster"]):
+        assert run(cfg, out, *cmd) == 0, cmd
+    assert json.loads((out / "purity.json").read_text())["n_clusters"] == 1
+    assert main(["waterfall", "--clustered", "--top-n", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "waterfall_clustered_mlp.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows][::2] == ["anchor", "rest"] and len(rows) == 3
+    assert len({row[2] for row in rows}) == 3 and {row[3] for row in rows} == {"0.0"}
 
 
 def test_heatmap_without_clusters_draws_the_noise_footnote(tmp_path, capfd):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from shappaths import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
                        min_max_scale, simulate, write_csv)
-from shappaths.data import class_probabilities, split_indices
+from shappaths.data import class_probabilities, read_csv, split_indices
 from shappaths.errors import DataError, InvalidSpecError
+from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
 
 
 def test_simulate_shapes_and_ranges():
@@ -129,6 +132,38 @@ def test_csv_round_trip(tmp_path):
     assert loaded.feature_names == ds.feature_names
     assert [loaded.class_names[v] for v in loaded.labels] == \
            [ds.class_names[v] for v in ds.labels]
+
+
+def _loop_write(ds, path, target_column_name):
+    """The per-row writer that write_csv replaced, kept as its oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + [target_column_name])
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.features[i]]
+                            + [ds.class_names[ds.labels[i]]])
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_bulk_dataset_io_matches_the_per_row_loop(tmp_path, quoted):
+    rng = np.random.default_rng(12)
+    random = rng.standard_normal(152) * 10.0 ** rng.integers(-300, 300, 152)
+    X = np.concatenate([AWKWARD * 3, random]).reshape(50, 4)
+    labels = np.r_[2, 0, rng.integers(0, 3, 47), 1]  # first appearance is not class order
+    ds = Dataset(X, labels, QUOTED_FEATURES, QUOTED_CLASSES) if quoted \
+        else Dataset(X, labels, ("f0", "f1", "f2", "f3"), ("u", "v", "w"))
+    path, oracle = tmp_path / "ds.csv", tmp_path / "oracle.csv"
+    write_csv(ds, path, target_column_name="__target__")
+    _loop_write(ds, oracle, "__target__")
+    assert path.read_bytes() == oracle.read_bytes()
+    back = read_csv(path, ds.class_names)
+    assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
+    assert np.array_equal(back.labels, ds.labels)
+    assert (back.feature_names, back.class_names) == (ds.feature_names, ds.class_names)
+    checked = load_csv(path, "__target__")  # the checked reader that the reload replaced
+    assert np.array_equal(back.features.view(np.uint64), checked.features.view(np.uint64))
+    assert [checked.class_names[v] for v in checked.labels] == \
+        [back.class_names[v] for v in back.labels]
 
 
 def test_csv_complete_case_drop(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from shappaths import ShapTensor, flatten, load_tensor, mean_abs, save_tensor, unflatten_values
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
+from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
 
 
 def make_tensor(values, base=None, method="tree_shap"):
@@ -81,22 +83,24 @@ def _loop_load(csv_path):
     return np.array([[float(v) for v in r[1:]] for r in rows])
 
 
-AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
-           1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
-           0.1, 1 / 3, -2 / 3, 0.30000000000000004, 123456789.12345679, 9007199254740993.0]
-
-
 def test_bulk_tensor_io_matches_the_per_cell_loop(tmp_path):
     rng = np.random.default_rng(11)
     random = rng.standard_normal(312) * 10.0 ** rng.integers(-300, 300, 312)
     t = make_tensor(np.concatenate([AWKWARD * 3, random]).reshape(30, 4, 3))
-    jp, cp, oracle = tmp_path / "t.json", tmp_path / "t.csv", tmp_path / "oracle.csv"
-    save_tensor(t, jp, cp)
-    _loop_save(t, oracle)
-    assert cp.read_bytes() == oracle.read_bytes()
-    loaded = flatten(load_tensor(jp, cp))
-    assert np.array_equal(loaded.view(np.uint64), _loop_load(cp).view(np.uint64))
-    assert np.array_equal(loaded.view(np.uint64), flatten(t).view(np.uint64))
+    quoted = replace(t, sample_ids=np.arange(30) * 7 + 3,
+                     feature_names=QUOTED_FEATURES, class_names=QUOTED_CLASSES)
+    for i, tensor in enumerate([t, quoted]):
+        jp, cp, oracle = (tmp_path / f"{i}_{name}" for name in ("t.json", "t.csv", "oracle.csv"))
+        save_tensor(tensor, jp, cp)
+        _loop_save(tensor, oracle)
+        assert cp.read_bytes() == oracle.read_bytes()
+        loaded = load_tensor(jp, cp)
+        flat = flatten(loaded)
+        assert np.array_equal(flat.view(np.uint64), _loop_load(cp).view(np.uint64))
+        assert np.array_equal(flat.view(np.uint64), flatten(tensor).view(np.uint64))
+        assert np.array_equal(loaded.sample_ids, tensor.sample_ids)
+        assert (loaded.feature_names, loaded.class_names) == \
+            (tensor.feature_names, tensor.class_names)
 
 
 def test_default_ids_and_names():

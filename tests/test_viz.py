@@ -143,6 +143,19 @@ def test_project_preserves_inplane_distances():
         assert np.abs(d_orig - d_proj).max() < 1e-10
 
 
+def test_project_two_pooled_segments_onto_one_axis():
+    """One cluster at top_n = 1 pools two segments: one axis, and 0 on the second."""
+    rng = np.random.default_rng(8)
+    t = make_tensor(rng.normal(size=(4, 5, 3)))
+    paths = build_paths(t, np.zeros(4, dtype=int), top_n=1)
+    projected, model = project_paths(paths, r=2)
+    assert model.loadings.shape == (3, 1)
+    points = projected[0].points
+    assert points.shape == (3, 2) and not points[:, 1].any()
+    assert np.unique(points[:, 0]).size == 3
+    assert render_paths(projected).count('class="segment"') == 2
+
+
 def test_project_mirrored_paths_point_reflect():
     rng = np.random.default_rng(5)
     seg = rng.normal(size=(1, 5, 3))

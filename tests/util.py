@@ -4,6 +4,16 @@ import numpy as np
 
 from shappaths.models.tree import LEAF, DecisionTree
 
+# floats whose shortest repr is hard to round-trip: signed zeros, subnormals,
+# the extremes, and 17-digit values
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+           1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
+           0.1, 1 / 3, -2 / 3, 0.30000000000000004, 123456789.12345679, 9007199254740993.0]
+
+# names that a CSV writer must quote: a delimiter, a quote and a line break
+QUOTED_FEATURES = ("a,b", 'say "hi"', "two\nlines", "plain")
+QUOTED_CLASSES = ('x,"y"', "multi\nline", "c")
+
 
 def random_tree(rng, n_features=6, max_depth=4, value_dim=3,
                 n_cover_samples=200, half_width=2.0) -> DecisionTree:
