@@ -286,7 +286,10 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
             raise DataError(f"{path}: IDX magic mismatch: got {magic:#010x}, "
                             f"expected {expected_magic:#010x}")
         n_dims = magic & 0xFF
-        dims = struct.unpack(f">{n_dims}I", fh.read(4 * n_dims))
+        head = fh.read(4 * n_dims)
+        if len(head) != 4 * n_dims:
+            raise DataError(f"{path}: truncated IDX header")
+        dims = struct.unpack(f">{n_dims}I", head)
         data = np.frombuffer(fh.read(), dtype=np.uint8)
     if data.size != int(np.prod(dims)):
         raise DataError(f"{path}: payload size {data.size} does not match header dims {dims}")
@@ -319,20 +322,16 @@ class ScalingMeta:
     """Per-column min and range of a min-max rescaling.
 
     Constant columns keep their true range (zero) but are mapped with a
-    divisor of one, so they land at 0 and the inverse map is still exact.
+    divisor of one, so they land at 0 and the map is still exactly inverted
+    by multiplying with the divisors and adding the mins.
     """
 
     mins: np.ndarray
     ranges: np.ndarray
 
-    def _divisors(self) -> np.ndarray:
-        return np.where(self.ranges > 0, self.ranges, 1.0)
-
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mins) / self._divisors()
-
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) * self._divisors() + self.mins
+        divisors = np.where(self.ranges > 0, self.ranges, 1.0)
+        return (np.asarray(X, dtype=float) - self.mins) / divisors
 
     def to_dict(self) -> dict:
         return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}

@@ -15,8 +15,6 @@ class EvalReport:
     recall: np.ndarray             # (k,)
     support: np.ndarray            # (k,) true-class counts
     accuracy: float
-    precision_undefined: np.ndarray  # (k,) bool, no predictions for the class
-    recall_undefined: np.ndarray     # (k,) bool, no true samples of the class
     class_names: tuple[str, ...]
 
     def as_rows(self) -> list[dict]:
@@ -32,7 +30,7 @@ class EvalReport:
 
 
 def evaluate(model, test) -> EvalReport:
-    """Standard precision/recall/accuracy; zero denominators report 0, flagged."""
+    """Standard precision/recall/accuracy; zero denominators report 0."""
     if model.n_features != test.p:
         raise DataError(f"model expects {model.n_features} features, dataset has {test.p}")
     k = test.k
@@ -42,13 +40,8 @@ def evaluate(model, test) -> EvalReport:
     predicted_counts = np.bincount(predicted, minlength=k)
     hits = np.bincount(truth[predicted == truth], minlength=k)
 
-    precision_undefined = predicted_counts == 0
-    recall_undefined = support == 0
-    precision = np.where(precision_undefined, 0.0,
-                         hits / np.maximum(predicted_counts, 1))
-    recall = np.where(recall_undefined, 0.0, hits / np.maximum(support, 1))
+    precision = np.where(predicted_counts == 0, 0.0, hits / np.maximum(predicted_counts, 1))
+    recall = np.where(support == 0, 0.0, hits / np.maximum(support, 1))
     return EvalReport(precision=precision, recall=recall, support=support,
                       accuracy=float((predicted == truth).mean()),
-                      precision_undefined=precision_undefined,
-                      recall_undefined=recall_undefined,
                       class_names=test.class_names)

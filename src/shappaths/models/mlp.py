@@ -3,12 +3,14 @@
 Hidden layers use ReLU, the output layer is linear, and the margins are
 the raw logits of a softmax cross-entropy objective. Weight gradients come
 from standard backpropagation; ``loss_and_grads`` is exposed separately so
-the analytic gradients can be checked against finite differences.
+the analytic gradients can be checked against finite differences. Both it
+and ``predict_margin`` run the one forward pass, ``_forward``; Kernel SHAP
+splits the network into stages itself (explain/kernel_shap.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,20 +19,11 @@ from ..rng import generator
 from .boosted import log_loss, softmax
 
 
-# rows of each bias and zero tile; longer inputs are biased and rectified in
-# chunks of this many rows, so the tiles stay small and in cache
-_TILE_ROWS = 512
-
-
 @dataclass
 class Mlp:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]  # (fan_in, fan_out) per layer
     biases: list[np.ndarray]   # (fan_out,) per layer
-    # (the bytes of the biases the body adds, each of those biases tiled to
-    # (_TILE_ROWS, fan_out), a zero tile per hidden layer viewed from one
-    # buffer); never saved, compared or printed
-    _tiles: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def n_features(self) -> int:
@@ -41,55 +34,8 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        """The logits, (n, n_classes): the three ``stages`` in turn."""
-        (W, b), body, last = self.stages()
-        a = body(np.atleast_2d(np.asarray(X, dtype=float)) @ W + b)
-        return a if last is None else a @ last[0] + last[1]
-
-    def stages(self):
-        """The network as (first, body, last): the first layer's (W, b); the
-        rectified middle, a function of the first layer's outputs (rows,
-        or a stack of row blocks, each multiplied on its own) that may
-        overwrite them; and the last layer's (W, b), None when the first
-        layer is also the last. Kernel SHAP evaluates the same stages.
-
-        The body is ReLU, then each hidden layer ``a @ W + b`` and its ReLU.
-        It adds each bias from a tile and takes each ReLU as the maximum
-        against a zero tile, in place: the same operations and bytes as
-        broadcasting, at a fraction of the cost on the small blocks Kernel
-        SHAP evaluates. The tiles are the ones current when ``stages`` is
-        called.
-        """
-        biases, zeros = self._current_tiles()
-        weights = self.weights
-
-        def body(a: np.ndarray) -> np.ndarray:
-            for i, zero in enumerate(zeros):
-                if i:
-                    a = a @ weights[i]
-                for start in range(0, a.shape[-2], _TILE_ROWS):
-                    rows = a[..., start:start + _TILE_ROWS, :]
-                    if i:
-                        rows += biases[i - 1][:rows.shape[-2]]
-                    np.maximum(rows, zero[:rows.shape[-2]], out=rows)
-            return a
-
-        last = None if len(weights) == 1 else (weights[-1], self.biases[-1])
-        return (weights[0], self.biases[0]), body, last
-
-    def _current_tiles(self):
-        """The tiles of the biases after the first hidden layer's and the
-        zero tiles, rebuilt whenever one of those biases has changed since
-        they were made."""
-        # a list: a tuple built on every call grew CPython's tuple free list by ~100 KB
-        hidden = self.biases[:-1]
-        key = [b.tobytes() for b in hidden[1:]]
-        if not self._tiles or self._tiles[0] != key:
-            zero = np.zeros(_TILE_ROWS * max((b.shape[0] for b in hidden), default=0))
-            self._tiles = (key, [np.tile(b, (_TILE_ROWS, 1)) for b in hidden[1:]],
-                           [zero[:_TILE_ROWS * b.shape[0]].reshape(_TILE_ROWS, -1)
-                            for b in hidden])
-        return self._tiles[1], self._tiles[2]
+        """The logits, (n, n_classes)."""
+        return _forward(self, X)[-1]
 
     def predict_class(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_margin(X), axis=1)
@@ -108,17 +54,25 @@ def init_mlp(layer_sizes, rng: np.random.Generator) -> Mlp:
     return Mlp(sizes, weights, biases)
 
 
+def _forward(model: Mlp, X: np.ndarray) -> list[np.ndarray]:
+    """The input and every layer's output: ``a @ W + b``, rectified after
+    each hidden layer, the last one left linear."""
+    a = np.atleast_2d(np.asarray(X, dtype=float))
+    activations = [a]
+    last = len(model.weights) - 1
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ W + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+        activations.append(a)
+    return activations
+
+
 def loss_and_grads(model: Mlp, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its weight/bias gradients."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
+    activations = _forward(model, X)
+    n = activations[0].shape[0]
     last = len(model.weights) - 1
-    activations = [X]
-    a = X
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        a = np.maximum(z, 0.0) if i < last else z
-        activations.append(a)
     loss = log_loss(activations[-1], y)
 
     delta = (softmax(activations[-1]) - np.eye(model.n_classes)[y]) / n

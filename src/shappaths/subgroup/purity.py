@@ -15,7 +15,6 @@ class PurityReport:
     purity: np.ndarray        # (n_clusters,) majority fraction per cluster
     majority_class: np.ndarray  # (n_clusters,) argmax truth class
     noise_count: int
-    noise_by_class: np.ndarray  # (n_truth_classes,)
 
     @property
     def n_clusters(self) -> int:
@@ -45,9 +44,7 @@ def cluster_purity(labeling, truth) -> PurityReport:
     if n_clusters and (sizes == 0).any():
         raise DataError("labeling references an empty cluster id")
     purity = table.max(axis=1) / np.maximum(sizes, 1)
-    noise_mask = labels == -1
     return PurityReport(contingency=table,
                         purity=purity,
                         majority_class=table.argmax(axis=1),
-                        noise_count=int(noise_mask.sum()),
-                        noise_by_class=np.bincount(truth[noise_mask], minlength=n_classes))
+                        noise_count=int((labels == -1).sum()))

@@ -10,6 +10,8 @@ segment vectors of all paths and every vertex is mapped through it.
 
 from __future__ import annotations
 
+import csv
+import io
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -210,11 +212,14 @@ def render_paths(projected: list[ProjectedPath], spec: PlotSpec = PlotSpec(),
 
 
 def paths_to_csv(projected: list[ProjectedPath], feature_names=None) -> str:
-    """Sidecar table of plotted coordinates: group, feature, x, y."""
-    lines = ["group,feature,x,y"]
+    """Sidecar table of plotted coordinates: group, feature, x, y; a name
+    holding a comma, a quote or a newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["group", "feature", "x", "y"])
     for path in projected:
         for i, (x, y) in enumerate(path.points):
             feature = "anchor" if i == 0 else _feature_label(path.feature_ids[i - 1],
                                                              feature_names)
-            lines.append(f"{path.group},{feature},{float(x)!r},{float(y)!r}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([path.group, feature, repr(float(x)), repr(float(y))])
+    return buf.getvalue()

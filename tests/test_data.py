@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shappaths import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_images,
                        min_max_scale, simulate, write_csv)
+from shappaths.cli import main
 from shappaths.data import class_probabilities, read_csv, split_indices
 from shappaths.errors import DataError, InvalidSpecError
 from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
@@ -108,7 +109,7 @@ def test_min_max_scale_basic():
     scaled, meta = min_max_scale(ds)
     assert np.allclose(scaled.features[:, 0], [0.0, 0.5, 1.0])
     assert np.allclose(scaled.features[:, 1], 0.0)  # constant column maps to 0
-    back = meta.inverse(scaled.features)
+    back = scaled.features * np.where(meta.ranges > 0, meta.ranges, 1.0) + meta.mins
     assert np.abs(back - ds.features).max() < 1e-12
 
 
@@ -120,7 +121,8 @@ def test_min_max_scale_in_unit_box(n, p, seed):
     ds = Dataset(X, rng.integers(0, 2, size=n), [f"f{j}" for j in range(p)], ("a", "b"))
     scaled, meta = min_max_scale(ds)
     assert scaled.features.min() >= 0.0 and scaled.features.max() <= 1.0
-    assert np.abs(meta.inverse(scaled.features) - X).max() <= 1e-9 * max(1.0, np.abs(X).max())
+    back = scaled.features * np.where(meta.ranges > 0, meta.ranges, 1.0) + meta.mins
+    assert np.abs(back - X).max() <= 1e-9 * max(1.0, np.abs(X).max())
 
 
 def test_csv_round_trip(tmp_path):
@@ -226,6 +228,18 @@ def test_idx_magic_mismatch(tmp_path):
     ip, lp = _write_idx(tmp_path, images, [0, 1])
     with pytest.raises(DataError, match="magic"):
         load_idx_images(lp, lp)
+
+
+def test_idx_truncated_dimensions_exit_2(tmp_path, capsys):
+    images = np.zeros((2, 4, 4), dtype=np.uint8)
+    ip, lp = _write_idx(tmp_path, images, [0, 1])
+    ip.write_bytes(ip.read_bytes()[:8])  # the magic and the first dimension
+    with pytest.raises(DataError, match="truncated IDX header"):
+        load_idx_images(ip, lp)
+    assert main(["load", "--idx-images", str(ip), "--idx-labels", str(lp),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "truncated IDX header" in err and str(ip) in err and "Traceback" not in err
 
 
 def test_dataset_invariants():

@@ -232,4 +232,4 @@ def test_purity_hand_built_table():
     report = cluster_purity(labels, truth)
     assert report.contingency.tolist() == [[2, 1, 0], [0, 2, 0], [1, 0, 3]]
     assert np.allclose(report.purity, [2 / 3, 1.0, 3 / 4])
-    assert report.noise_by_class.tolist() == [0, 1, 0]
+    assert report.noise_count == 1

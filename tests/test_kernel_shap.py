@@ -14,7 +14,7 @@ from shappaths import Background, kernel_shap, sample_background, train_mlp
 from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
-from shappaths.models.mlp import Mlp, init_mlp
+from shappaths.models.mlp import init_mlp
 from shappaths.rng import generator
 from util import ConstantModel, LinearModel, random_tree
 
@@ -322,6 +322,40 @@ def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, b
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("m", [40, 600])
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 8, 3), (5, 8, 6, 3)],
+                         ids=["0-hidden", "1-hidden", "2-hidden"])
+def test_exact_kernel_shap_on_mlps_of_any_depth(workers, sizes, m):
+    """The staged MLP from no hidden layer (identity body, no last stage)
+    to two (a bias tile added in the body) against the interventional
+    oracle and the coalition-major loop, byte-equal for 1 and 2 workers.
+    m = 600 puts one coalition in each block of 600 rows, which the body
+    rectifies in two tiles."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    rng = np.random.default_rng(15)
+    model = init_mlp(sizes, rng)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    assert (ks._mlp_stages(model)[2] is None) == (len(sizes) == 2)
+    bg = Background(rng.normal(size=(m, 5)))
+    X = rng.normal(size=(3, 5))
+    coalitions, _ = sample_coalitions(5, 2 ** 5 - 2, generator(0, "shap.kernel"))
+    values = np.empty((3, coalitions.shape[0], 3))
+    ks._CoalitionValues(model, coalitions, bg.data)(X, values)
+    for x, v in zip(X, values):
+        reference = blocked_coalition_values(model, x, coalitions, bg.data, ks._BLOCK_ROWS)
+        assert np.abs(v - reference).max() < 1e-12
+    out = []
+    for count in (1, 2):
+        workers(count)
+        out.append(kernel_shap(model, X, bg, n_coalitions=2 ** 5 - 2, seed=0))
+    assert out[0].method == "kernel_shap_exact"
+    assert out[0].values.tobytes() == out[1].values.tobytes()
+    for x, phi in zip(X, out[0].values):
+        assert np.abs(phi - brute_shapley_interventional(model, x, bg.data)).max() < 1e-6
+    _assert_no_child_left()
+
+
 def test_one_cpu_never_forks(monkeypatch):
     ks = importlib.import_module("shappaths.explain.kernel_shap")
     monkeypatch.setattr(ks, "MAX_WORKERS", 2)
@@ -416,11 +450,12 @@ def test_evaluator_memory_does_not_grow_with_coalitions_times_background():
 
 
 def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, capfd):
-    # the workers evaluate the MLP through the body its stages return
-    parent, stages = os.getpid(), Mlp.stages
+    # the workers evaluate the MLP through the body its staging returns
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    parent, stages = os.getpid(), ks._mlp_stages
 
-    def stages_failing_in_workers(self):
-        first, body, last = stages(self)
+    def stages_failing_in_workers(mlp):
+        first, body, last = stages(mlp)
 
         def body_in_parent_only(a):
             if os.getpid() != parent:
@@ -429,7 +464,7 @@ def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, ca
 
         return first, body_in_parent_only, last
 
-    monkeypatch.setattr(Mlp, "stages", stages_failing_in_workers)
+    monkeypatch.setattr(ks, "_mlp_stages", stages_failing_in_workers)
     workers(2)
     assert main(["explain", "--out", str(mlp_run)]) == 4
     err = capfd.readouterr().err

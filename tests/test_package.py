@@ -80,15 +80,18 @@ def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
 
 def test_tracer_finds_the_names_it_wraps(tmp_path):
     """perfbench/launch.py wraps package functions by the names callers use
-    (``best_split`` on models.tree, ``train_tree`` on cli); a rename must
-    fail here, not leave a layer of the traced benchmark empty. The CLI
-    binds each command's names before it runs; that binding must keep the
-    tracer's wrappers in place."""
+    (``best_split`` on models.tree, ``train_tree`` on cli, ``loss_and_grads``
+    on models.mlp, ``Mlp.predict_margin``); a rename must fail here, not
+    leave a layer of the traced benchmark empty. The CLI binds each
+    command's names before it runs; that binding must keep the tracer's
+    wrappers in place."""
     root = Path(__file__).resolve().parents[1]
     names = set()
     for label, argv in [("simulate", ["simulate", "--n", "80"]),
                         ("train", ["train", "--model", "tree"]),
                         ("explain", ["explain", "--model", "tree"]),
+                        ("train_mlp", ["train", "--model", "mlp"]),
+                        ("explain_mlp", ["explain", "--model", "mlp"]),
                         ("bar", ["bar", "--source", "tree"])]:
         spans = tmp_path / f"{label}.spans.json"
         proc = subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"), str(spans),
@@ -97,4 +100,5 @@ def test_tracer_finds_the_names_it_wraps(tmp_path):
         assert proc.returncode == 0, proc.stderr
         names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"data.simulate", "models.best_split", "models.train_tree", "explain.tree_shap",
-            "explain.tensor_io", "viz.render"} <= names
+            "explain.tensor_io", "viz.render", "models.loss_and_grads",
+            "models.predict_margin.mlp"} <= names

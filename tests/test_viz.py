@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_h
                            paths_to_csv, pca_scatter, project_paths, render_paths,
                            stacked_bar, waterfall_entries)
 from shappaths.viz.paths import REMAINDER
+from util import QUOTED_FEATURES
 
 
 def make_tensor(values, base=None):
@@ -198,6 +202,19 @@ def test_render_paths_and_sidecar():
     lines = csv.strip().splitlines()
     assert lines[0] == "group,feature,x,y"
     assert len(lines) == 1 + 3 * 5  # header + (4 segments + anchor) per path
+
+
+def test_sidecar_quotes_names_that_hold_commas_quotes_or_line_breaks():
+    rng = np.random.default_rng(7)
+    t = make_tensor(rng.normal(size=(6, len(QUOTED_FEATURES), 3)))
+    projected, _ = project_paths(build_paths(t, np.array([0, 0, 1, 1, 2, 2])))
+    rows = list(csv.reader(io.StringIO(paths_to_csv(projected, feature_names=QUOTED_FEATURES))))
+    assert rows[0] == ["group", "feature", "x", "y"]
+    assert len(rows) == 1 + 3 * (1 + len(QUOTED_FEATURES))
+    assert all(len(row) == 4 for row in rows)
+    for path in projected:
+        features = [row[1] for row in rows[1:] if row[0] == path.group]
+        assert features == ["anchor", *(QUOTED_FEATURES[f] for f in path.feature_ids)]
 
 
 def test_render_empty_paths_axes_only():
