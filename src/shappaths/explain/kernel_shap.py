@@ -34,7 +34,8 @@ coalition-major loop that took a mean per block; the MLP's differ from
 it by rounding only.
 
 The right-hand side of that solve is one column block per sample, filled
-by the same per-sample code in up to MAX_WORKERS processes: the parent
+by the same per-sample code in up to MAX_WORKERS processes through the
+package's one fork helper (``shappaths.workers.run_forked``): the parent
 fills the first contiguous chunk of samples and forked children the
 others, each writing its columns into one shared anonymous mmap. The
 worker count is the CPUs this process may run on, capped at MAX_WORKERS
@@ -48,13 +49,14 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import os
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from ..errors import DataError, InvalidSpecError, NumericalError
 from ..rng import generator
+from ..workers import cpu_count, run_forked
 from .tensor import Background, ShapTensor
 
 log = logging.getLogger(__name__)
@@ -231,53 +233,6 @@ class _CoalitionValues:
                     np.add(means @ last[0], last[1], out=v)
 
 
-def _in_workers(fill, n: int) -> None:
-    """fill(lo, hi) over contiguous, balanced chunks of range(n): the first
-    chunk in this process, each other one in a forked child. A child that
-    fails is a NumericalError naming its rows; no child outlives the call."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS, n))
-    bounds = [n * j // workers for j in range(workers + 1)]
-    children: dict[int, tuple[int, int]] = {}
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
-            if pid == 0:
-                # leave through _exit whatever happens: no atexit hooks, no
-                # flush of the parent's buffered output, no test teardown
-                status = 1
-                try:
-                    fill(lo, hi)
-                    status = 0
-                except BaseException as exc:
-                    os.write(2, f"kernel SHAP worker, rows {lo}-{hi - 1}: "
-                                f"{type(exc).__name__}: {exc}\n".encode())
-                finally:
-                    os._exit(status)
-            children[pid] = (lo, hi)
-        fill(bounds[0], bounds[1])
-        failed = []
-        while children:
-            pid, status = os.waitpid(next(iter(children)), 0)
-            lo, hi = children.pop(pid)
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                failed.append(f"rows {lo}-{hi - 1} " + (f"exited with status {code}"
-                              if code > 0 else f"was killed by signal {-code}"))
-        if failed:
-            raise NumericalError("kernel SHAP worker failed: " + "; ".join(failed))
-    finally:
-        if children:
-            import signal  # ~1 ms to import; only this path needs it
-            for pid in children:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped just before an interrupt reached this block
-
-
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b, with a small ridge when a is singular."""
     try:
@@ -345,7 +300,14 @@ def kernel_shap(model, X: np.ndarray, background: Background,
                 for i, vi in zip(range(start, start + len(xs)), v):
                     b[:, i, :] = design.T @ ((vi - base - z_last * delta[i]) * w)
 
-        _in_workers(fill, n)
+        # contiguous, balanced chunks of samples: the first in this process
+        workers = max(1, min(cpu_count(), MAX_WORKERS, n))
+        bounds = [n * j // workers for j in range(workers + 1)]
+        for failed in run_forked("kernel SHAP worker",
+                                 {f"rows {lo}-{hi - 1}": partial(fill, lo, hi)
+                                  for lo, hi in zip(bounds, bounds[1:])}):
+            if failed is not None:
+                raise failed
         head = _solve(a, b.reshape(p - 1, n * k)).reshape(p - 1, n, k)
         if not np.isfinite(head).all():
             raise NumericalError("kernel regression produced non-finite attributions")

@@ -252,5 +252,9 @@ class RunManifest:
         """Time the block; record the timing and save only if it exits cleanly."""
         start = time.perf_counter()
         yield self
-        self.state["stages"][name] = {"seconds": round(time.perf_counter() - start, 6)}
+        self.record_stage(name, time.perf_counter() - start)
+
+    def record_stage(self, name: str, seconds: float) -> None:
+        """Record the timing of a stage that finished cleanly, and save."""
+        self.state["stages"][name] = {"seconds": round(seconds, 6)}
         self.save()

@@ -67,7 +67,7 @@ def _score(g_sum, h_sum, lam):
                      where=denom > 0)
 
 
-def _fit_newton_tree(X, g, h, lam, max_depth, min_leaf) -> DecisionTree:
+def _fit_newton_tree(X, order, g, h, lam, max_depth, min_leaf) -> DecisionTree:
     def leaf_weight(rows):
         denom = h[rows].sum() + lam
         return np.array([-g[rows].sum() / denom if denom > 0 else 0.0])
@@ -81,7 +81,7 @@ def _fit_newton_tree(X, g, h, lam, max_depth, min_leaf) -> DecisionTree:
         return 0.5 * (_score(g_left, h_left, lam)
                       + _score(g_total - g_left, h_total - h_left, lam) - parent)
 
-    return grow_tree(X, leaf_weight, lambda rows: gain_fn, max_depth, min_leaf)
+    return grow_tree(X, order, leaf_weight, lambda rows: gain_fn, max_depth, min_leaf)
 
 
 def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
@@ -90,8 +90,10 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
     """Boost k trees per round against softmax cross-entropy.
 
     Deterministic: there is no subsampling, and split ties resolve to the
-    lowest feature index, then the lowest threshold. Raises NumericalError
-    naming the round if the loss goes non-finite.
+    lowest feature index, then the lowest threshold. ``X`` is sorted once
+    per ensemble, and every tree grows from that order (XGBoost's
+    pre-sorted column blocks). Raises NumericalError naming the round if
+    the loss goes non-finite.
     """
     if train.k < 2:
         raise DataError("boosting needs at least two classes")
@@ -106,6 +108,7 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
     counts = np.maximum(train.class_counts(), 0.5)  # finite base for absent classes
     base_score = np.log(counts / n)
 
+    order = np.argsort(X, axis=0, kind="stable")
     margins = np.tile(base_score, (n, 1))
     onehot = np.eye(k)[y]
     rounds: list[list[DecisionTree]] = []
@@ -116,7 +119,7 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
         for c in range(k):
             g = probs[:, c] - onehot[:, c]
             h = probs[:, c] * (1.0 - probs[:, c])
-            tree = _fit_newton_tree(X, g, h, lam, max_depth, min_leaf)
+            tree = _fit_newton_tree(X, order, g, h, lam, max_depth, min_leaf)
             round_trees.append(tree)
             margins[:, c] += learning_rate * tree.predict_margin(X)[:, 0]
         rounds.append(round_trees)

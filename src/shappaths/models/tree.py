@@ -10,9 +10,12 @@ Routing convention: a sample goes left iff x[feature] < threshold.
 Thresholds are midpoints of the separating gap, so training data never
 sits on a boundary.
 
-Growth makes one sort per fit; children partition it. A child keeps its
-parent's per-column order minus the other child's rows, which is a stable
-argsort of the child's own rows: ties stay in row-index order.
+Growth starts from one stable per-column sort of the training matrix,
+made by the caller: once per fit for the Gini tree, once per ensemble for
+the boosted trees, which all grow on the same rows. Children partition
+it. A child keeps its parent's per-column order minus the other child's
+rows, which is a stable argsort of the child's own rows: ties stay in
+row-index order.
 """
 
 from __future__ import annotations
@@ -116,9 +119,13 @@ def check_growth(max_depth: int, min_leaf: int) -> None:
         raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
 
 
-def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
+def grow_tree(X: np.ndarray, order: np.ndarray, node_value, node_gains, max_depth: int,
               min_leaf: int) -> DecisionTree:
     """Greedy preorder growth over the rows of ``X``.
+
+    ``order`` is the root's per-column order, ``np.argsort(X, axis=0,
+    kind="stable")``, taken by the caller so that trees grown on the same
+    ``X`` share one sort; growth only reads it.
 
     ``node_value(rows)`` is the value a node stores; ``node_gains(rows)`` is
     the ``gain_fn`` of :func:`best_split` for those rows, or None to keep
@@ -153,7 +160,7 @@ def grow_tree(X: np.ndarray, node_value, node_gains, max_depth: int,
         right[node] = grow(rows[~split], right_order, depth + 1)
         return node
 
-    grow(np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable"), 0)
+    grow(np.arange(X.shape[0]), order, 0)
     return DecisionTree(feature=np.array(feature, dtype=int),
                         threshold=np.array(threshold, dtype=float),
                         left=np.array(left, dtype=int),
@@ -198,4 +205,5 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
 
         return gain_fn
 
-    return grow_tree(X, node_value, gini_gains, max_depth, min_leaf)
+    return grow_tree(X, np.argsort(X, axis=0, kind="stable"), node_value, gini_gains,
+                     max_depth, min_leaf)

@@ -18,6 +18,8 @@ Labels currently in use:
     shap.kernel        coalition sampling
 """
 
+from __future__ import annotations  # the annotations name numpy.random; only a draw loads it
+
 import hashlib
 
 import numpy as np

@@ -10,8 +10,6 @@ segment vectors of all paths and every vertex is mapped through it.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -211,15 +209,21 @@ def render_paths(projected: list[ProjectedPath], spec: PlotSpec = PlotSpec(),
     return canvas.to_svg()
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell, quoted when it holds a comma, a quote or a line
+    break. A lone carriage return counts: csv.writer with a "\\n" line
+    terminator leaves it bare, and a reader then splits the row there."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def paths_to_csv(projected: list[ProjectedPath], feature_names=None) -> str:
     """Sidecar table of plotted coordinates: group, feature, x, y; a name
-    holding a comma, a quote or a newline is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "feature", "x", "y"])
+    holding a comma, a quote or a line break is quoted."""
+    lines = ["group,feature,x,y"]
     for path in projected:
         for i, (x, y) in enumerate(path.points):
             feature = "anchor" if i == 0 else _feature_label(path.feature_ids[i - 1],
                                                              feature_names)
-            writer.writerow([path.group, feature, repr(float(x)), repr(float(y))])
-    return buf.getvalue()
+            lines.append(",".join([_csv_cell(path.group), _csv_cell(feature),
+                                   repr(float(x)), repr(float(y))]))
+    return "\n".join(lines) + "\n"

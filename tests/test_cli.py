@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,10 @@ import pytest
 
 from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
 from shappaths.data import load_csv
-from shappaths.errors import ConfigError
+from shappaths.errors import ConfigError, NumericalError
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 resolve_config)
+from shappaths.workers import run_forked
 from util import QUOTED_CLASSES, QUOTED_FEATURES
 
 CFG = {
@@ -702,6 +705,161 @@ def test_interrupt_ends_in_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate", interrupted)
     assert main(["simulate", "--n", "80", "--out", str(tmp_path / "run")]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+# ---------------------------------------------------------------------------
+# train fits each kind in its own forked worker; the count never changes a byte
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Sets the CPUs this process may run on and counts the forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forks.clear()
+        return forks
+
+    return set_count
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _without_stages(out: Path) -> tuple[dict, list[str]]:
+    """The manifest without its timings, and the names of its stages."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return manifest, list(manifest.pop("stages"))
+
+
+@pytest.mark.parametrize("count, argv, forked", [
+    (1, [], 0), (2, [], 2), (2, ["--model", "boosted"], 0)],
+    ids=["one-cpu", "two-cpus", "one-kind"])
+def test_train_bytes_do_not_depend_on_the_worker_count(cpus, cfg_file, tmp_path, capsys,
+                                                       count, argv, forked):
+    """One worker per kind only for several kinds on several CPUs; the
+    models, metrics, manifest and printed lines are those of one process."""
+    outputs = []
+    for workers in (1, count):
+        out = tmp_path / f"run{len(outputs)}"
+        assert run(cfg_file, out, "simulate") == 0
+        capsys.readouterr()
+        forks = cpus(workers)
+        assert run(cfg_file, out, "train", *argv) == 0
+        assert len(forks) == (forked if workers == count else 0)
+        models = sorted(out.glob("model_*.json"))
+        outputs.append((capsys.readouterr(), _without_stages(out), [m.name for m in models],
+                        [path.read_bytes() for path in [*models, out / "metrics.json"]]))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) == (1 if argv else 3)
+    _assert_no_child_left()
+
+
+def test_failing_kind_exits_4_after_recording_the_kinds_before_it(cpus, cfg_file, tmp_path,
+                                                                   monkeypatch, capfd):
+    """boosted, the second kind, fails in a worker: the same exit code,
+    message, printed lines and manifest as the sequential loop, which
+    records tree and never reaches mlp."""
+    import shappaths.cli as cli
+
+    def diverges(*args, **kwargs):
+        raise NumericalError("training loss became non-finite at round 3")
+
+    monkeypatch.setattr(cli, "train_boosted", diverges)
+    outputs = []
+    for count in (1, 2):
+        out = tmp_path / f"cpus{count}"
+        assert run(cfg_file, out, "simulate") == 0
+        capfd.readouterr()
+        forks = cpus(count)
+        assert run(cfg_file, out, "train") == 4
+        assert len(forks) == 2 * (count - 1)
+        outputs.append((capfd.readouterr(), _without_stages(out)))
+    assert outputs[0] == outputs[1]
+    (printed, err), (manifest, stages) = outputs[0]
+    assert printed.startswith("train tree: test accuracy") and printed.count("\n") == 1
+    assert err == "error: training loss became non-finite at round 3\n"
+    assert stages == ["simulate", "train.tree"]
+    assert set(manifest["artifacts"]) == {"dataset_csv", "dataset_manifest", "model_tree"}
+    _assert_no_child_left()
+
+
+def test_worker_killed_by_a_signal_exits_4_naming_its_kind(cpus, cfg_file, tmp_path,
+                                                         monkeypatch, capfd):
+    import shappaths.cli as cli
+
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "train_mlp", killed)
+    out = tmp_path / "run"
+    assert run(cfg_file, out, "simulate") == 0
+    cpus(2)
+    assert run(cfg_file, out, "train") == 4
+    assert "error: train worker failed: mlp was killed by signal 9" in capfd.readouterr().err
+    _, stages = _without_stages(out)
+    assert stages == ["simulate", "train.tree", "train.boosted"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_failure_in_the_parents_kind_stops_every_worker(cpus, cfg_file, tmp_path,
+                                                       monkeypatch, capfd, exc):
+    """tree, the first kind, fits in this process: its failure (or an
+    interrupt) kills and reaps the workers, which would otherwise sleep
+    for a minute, before it propagates."""
+    import shappaths.cli as cli
+
+    def fails(*args, **kwargs):
+        raise exc("the parent's kind failed")
+
+    def sleeps(*args, **kwargs):
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "train_tree", fails)
+    monkeypatch.setattr(cli, "train_boosted", sleeps)
+    monkeypatch.setattr(cli, "train_mlp", sleeps)
+    out = tmp_path / "run"
+    assert run(cfg_file, out, "simulate") == 0
+    capfd.readouterr()
+    forks = cpus(2)
+    start = time.monotonic()
+    if exc is KeyboardInterrupt:
+        assert run(cfg_file, out, "train") == 130
+        assert capfd.readouterr().err == "interrupted\n"
+    else:
+        with pytest.raises(RuntimeError, match="the parent's kind failed"):
+            run(cfg_file, out, "train")
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    assert _without_stages(out)[1] == ["simulate"]
+    _assert_no_child_left()
+
+
+def test_interrupted_worker_leaves_the_report_to_the_parent(capfd):
+    """Ctrl-C reaches every process of the group; only the parent says so."""
+    def interrupted():
+        raise KeyboardInterrupt
+
+    def fails():
+        raise ValueError("bad value")
+
+    own, quiet, loud = run_forked("test worker", {"own": lambda: 1, "quiet": interrupted,
+                                                  "loud": fails})
+    assert own == 1
+    assert str(quiet) == "test worker failed: quiet exited with status 1"
+    assert str(loud) == "test worker failed: loud exited with status 1"
+    assert capfd.readouterr().err == "test worker, loud: ValueError: bad value\n"
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,20 @@ def test_every_node_order_is_a_stable_argsort_of_its_rows(monkeypatch, min_leaf)
         assert len(fit) > 3 and min(fit) < ds.n
 
 
+def test_boosted_ensemble_sorts_its_features_once(monkeypatch, sim_small):
+    """Every tree of the ensemble grows from one stable argsort of X."""
+    real, sorted_shapes = np.argsort, []
+
+    def counted(a, *args, **kwargs):
+        sorted_shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    model = train_boosted(sim_small, n_rounds=4, max_depth=3)
+    assert len(model.rounds) * model.n_classes == 4 * sim_small.k > 1
+    assert sorted_shapes == [sim_small.features.shape]
+
+
 def test_tree_empty_dataset_rejected(sim_small):
     with pytest.raises(DataError):
         train_tree(sim_small.take([0]), max_depth=2, min_leaf=1)

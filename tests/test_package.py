@@ -39,11 +39,12 @@ def test_cli_import_loads_no_process_pool():
 
 LAYERS = ("data", "models", "explain", "subgroup", "viz")
 _PRINT_LOADED = ("; print(json.dumps([m.split('.')[1] if m.startswith('shappaths.') else m "
-                 "for m in sys.modules if m == 'numpy' or m.startswith('shappaths.')]))")
+                 "for m in sys.modules if m in ('numpy', 'numpy.random') "
+                 "or m.startswith('shappaths.')]))")
 
 
 def _loaded_after(code: str) -> set[str]:
-    """numpy and the shappaths layers in sys.modules after ``code``."""
+    """numpy, numpy.random and the shappaths layers in sys.modules after ``code``."""
     out = _python("import json, sys; " + code + _PRINT_LOADED)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
@@ -69,8 +70,8 @@ def tree_run(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("argv, not_loaded", [
     (["report"], {"numpy", *LAYERS}),
     (["train", "--model", "tree"], {"explain", "subgroup", "viz"}),
-    (["explain", "--model", "tree"], {"subgroup", "viz"}),
-    (["bar", "--source", "tree"], {"data", "models", "subgroup"}),
+    (["explain", "--model", "tree"], {"subgroup", "viz", "numpy.random"}),
+    (["bar", "--source", "tree"], {"data", "models", "subgroup", "numpy.random"}),
 ], ids=["report", "train", "explain", "bar"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
     code = (f"from shappaths.cli import main; "

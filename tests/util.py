@@ -10,8 +10,9 @@ AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.22507385850720
            1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
            0.1, 1 / 3, -2 / 3, 0.30000000000000004, 123456789.12345679, 9007199254740993.0]
 
-# names that a CSV writer must quote: a delimiter, a quote and a line break
-QUOTED_FEATURES = ("a,b", 'say "hi"', "two\nlines", "plain")
+# names that a CSV writer must quote: a delimiter, a quote and a line break,
+# a lone carriage return included
+QUOTED_FEATURES = ("a,b", 'say "hi"', "two\nlines", "lone\rreturn")
 QUOTED_CLASSES = ('x,"y"', "multi\nline", "c")
 
 
