@@ -29,8 +29,8 @@ from typing import NamedTuple
 from . import __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
-from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, config_hash, read_manifest,
-                       resolve_config)
+from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, artifact_file, config_hash,
+                       read_manifest, resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def cmd_ingest(args) -> int:
         train_idx, test_idx = split_indices(
             ds.labels, SplitSpec(train_fraction=ds_cfg["train_fraction"],
                                  stratified=ds_cfg["stratified"], seed=config["seed"]))
-        write_csv(ds, manifest.set_artifact("dataset_csv", "dataset.csv"),
+        write_csv(ds, manifest.set_artifact("dataset_csv"),
                   target_column_name="__target__")
         meta = {
             "n": ds.n, "p": ds.p, "k": ds.k,
@@ -257,7 +257,7 @@ def cmd_ingest(args) -> int:
             "split": {"train": train_idx.tolist(), "test": test_idx.tolist()},
             "provenance": provenance,
         }
-        _write_json(manifest.set_artifact("dataset_manifest", "dataset.json"), meta)
+        _write_json(manifest.set_artifact("dataset_manifest"), meta)
         print(f"dataset: n={ds.n} p={ds.p} k={ds.k} "
               f"(train {train_idx.size} / test {test_idx.size}) -> {manifest.run_dir}")
     return EXIT_OK
@@ -310,7 +310,7 @@ def cmd_train(args) -> int:
         start = time.perf_counter()
         model = _train_one(kind, manifest.config["models"][kind], train,
                            manifest.config["seed"])
-        save_model(model, manifest.run_dir / f"model_{kind}.json")
+        save_model(model, manifest.run_dir / artifact_file(f"model_{kind}"))
         report = evaluate(model, test)
         return ({"accuracy": report.accuracy, "classes": report.as_rows()},
                 time.perf_counter() - start)
@@ -331,10 +331,10 @@ def cmd_train(args) -> int:
         if isinstance(outcome, Exception):
             raise outcome
         metrics[kind], seconds = outcome
-        manifest.set_artifact(f"model_{kind}", f"model_{kind}.json")
+        manifest.set_artifact(f"model_{kind}")
         print(f"train {kind}: test accuracy {metrics[kind]['accuracy']:.3f}")
         manifest.record_stage(f"train.{kind}", seconds)
-    _write_json(manifest.set_artifact("metrics", "metrics.json"), metrics)
+    _write_json(manifest.set_artifact("metrics"), metrics)
     manifest.save()
     return EXIT_OK
 
@@ -366,8 +366,8 @@ def cmd_explain(args) -> int:
                                      feature_names=ds.feature_names,
                                      class_names=ds.class_names, sample_ids=rows)
             save_tensor(tensor,
-                        manifest.set_artifact(f"shap_{kind}", f"shap_{kind}.json"),
-                        manifest.set_artifact(f"shap_{kind}_csv", f"shap_{kind}.csv"))
+                        manifest.set_artifact(f"shap_{kind}"),
+                        manifest.set_artifact(f"shap_{kind}_csv"))
             gap = np.abs(tensor.values.sum(axis=1)
                          - (model.predict_margin(X) - tensor.base)).max()
             print(f"explain {kind} [{method}]: n={tensor.n} "
@@ -400,13 +400,13 @@ def cmd_cluster(args) -> int:
         labeling = hdbscan(flatten(tensor),
                            HdbscanParams(min_cluster_size=cfg["min_cluster_size"],
                                          min_samples=cfg["min_samples"]))
-        _write_rows(manifest.set_artifact("clusters", "clusters.csv"), ["label", "stability"],
+        _write_rows(manifest.set_artifact("clusters"), ["label", "stability"],
                     tensor.sample_ids,
                     ([str(int(lab)), "" if lab == -1 else repr(float(labeling.stability[lab]))]
                      for lab in labeling.labels))
         truth = ds.labels[tensor.sample_ids]
         report = cluster_purity(labeling, truth)
-        _write_json(manifest.set_artifact("purity", "purity.json"),
+        _write_json(manifest.set_artifact("purity"),
                     {"source": source,
                      "n_clusters": labeling.n_clusters,
                      "noise": report.noise_count,
@@ -441,7 +441,7 @@ def cmd_embed(args) -> int:
         flat = flatten(tensor)
         model = pca_fit(flat, r=2)
         scores = pca_transform(model, flat)
-        path = manifest.set_artifact("embedding", "embed.csv")
+        path = manifest.set_artifact("embedding")
         _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
                     ([repr(float(v)) for v in row] for row in scores))
         if manifest.has("clusters"):
@@ -452,7 +452,7 @@ def cmd_embed(args) -> int:
             title = f"SHAP embedding [{source}] by class"
         svg = pca_scatter(scores, colors, _plot_spec(manifest), label_names=names,
                           title=title)
-        _write_text(manifest.set_artifact("scatter_svg", "scatter.svg"), svg)
+        _write_text(manifest.set_artifact("scatter_svg"), svg)
         print(f"embed [{source}]: wrote {path.name} and scatter.svg")
     return EXIT_OK
 
@@ -476,8 +476,8 @@ def cmd_waterfall(args) -> int:
             svg = render_paths(projected, spec, feature_names=tensor.feature_names,
                                footnote=footnote)
             name = f"waterfall_clustered_{source}"
-            _write_text(manifest.set_artifact(f"{name}_svg", f"{name}.svg"), svg)
-            _write_text(manifest.set_artifact(f"{name}_csv", f"{name}.csv"),
+            _write_text(manifest.set_artifact(f"{name}_svg"), svg)
+            _write_text(manifest.set_artifact(f"{name}_csv"),
                         paths_to_csv(projected, feature_names=tensor.feature_names))
             print(f"waterfall [{source}]: {len(projected)} clustered paths")
     else:
@@ -486,7 +486,7 @@ def cmd_waterfall(args) -> int:
         with manifest.stage("waterfall.classical"):
             svg = classical_waterfall(tensor, sample, class_index, spec)
             name = f"waterfall_{source}_s{sample}_c{class_index}"
-            _write_text(manifest.set_artifact(f"{name}_svg", f"{name}.svg"), svg)
+            _write_text(manifest.set_artifact(f"{name}_svg"), svg)
             print(f"waterfall [{source}]: sample {sample}, class {class_index}")
     return EXIT_OK
 
@@ -498,7 +498,7 @@ def cmd_bar(args) -> int:
         svg = stacked_bar(mean_abs(tensor), _plot_spec(manifest),
                           feature_names=tensor.feature_names,
                           class_names=tensor.class_names)
-        _write_text(manifest.set_artifact(f"bar_{source}_svg", f"bar_{source}.svg"), svg)
+        _write_text(manifest.set_artifact(f"bar_{source}_svg"), svg)
         print(f"bar [{source}]: wrote bar_{source}.svg")
     return EXIT_OK
 
@@ -515,7 +515,7 @@ def cmd_heatmap(args) -> int:
         explained = ds.take(tensor.sample_ids)
         svg = cluster_heatmap(explained, labeling, feature_subset=[int(j) for j in order],
                               spec=spec)
-        _write_text(manifest.set_artifact("heatmap_svg", "heatmap.svg"), svg)
+        _write_text(manifest.set_artifact("heatmap_svg"), svg)
         print(f"heatmap: {labeling.n_clusters} clusters x {order.size} features")
     return EXIT_OK
 
@@ -533,7 +533,7 @@ def cmd_report(args) -> int:
             hint="incomplete run, missing stages: " + ", ".join(missing))
     with manifest.stage("report"):
         html = _render_report(manifest)
-        path = manifest.set_artifact("report", "report.html")
+        path = manifest.set_artifact("report")
         _write_text(path, html)
         print(f"report: {path}")
     return EXIT_OK

@@ -308,7 +308,7 @@ def load_idx_images(images_path, labels_path) -> Dataset:
                         f"vs {labels.shape[0]} labels")
     n = images.shape[0]
     flat = images.reshape(n, -1).astype(float)
-    digits = sorted(int(d) for d in np.unique(labels))
+    digits = sorted(set(labels.tolist()))
     if len(digits) < 2:
         raise DataError("need at least two distinct labels")
     remap = {d: i for i, d in enumerate(digits)}

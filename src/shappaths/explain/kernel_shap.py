@@ -17,21 +17,27 @@ its complement. The normal matrix of the regression depends only on the
 coalitions and weights, so it is built once and solved for every sample
 and class in one call.
 
-A sample's coalition values come from blocks of masked rows,
-background-major within a block; the boolean coalition mask and the
-background repeated to a block's shape are built once per call, before
-any worker forks. One evaluator reads every model as three stages: an
-affine input stage, a nonlinear body and an affine head. Masking is
-affine in the input (a masked row is z*x + (1-z)*bg), so the evaluator
-splits an MLP into its first layer, its rectified middle and its last
-layer itself: the masked-off background times the first layer is built
-once per block for a group of samples, each sample adds its own kept
-features times that layer, the body runs on the block's rows and the
-last layer on the background means. Every other model has identity ends
-around predict_margin: per sample and block one np.where, the model call
-and one sum over the background, with values byte-identical to a
-coalition-major loop that took a mean per block; the MLP's differ from
-it by rounding only.
+A sample's coalition values come from blocks of whole coalitions, each
+walked in chunks of background rows, background-major within a chunk; a
+coalition's sum over the background is added up chunk by chunk. The
+boolean coalition mask is built once per call, before any worker forks,
+and every model masks a chunk by broadcasting its background rows over
+the block's coalitions. Masking is affine in the input (a masked row is
+z*x + (1-z)*bg), so an MLP's first layer splits into a shared term s,
+the masked-off background times the layer, built once per chunk for a
+group of samples, and the sample's own term o, its kept features times
+the layer plus the bias, which is constant over the background. The two
+are never added: ReLU(s + o) = max(s, -o) + o, so the first hidden
+activation is one maximum against -o, each further hidden layer a
+product and a maximum against its offset c = c_prev W + b, carried per
+sample and coalition with no background axis, and the last offset is
+added to the background means just before the last layer. An MLP's
+chunks are a few background rows under many coalitions, so each of those
+passes runs over long rows. Every other model has identity ends around
+predict_margin and one whole-background chunk per block: per sample and
+block one np.where, the model call and one sum over the background, with
+values byte-identical to a coalition-major loop that took a mean per
+block; the MLP's differ from it by rounding only.
 
 The right-hand side of that solve is one column block per sample, filled
 by the same per-sample code in up to MAX_WORKERS processes through the
@@ -63,19 +69,21 @@ log = logging.getLogger(__name__)
 
 DEFAULT_COALITIONS = 2048
 DEFAULT_BACKGROUND = 100
-# masked rows per model call (whole coalitions), background-major: row
-# i * nz + j is background row i under the block's coalition j. Blocks this
+# masked rows per model call or MLP chunk (whole coalitions), background-major:
+# row i * nz + j is background row i under the block's coalition j. Blocks this
 # small keep the activations in cache and each matrix product below
 # OpenBLAS's multithreading size, so each worker's model evaluation runs on
 # its own core without page faults or BLAS threads competing with the others.
-# Also the rows of each bias and zero tile an MLP's body uses.
 _BLOCK_ROWS = 512
+# background rows per chunk of an MLP's block, whose _BLOCK_ROWS // _CHUNK
+# coalitions make each element-wise pass run over long rows of them
+_CHUNK = 10
 # coalition values one process holds at once (384 KB): the samples that share
-# each block's masked-off background times an MLP's first layer number
+# each chunk's masked-off background times an MLP's first layer number
 # _GROUP_VALUES // (coalitions * classes)
 _GROUP_VALUES = 3 << 14
-# samples whose blocks go through the model's body in one call
-_STACK = 2
+# samples whose blocks go through the model in one call
+_STACK = 4
 # processes that fill the right-hand side at once, the parent included
 MAX_WORKERS = 4
 # model evaluations one explanation may make: (coalitions + 1) * background * rows
@@ -125,8 +133,13 @@ def sample_coalitions(p: int, budget: int, rng: np.random.Generator):
             z[members] = 1.0
             drawn.append(z)
             drawn.append(1.0 - z)
-        uniq, counts = np.unique(np.array(drawn), axis=0, return_counts=True)
-        blocks.append(uniq)
+        # the distinct draws in lexicographic order (column 0 first) and
+        # their counts, as np.unique(axis=0) gives them without loading numpy.ma
+        drawn = np.array(drawn)
+        drawn = drawn[np.lexsort(drawn.T[::-1])]
+        first = np.flatnonzero(np.concatenate(([True], (drawn[1:] != drawn[:-1]).any(axis=1))))
+        counts = np.diff(np.append(first, len(drawn)))
+        blocks.append(drawn[first])
         weights.append(mass.sum() * counts / counts.sum())
     if not blocks:
         raise InvalidSpecError(f"coalition budget {budget} cannot cover the smallest "
@@ -134,103 +147,91 @@ def sample_coalitions(p: int, budget: int, rng: np.random.Generator):
     return np.vstack(blocks), np.concatenate(weights)
 
 
-def _mlp_stages(mlp):
-    """An MLP as (first, body, last): the first layer's (W, b); the
-    rectified middle, a function of the first layer's outputs (rows, or a
-    stack of row blocks, each multiplied on its own) that overwrites them;
-    and the last layer's (W, b), None when the first layer is also the last.
-
-    The body is ReLU, then each hidden layer ``a @ W + b`` and its ReLU. It
-    adds each bias from a tile of _BLOCK_ROWS rows and takes each ReLU as
-    the maximum against a zero tile, in place: the same operations and
-    bytes as the MLP's own forward pass, which broadcasts, at a fraction of
-    the cost on the small blocks evaluated here. The tiles are built once
-    per call of this function.
-    """
-    weights, biases = mlp.weights, mlp.biases
-    hidden = biases[:-1]
-    tiles = [np.tile(b, (_BLOCK_ROWS, 1)) for b in hidden[1:]]
-    zero = np.zeros(_BLOCK_ROWS * max((b.shape[0] for b in hidden), default=0))
-    zeros = [zero[:_BLOCK_ROWS * b.shape[0]].reshape(_BLOCK_ROWS, -1) for b in hidden]
-
-    def body(a: np.ndarray) -> np.ndarray:
-        for i, zero in enumerate(zeros):
-            if i:
-                a = a @ weights[i]
-            for start in range(0, a.shape[-2], _BLOCK_ROWS):
-                rows = a[..., start:start + _BLOCK_ROWS, :]
-                if i:
-                    rows += tiles[i - 1][:rows.shape[-2]]
-                np.maximum(rows, zero[:rows.shape[-2]], out=rows)
-        return a
-
-    last = None if len(weights) == 1 else (weights[-1], biases[-1])
-    return (weights[0], biases[0]), body, last
-
-
 class _CoalitionValues:
-    """The mean margins of samples under every coalition, from the model's
-    three stages (see the module docstring): an MLP's from ``_mlp_stages``,
-    identity ends around ``predict_margin`` for every other model.
+    """The mean margins of samples under every coalition (see the module
+    docstring): an MLP's from its layers, with each sample's own
+    first-layer term carried as an offset; identity ends around
+    ``predict_margin`` for every other model.
 
-    Each block takes the next ``width`` coalitions, row i * nz + j being
-    background row i under the block's coalition j, so a coalition's mean
-    is a sum over the outer axis. A call fills the values of a group of
-    samples block by block, and the body takes the blocks of _STACK
-    samples at a time. Each sample's blocks are multiplied on their own
-    (numpy's matmul makes one product per slice of a stack), so its values
-    do not depend on which samples share its group or its stack.
+    Each block takes the next ``width`` coalitions and walks the background
+    in chunks, row i * nz + j of a chunk being its background row i under
+    the block's coalition j, so a coalition's mean is a sum over the outer
+    axis, added up chunk by chunk. An MLP's chunks are _CHUNK rows, every
+    other model's the whole background. A call fills the values of a group
+    of samples block by block, _STACK samples at a time. Each sample's
+    blocks are multiplied on their own (numpy's matmul makes one product
+    per slice of a stack), so its values do not depend on which samples
+    share its group or its stack.
     """
 
     def __init__(self, model, coalitions: np.ndarray, background: np.ndarray):
         from ..models.mlp import Mlp  # here, so loading this module loads no models layer
 
-        if isinstance(model, Mlp):
-            self.first, self.body, self.last = _mlp_stages(model)
-        else:
-            predict = model.predict_margin
-            self.first, self.last = None, None
-            self.body = lambda blocks: np.stack([predict(rows) for rows in blocks])
         m = background.shape[0]
-        width = min(max(1, _BLOCK_ROWS // m), coalitions.shape[0])
+        if isinstance(model, Mlp) and len(model.weights) > 1:
+            self.layers = layers = list(zip(model.weights, model.biases))
+            self.chunk = min(m, _CHUNK)
+        else:  # a network with no hidden layer is affine, so predict_margin serves
+            self.layers = layers = None
+            self.predict, self.chunk = model.predict_margin, m
+        self.width = min(max(1, _BLOCK_ROWS // self.chunk), coalitions.shape[0])
         self.mask = coalitions == 1.0
-        self.rep = np.repeat(background[:, None, :], width, axis=1)
-        if self.first is not None:
-            # the input-stage rows of a stack of samples, refilled per block
-            self.rows = np.empty(_STACK * m * width * self.first[0].shape[1])
-            self.mean = np.full(m, 1.0 / m)
+        self.background = background
 
     def __call__(self, xs: np.ndarray, out: np.ndarray) -> None:
         """Fill out[s] (n_coalitions, k) with the mean margins of xs[s]."""
-        rep, body, first, last = self.rep, self.body, self.first, self.last
-        m, width, p = rep.shape
+        chunk, layers, width = self.chunk, self.layers, self.width
+        m, p = self.background.shape
+        n = len(xs)
         # each sample tiled like the mask, so np.where runs whole blocks
         xt = np.repeat(xs[:, None, :], width, axis=1)
+        if layers:
+            # the background sums of the last hidden layer, and the stacks'
+            # first hidden activations, refilled per chunk
+            sums = np.empty((n, width, layers[-1][0].shape[0]))
+            buf = np.empty(_STACK * chunk * width * layers[0][0].shape[1])
         for start in range(0, self.mask.shape[0], width):
             z = self.mask[start:start + width]
             nz = z.shape[0]
-            if first is not None:
-                W, b = first
-                shared = np.where(z, 0.0, rep[:, :nz]).reshape(-1, p) @ W
-                shared += b
-                shared = shared.reshape(m, nz, -1)
-                summed = self.rows[:_STACK * shared.size].reshape(_STACK, *shared.shape)
-                # numpy multiplies each sample's (nz, p) slice on its own
-                own = np.where(z, xt[:, :nz], 0.0) @ W
-            for lo in range(0, len(xs), _STACK):
-                v = out[lo:min(lo + _STACK, len(xs)), start:start + nz]
-                ns = v.shape[0]
-                if first is None:
-                    rows = np.where(z, xt[lo:lo + ns, None, :nz], rep[:, :nz])
-                else:
-                    rows = np.add(shared, own[lo:lo + ns, None], out=summed[:ns])
-                acts = body(rows.reshape(ns, m * nz, -1)).reshape(ns, m, -1)
-                if last is None:
-                    np.add.reduce(acts.reshape(ns, m, nz, -1), axis=1, out=v)
-                    v /= m
-                else:
-                    means = (self.mean @ acts).reshape(ns, nz, -1)
-                    np.add(means @ last[0], last[1], out=v)
+            v = out[:n, start:start + nz]
+            if layers:
+                # ReLU(s + c) = max(s, -c) + c: each hidden layer's
+                # activations are kept less their offset c, which the
+                # sample's kept features and the biases give per coalition
+                c, negs = np.where(z, xt[:, :nz], 0.0), []
+                for W, b in layers[:-1]:
+                    c = c @ W
+                    c += b
+                    negs.append(np.negative(c))
+                acc = sums[:, :nz]
+            else:
+                acc = v
+            for lo in range(0, m, chunk):
+                rows = min(chunk, m - lo)
+                bg = self.background[lo:lo + rows, None, :]
+                if layers:
+                    shared = np.where(z, 0.0, bg)
+                    shared = (shared.reshape(-1, p) @ layers[0][0]).reshape(rows, nz, -1)
+                for s in range(0, n, _STACK):
+                    ns = min(_STACK, n - s)
+                    if layers:
+                        acts = np.maximum(shared, negs[0][s:s + ns, None],
+                                          out=buf[:ns * shared.size].reshape(ns, *shared.shape))
+                        for (W, _), neg in zip(layers[1:-1], negs[1:]):
+                            acts = (acts.reshape(ns, rows * nz, -1) @ W).reshape(ns, rows, nz, -1)
+                            np.maximum(acts, neg[s:s + ns, None], out=acts)
+                    else:
+                        masked = np.where(z, xt[s:s + ns, None, :nz], bg).reshape(ns, -1, p)
+                        acts = np.stack([self.predict(r) for r in masked])
+                    acts = acts.reshape(ns, rows, nz, -1)
+                    if lo:
+                        acc[s:s + ns] += np.add.reduce(acts, axis=1)
+                    else:
+                        np.add.reduce(acts, axis=1, out=acc[s:s + ns])
+            acc /= m
+            if layers:
+                acc -= negs[-1]
+                np.add(acc @ layers[-1][0], layers[-1][1], out=v)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

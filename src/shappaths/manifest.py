@@ -165,6 +165,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# the artifacts not written to <stem>.csv or <stem>.svg (a name ending in
+# _csv or _svg) or to <name>.json (every other name)
+_FILES = {"dataset_manifest": "dataset.json", "clusters": "clusters.csv",
+          "embedding": "embed.csv", "report": "report.html"}
+
+
+def artifact_file(name: str) -> str:
+    """The file artifact ``name`` is written to, in the run directory."""
+    stem, _, ext = name.rpartition("_")
+    return _FILES.get(name) or (f"{stem}.{ext}" if ext in ("csv", "svg") else f"{name}.json")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -222,16 +234,16 @@ class RunManifest:
             json.dump(ordered, fh, indent=1, sort_keys=False)
             fh.write("\n")
 
-    def set_artifact(self, name: str, filename: str) -> Path:
+    def set_artifact(self, name: str) -> Path:
         """The path to write artifact ``name`` to; the next save digests it."""
-        self.state["artifacts"][name] = filename
+        filename = self.state["artifacts"][name] = artifact_file(name)
         self._written.add(name)
         return self.run_dir / filename
 
     def require(self, name: str, hint: str = "") -> Path:
         """The path of artifact ``name``, once its bytes match the recorded digest."""
         filename = self.state["artifacts"].get(name)
-        path = self.run_dir / (filename or f"{name}.json")
+        path = self.run_dir / (filename or artifact_file(name))
         if filename is None or not path.exists():
             raise MissingArtifactError(path, hint=hint)
         digest = self.state["digests"].get(name)

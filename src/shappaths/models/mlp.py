@@ -5,7 +5,7 @@ the raw logits of a softmax cross-entropy objective. Weight gradients come
 from standard backpropagation; ``loss_and_grads`` is exposed separately so
 the analytic gradients can be checked against finite differences. Both it
 and ``predict_margin`` run the one forward pass, ``_forward``; Kernel SHAP
-splits the network into stages itself (explain/kernel_shap.py).
+evaluates the layers itself (explain/kernel_shap.py).
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
         return np.bincount(y[rows], minlength=k) / rows.size
 
     def gini_gains(rows):
-        if np.unique(y[rows]).size == 1:
+        if np.count_nonzero(np.bincount(y[rows])) == 1:
             return None
 
         def gain_fn(order):

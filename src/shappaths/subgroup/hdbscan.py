@@ -332,7 +332,13 @@ def labels_from_tree(tree: CondensedTree, n: int) -> ClusterLabeling:
         nearest[c] = c if tree.selected[c] else (-1 if up == -1 else nearest[up])
     raw = nearest[tree.member_cluster]
 
-    chosen, first_member = np.unique(raw, return_index=True)
+    # the distinct ids, ascending, and where each first occurs
+    order = np.argsort(raw, kind="stable")
+    ids = raw[order]
+    first = np.empty(ids.shape, dtype=bool)
+    first[:1] = True
+    first[1:] = ids[1:] != ids[:-1]
+    chosen, first_member = ids[first], order[first]
     keep = chosen != -1
     chosen, first_member = chosen[keep], first_member[keep]
     if not chosen.size:

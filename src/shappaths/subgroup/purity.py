@@ -34,8 +34,8 @@ def cluster_purity(labeling, truth) -> PurityReport:
     if truth.min() < 0:
         raise DataError("truth labels must be nonnegative integers")
     n_classes = int(truth.max()) + 1
-    clusters = np.unique(labels[labels >= 0])
-    n_clusters = int(clusters.max()) + 1 if clusters.size else 0
+    clustered = labels[labels >= 0]
+    n_clusters = int(clustered.max()) + 1 if clustered.size else 0
     table = np.zeros((n_clusters, n_classes), dtype=int)
     for c, t in zip(labels, truth):
         if c >= 0:

@@ -78,7 +78,7 @@ def cluster_heatmap(ds, labeling, feature_subset=None,
     if labels.shape != (ds.n,):
         raise DataError(f"labels must have length {ds.n}")
     features = list(feature_subset) if feature_subset is not None else list(range(ds.p))
-    clusters = [int(c) for c in np.unique(labels) if c != -1]
+    clusters = [c for c in sorted(set(labels.tolist())) if c != -1]
     global_mean = ds.features[:, features].mean(axis=0)
     cells = np.zeros((len(clusters), len(features)))
     for i, c in enumerate(clusters):
@@ -136,7 +136,7 @@ def pca_scatter(scores: np.ndarray, labels, spec: PlotSpec = PlotSpec(),
         x, y = pix(pt)
         canvas.circle(x, y, 2.4, fill=color, cls="point")
     legend_x = left + plot_w + 12
-    present = [int(v) for v in np.unique(labels)]
+    present = sorted(set(labels.tolist()))
     for i, v in enumerate(present):
         y = top + 16 + i * 16
         color = NOISE if v == -1 else PALETTE[v % len(PALETTE)]

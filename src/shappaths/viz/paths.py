@@ -59,7 +59,7 @@ def _groups_from(grouping, n: int) -> list[tuple[str, np.ndarray]]:
         raise DataError(f"grouping labels must have length {n}")
     named = "cluster" if hasattr(grouping, "labels") else "group"
     groups = []
-    for value in np.unique(labels):
+    for value in sorted(set(labels.tolist())):
         if value == -1:  # noise is excluded from group averages
             continue
         groups.append((f"{named} {value}", np.flatnonzero(labels == value)))
@@ -121,7 +121,7 @@ def project_paths(paths: list[WaterfallPath],
         return projected, None
 
     pool = np.vstack([np.vstack([s for _, s in path.entries]) for path in paths])
-    if np.unique(pool, axis=0).shape[0] < 2:
+    if (pool[1:] == pool[:1]).all():
         raise DataError("need at least 2 distinct segment vectors to fit a projection")
     axes = min(r, k)
     model = pca_fit(pool, min(axes, pool.shape[0] - 1))

@@ -63,6 +63,22 @@ def test_train_before_dataset_is_missing_artifact(cfg_file, tmp_path):
     assert run(cfg_file, tmp_path / "r2", "train") == 3
 
 
+def test_train_in_an_empty_run_names_the_dataset_file(cfg_file, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run(cfg_file, out, "train") == 3
+    assert f"expected {out / 'dataset.csv'} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["heatmap"], ["waterfall", "--clustered"]])
+def test_clusters_before_cluster_names_the_clusters_file(cfg_file, tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    for cmd in (["simulate"], ["train", "--model", "tree"], ["explain", "--model", "tree"]):
+        assert run(cfg_file, out, *cmd) == 0, cmd
+    capsys.readouterr()
+    assert run(cfg_file, out, *argv, "--source", "tree") == 3
+    assert f"expected {out / 'clusters.csv'} " in capsys.readouterr().err
+
+
 def test_config_hash_mismatch_rejected(cfg_file, tmp_path):
     out = tmp_path / "r"
     assert run(cfg_file, out, "simulate") == 0

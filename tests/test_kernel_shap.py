@@ -14,7 +14,7 @@ from shappaths import Background, kernel_shap, sample_background, train_mlp
 from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
-from shappaths.models.mlp import init_mlp
+from shappaths.models.mlp import Mlp, init_mlp
 from shappaths.rng import generator
 from util import ConstantModel, LinearModel, random_tree
 
@@ -270,11 +270,12 @@ def test_values_byte_identical_for_any_worker_count(workers, budget, n):
 @pytest.mark.parametrize("m", [40, 600])
 def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, budget, m):
     """The evaluator's coalition values against the coalition-major loop
-    that took a mean per block: the same bytes for a tree, whose stages
-    have identity ends, and within 1e-12 for the MLP, whose staged
-    evaluation reassociates its sums. kernel_shap gives the same values
-    from either loop, for 1 and 2 workers. m = 40 leaves a short last
-    block; m = 600 puts one coalition in each block."""
+    that took a mean per block: the same bytes for a tree, evaluated
+    through predict_margin on the whole background, and within 1e-12 for
+    the MLP, whose offsets and background chunks reassociate its sums.
+    kernel_shap gives the same values from either loop, for 1 and 2
+    workers. For the tree m = 40 leaves a short last block and m = 600 puts
+    one coalition in each block; the MLP takes 4 and 60 chunks."""
     ks = importlib.import_module("shappaths.explain.kernel_shap")
     rng = np.random.default_rng(13)
     mlp = init_mlp((6, 8, 3), rng)
@@ -322,21 +323,20 @@ def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, b
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("m", [40, 600])
-@pytest.mark.parametrize("sizes", [(5, 3), (5, 8, 3), (5, 8, 6, 3)],
-                         ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize("m", [7, 40, 101, 600])
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 8, 3), (5, 8, 6, 3), (5, 8, 6, 7, 3)],
+                         ids=["0-hidden", "1-hidden", "2-hidden", "3-hidden"])
 def test_exact_kernel_shap_on_mlps_of_any_depth(workers, sizes, m):
-    """The staged MLP from no hidden layer (identity body, no last stage)
-    to two (a bias tile added in the body) against the interventional
-    oracle and the coalition-major loop, byte-equal for 1 and 2 workers.
-    m = 600 puts one coalition in each block of 600 rows, which the body
-    rectifies in two tiles."""
+    """MLPs from no hidden layer (affine, evaluated through predict_margin)
+    to three (two offsets carried past the first) against the
+    interventional oracle and the coalition-major loop, byte-equal for 1
+    and 2 workers. m = 7 is one chunk of fewer than _CHUNK rows; 40 is
+    whole chunks; 101 and 600 leave a last chunk of one row and of none."""
     ks = importlib.import_module("shappaths.explain.kernel_shap")
     rng = np.random.default_rng(15)
     model = init_mlp(sizes, rng)
     for b in model.biases:
         b[:] = rng.normal(size=b.shape)
-    assert (ks._mlp_stages(model)[2] is None) == (len(sizes) == 2)
     bg = Background(rng.normal(size=(m, 5)))
     X = rng.normal(size=(3, 5))
     coalitions, _ = sample_coalitions(5, 2 ** 5 - 2, generator(0, "shap.kernel"))
@@ -354,6 +354,38 @@ def test_exact_kernel_shap_on_mlps_of_any_depth(workers, sizes, m):
     for x, phi in zip(X, out[0].values):
         assert np.abs(phi - brute_shapley_interventional(model, x, bg.data)).max() < 1e-6
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("m", [4, 13])
+def test_dead_first_layer_gives_the_bias_only_values(m):
+    """When a sample's own term drives every first-layer unit to or below
+    zero, for every coalition and background row, ReLU(s + o) = max(s, -o)
+    + o is 0 and the coalition values are those of the bias-only path,
+    ReLU(b1) W2 + b2, for every coalition, the empty and the full one
+    included. The units reach exactly zero (s = -o) wherever a masked row
+    sums to 5. The weights and inputs are small integers, so every sum is
+    exact and the values are compared bit for bit; m = 13 takes a second,
+    3-row chunk."""
+    ks = importlib.import_module("shappaths.explain.kernel_shap")
+    units = np.arange(1.0, 4.0)
+    # first-layer unit j is units[j] * (x0 + x1 - 5): at most 0 when x0 + x1 <= 5
+    model = Mlp((2, 3, 4, 2), [np.vstack([units, units]), np.array(
+        [[1.0, -2.0, 3.0, 0.0], [2.0, 1.0, -1.0, 4.0], [-3.0, 2.0, 1.0, 1.0]]),
+        np.array([[1.0, -1.0], [2.0, 0.0], [-1.0, 3.0], [1.0, 1.0]])],
+        [-5.0 * units, np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.25, -1.0])])
+    rows = [[3.0, 2.0], [3.0, -1.0], [-4.0, 1.0], [2.0, -3.0], [1.0, 1.0], [-2.0, 2.0]]
+    bg = np.array([rows[i % len(rows)] for i in range(m)])
+    X = np.array([[3.0, 2.0], [-1.0, 0.0], [0.0, -6.0]])
+    coalitions = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    masked = np.where(coalitions[:, None, None, :] == 1.0, X[None, :, None, :], bg)
+    assert (masked.sum(axis=-1) <= 5.0).all() and (masked.sum(axis=-1) == 5.0).any()
+    values = np.empty((3, 4, 2))
+    ks._CoalitionValues(model, coalitions, bg)(X, values)
+    bias_only = np.maximum(model.biases[1], 0.0) @ model.weights[2] + model.biases[2]
+    assert values.tobytes() == np.broadcast_to(bias_only, values.shape).tobytes()
+    for x, v in zip(X, values):
+        assert np.array_equal(v, blocked_coalition_values(model, x, coalitions, bg,
+                                                          ks._BLOCK_ROWS))
 
 
 def test_one_cpu_never_forks(monkeypatch):
@@ -450,21 +482,16 @@ def test_evaluator_memory_does_not_grow_with_coalitions_times_background():
 
 
 def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, capfd):
-    # the workers evaluate the MLP through the body its staging returns
+    # the workers evaluate the MLP through the one coalition evaluator
     ks = importlib.import_module("shappaths.explain.kernel_shap")
-    parent, stages = os.getpid(), ks._mlp_stages
+    parent, evaluate = os.getpid(), ks._CoalitionValues.__call__
 
-    def stages_failing_in_workers(mlp):
-        first, body, last = stages(mlp)
+    def evaluate_in_parent_only(self, xs, out):
+        if os.getpid() != parent:
+            raise RuntimeError("model failed in a worker")
+        return evaluate(self, xs, out)
 
-        def body_in_parent_only(a):
-            if os.getpid() != parent:
-                raise RuntimeError("model failed in a worker")
-            return body(a)
-
-        return first, body_in_parent_only, last
-
-    monkeypatch.setattr(ks, "_mlp_stages", stages_failing_in_workers)
+    monkeypatch.setattr(ks._CoalitionValues, "__call__", evaluate_in_parent_only)
     workers(2)
     assert main(["explain", "--out", str(mlp_run)]) == 4
     err = capfd.readouterr().err

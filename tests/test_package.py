@@ -39,12 +39,13 @@ def test_cli_import_loads_no_process_pool():
 
 LAYERS = ("data", "models", "explain", "subgroup", "viz")
 _PRINT_LOADED = ("; print(json.dumps([m.split('.')[1] if m.startswith('shappaths.') else m "
-                 "for m in sys.modules if m in ('numpy', 'numpy.random') "
+                 "for m in sys.modules if m in ('numpy', 'numpy.random', 'numpy.ma') "
                  "or m.startswith('shappaths.')]))")
 
 
 def _loaded_after(code: str) -> set[str]:
-    """numpy, numpy.random and the shappaths layers in sys.modules after ``code``."""
+    """numpy, numpy.random, numpy.ma and the shappaths layers in sys.modules
+    after ``code``."""
     out = _python("import json, sys; " + code + _PRINT_LOADED)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
@@ -62,7 +63,7 @@ def tree_run(tmp_path_factory) -> Path:
 
     out = tmp_path_factory.mktemp("layers") / "run"
     for argv in (["simulate", "--n", "80"], ["train", "--model", "tree"],
-                 ["explain", "--model", "tree"]):
+                 ["explain", "--model", "tree"], ["cluster", "--source", "tree"]):
         assert main([*argv, "--out", str(out)]) == 0, argv
     return out
 
@@ -71,12 +72,36 @@ def tree_run(tmp_path_factory) -> Path:
     (["report"], {"numpy", *LAYERS}),
     (["train", "--model", "tree"], {"explain", "subgroup", "viz"}),
     (["explain", "--model", "tree"], {"subgroup", "viz", "numpy.random"}),
+    (["cluster", "--source", "tree"], {"models", "viz"}),
+    (["embed", "--source", "tree"], {"models"}),
+    (["waterfall", "--clustered", "--source", "tree"], {"data", "models"}),
     (["bar", "--source", "tree"], {"data", "models", "subgroup", "numpy.random"}),
-], ids=["report", "train", "explain", "bar"])
+    (["heatmap", "--source", "tree"], {"models"}),
+], ids=["report", "train", "explain", "cluster", "embed", "waterfall-clustered", "bar",
+        "heatmap"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
+    """No command loads numpy.ma either: numpy's first np.unique does, at
+    about 6 ms per process."""
     code = (f"from shappaths.cli import main; "
             f"assert main({[*argv, '--out', str(tree_run)]!r}) == 0")
-    assert _loaded_after(code) & not_loaded == set()
+    assert _loaded_after(code) & (not_loaded | {"numpy.ma"}) == set()
+
+
+def test_sampled_coalitions_and_idx_labels_load_no_numpy_ma(tmp_path):
+    """The two other paths that took np.unique: Kernel SHAP's sampled
+    coalitions (`explain` of an MLP on many features) and `load --idx`."""
+    import struct
+
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(range(16)))
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([7, 3, 7, 1]))
+    code = ("import numpy as np; "
+            "from shappaths.explain.kernel_shap import sample_coalitions; "
+            "from shappaths.data import load_idx_images; "
+            "assert sample_coalitions(10, 30, np.random.default_rng(0))[0].shape[0] > 20; "
+            f"assert load_idx_images({str(images)!r}, {str(labels)!r}).class_names "
+            "== ('1', '3', '7')")
+    assert "numpy.ma" not in _loaded_after(code)
 
 
 def test_tracer_finds_the_names_it_wraps(tmp_path):
