@@ -40,29 +40,27 @@ values byte-identical to a coalition-major loop that took a mean per
 block; the MLP's differ from it by rounding only.
 
 The right-hand side of that solve is one column block per sample, filled
-by the same per-sample code in up to MAX_WORKERS processes through the
-package's one fork helper (``shappaths.workers.run_forked``): the parent
-fills the first contiguous chunk of samples and forked children the
-others, each writing its columns into one shared anonymous mmap. The
-worker count is the CPUs this process may run on, capped at MAX_WORKERS
-and at n, and 1 where fork or CPU affinity is unavailable. It changes
-which process computes a column, never how, so the values are
-byte-identical for any worker count and the count is not configurable.
+by the same per-sample code through the package's one row-split helper
+(``shappaths.workers.fill_rows``): the parent fills the first contiguous
+chunk of samples and forked children the others, each writing its
+samples' blocks into one shared anonymous mmap. The worker count is the CPUs
+this process may run on, capped at ``workers.MAX_WORKERS`` and at n, and
+1 where fork or CPU affinity is unavailable. It changes which process
+computes a column, never how, so the values are byte-identical for any
+worker count and the count is not configurable.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import mmap
-from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from ..errors import DataError, InvalidSpecError, NumericalError
 from ..rng import generator
-from ..workers import cpu_count, run_forked
+from ..workers import fill_rows
 from .tensor import Background, ShapTensor
 
 log = logging.getLogger(__name__)
@@ -84,8 +82,6 @@ _CHUNK = 10
 _GROUP_VALUES = 3 << 14
 # samples whose blocks go through the model in one call
 _STACK = 4
-# processes that fill the right-hand side at once, the parent included
-MAX_WORKERS = 4
 # model evaluations one explanation may make: (coalitions + 1) * background * rows
 MAX_MODEL_EVALS = 50_000_000
 
@@ -285,31 +281,21 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         design = coalitions[:, :-1] - z_last       # (C, p-1)
         w = (weights / weights.sum())[:, None]
         a = design.T @ (design * w)
-        # shared with the forked workers, each of which fills its own columns
-        shared = mmap.mmap(-1, (p - 1) * n * k * 8 or 1)
-        b = np.frombuffer(shared, count=(p - 1) * n * k).reshape(p - 1, n, k)
 
         # built before any fork, shared by every sample
         values_of = _CoalitionValues(model, coalitions, background.data)
         group = max(1, _GROUP_VALUES // (coalitions.shape[0] * k))
 
-        def fill(lo: int, hi: int) -> None:
+        def fill(b: np.ndarray, lo: int, hi: int) -> None:
             v = np.empty((min(group, hi - lo), coalitions.shape[0], k))
             for start in range(lo, hi, group):
                 xs = X[start:min(start + group, hi)]
                 values_of(xs, v)
                 for i, vi in zip(range(start, start + len(xs)), v):
-                    b[:, i, :] = design.T @ ((vi - base - z_last * delta[i]) * w)
+                    b[i] = design.T @ ((vi - base - z_last * delta[i]) * w)
 
-        # contiguous, balanced chunks of samples: the first in this process
-        workers = max(1, min(cpu_count(), MAX_WORKERS, n))
-        bounds = [n * j // workers for j in range(workers + 1)]
-        for failed in run_forked("kernel SHAP worker",
-                                 {f"rows {lo}-{hi - 1}": partial(fill, lo, hi)
-                                  for lo, hi in zip(bounds, bounds[1:])}):
-            if failed is not None:
-                raise failed
-        head = _solve(a, b.reshape(p - 1, n * k)).reshape(p - 1, n, k)
+        b = fill_rows("kernel SHAP worker", (n, p - 1, k), n, fill)
+        head = _solve(a, b.transpose(1, 0, 2).reshape(p - 1, n * k)).reshape(p - 1, n, k)
         if not np.isfinite(head).all():
             raise NumericalError("kernel regression produced non-finite attributions")
         values[:, :-1, :] = head.transpose(1, 0, 2)

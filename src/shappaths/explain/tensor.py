@@ -128,10 +128,10 @@ def save_tensor(t: ShapTensor, json_path, csv_path) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + flat_column_names(t))
-        writer.writerows([sid, *map(repr, row)]
-                         for sid, row in zip(t.sample_ids.tolist(), flatten(t).tolist()))
+        csv.writer(fh).writerow(["sample_id"] + flat_column_names(t))
+        # each row as csv.writer writes it: the repr of every cell, then \r\n
+        fh.writelines(f"{sid},{repr(row)[1:-1].replace(', ', ',')}\r\n"
+                      for sid, row in zip(t.sample_ids.tolist(), flatten(t).tolist()))
 
 
 def load_tensor(json_path, csv_path) -> ShapTensor:

@@ -18,7 +18,14 @@ its own path, so, as in GPUTreeShap (Mitchell et al. 2022):
    depth on (P, rows) arrays, unwind each element to read off its weight,
    and sum weight * (o - z) * leaf value per feature with a stable
    sort-and-reduceat scatter. Nothing sums across rows or calls BLAS, so
-   the bytes depend neither on the chunking nor on the thread count.
+   the bytes depend neither on the chunking nor on the thread count, nor
+   on the process: the rows are split into contiguous ranges, one per
+   worker, through the package's one row-split helper
+   (``shappaths.workers.fill_rows``, which Kernel SHAP uses too), and
+   each worker writes every output of its rows into one shared anonymous
+   mmap that becomes the tensor's values. The packs of every output are
+   built before the fork, so a boosted ensemble forks once per call, and
+   a call whose rows fit one chunk never forks.
 
 Base values are cover-weighted expectations plus the ensemble's base
 score: the training-set mean margins, because covers are training counts.
@@ -32,6 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import DataError
+from ..workers import fill_rows
 from .tensor import ShapTensor
 
 # The model layer is imported where a model is explained, not here, so that
@@ -40,8 +48,8 @@ if TYPE_CHECKING:
     from ..models.tree import DecisionTree
 
 # rows per chunk make the (D, P, rows) weight array about this many floats;
-# 2 MB keeps a chunk's arrays in cache and the process near its idle size
-_CHUNK_FLOATS = 2 ** 18
+# 1 MB keeps a chunk's arrays in cache and each process near its idle size
+_CHUNK_FLOATS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,7 @@ class _Packed:
     z: np.ndarray        # (D, P) zero fractions
     lo: np.ndarray       # (D, P) one fraction is lo <= x[feature] < hi
     hi: np.ndarray       # (D, P)
+    width: int           # values per leaf: the outputs this pack fills
     groups: list         # per row d >= 1: (d, real paths sorted by feature,
                          # group starts, group features, their leaf values)
 
@@ -91,19 +100,28 @@ def _pack(trees, scale: float = 1.0) -> _Packed:
         real = real[np.argsort(feature[d, real], kind="stable")]
         starts = np.flatnonzero(np.r_[True, np.diff(feature[d, real]) != 0])
         groups.append((d, real, starts, feature[d, real[starts]], values[real]))
-    return _Packed(feature, z, lo, hi, groups)
+    return _Packed(feature, z, lo, hi, values.shape[1], groups)
 
 
-def _shap_packed(packed: _Packed, X: np.ndarray, p: int, value_dim: int) -> np.ndarray:
-    """(n, p, value_dim) attributions summed over the packed paths."""
+def _shap_packed(packs: list, X: np.ndarray, p: int) -> np.ndarray:
+    """(n, p, outputs) attributions summed over each pack's paths; the packs
+    fill consecutive outputs, ``width`` each."""
     if not np.isfinite(X).all():
         raise DataError("TreeSHAP needs finite feature values")
-    out = np.zeros((X.shape[0], p, value_dim))
-    if packed.groups:  # some path has a split
-        step = max(1, _CHUNK_FLOATS // packed.z.size)
-        for start in range(0, X.shape[0], step):  # a call frees its chunk's arrays
-            _shap_chunk(packed, X[start:start + step], out[start:start + step])
-    return out
+    n, outputs, work = X.shape[0], 0, []  # work: (pack, its first output, rows per chunk)
+    for packed in packs:
+        if packed.groups:  # a pack with no split adds nothing
+            work.append((packed, outputs, max(1, _CHUNK_FLOATS // packed.z.size)))
+        outputs += packed.width
+
+    def fill(out: np.ndarray, lo: int, hi: int) -> None:
+        for packed, c, step in work:
+            for start in range(lo, hi, step):  # a call frees its chunk's arrays
+                stop = min(start + step, hi)
+                _shap_chunk(packed, X[start:stop], out[start:stop, :, c:c + packed.width])
+
+    chunks = max((-(-n // step) for _, _, step in work), default=0)
+    return fill_rows("TreeSHAP worker", (n, p, outputs), chunks, fill)
 
 
 def _shap_chunk(packed: _Packed, X: np.ndarray, out: np.ndarray) -> None:
@@ -143,7 +161,7 @@ def shap_values_tree(tree: DecisionTree, X: np.ndarray,
     """(n, p, value_dim) attributions of a single tree."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = X.shape[1] if n_features is None else n_features
-    return _shap_packed(_pack([tree]), X, p, tree.value.shape[1])
+    return _shap_packed([_pack([tree])], X, p)
 
 
 def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
@@ -165,9 +183,8 @@ def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
         kind = "tree"
     else:
         eta = model.learning_rate
-        values = np.stack([
-            _shap_packed(_pack([trees[c] for trees in model.rounds], eta), X, p, 1)[:, :, 0]
-            for c in range(model.n_classes)], axis=2)
+        values = _shap_packed([_pack([trees[c] for trees in model.rounds], eta)
+                               for c in range(model.n_classes)], X, p)
         base = model.base_score.copy()
         for round_trees in model.rounds:
             base += eta * np.array([tree.expected_value()[0] for tree in round_trees])

@@ -1,19 +1,28 @@
 """Forked worker processes: the one way a command spreads its work over CPUs.
 
-Kernel SHAP fills its regression's right-hand side in contiguous chunks
-of samples, and ``train`` fits each selected model kind, in processes
-made by ``os.fork``. A child shares the parent's arrays (and any anonymous
-mmap) without copying or pickling them, and hands its result back pickled
+TreeSHAP fills its attributions and Kernel SHAP its regression's
+right-hand side in contiguous ranges of rows (``fill_rows``), and
+``train`` fits each selected model kind, in processes made by
+``os.fork``. A child shares the parent's arrays (and any anonymous mmap)
+without copying or pickling them, and hands its result back pickled
 through a pipe of its own. No process pool is used: importing this module
 starts nothing and loads neither multiprocessing nor concurrent.futures.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
+from functools import partial
+from math import prod
+
+import numpy as np
 
 from .errors import NumericalError
+
+# processes that fill one array's rows at once, the parent included
+MAX_WORKERS = 4
 
 
 def cpu_count() -> int:
@@ -79,3 +88,26 @@ def run_forked(role: str, tasks: dict) -> list:
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
                     pass  # reaped just before an interrupt reached this block
+
+
+def fill_rows(role: str, shape: tuple, parts: int, fill):
+    """A float64 array of ``shape``, zeroed, whose rows (first axis)
+    ``fill(array, lo, hi)`` fills in contiguous, balanced ranges [lo, hi),
+    one per worker.
+
+    The array lives in one shared anonymous mmap, so what a forked worker
+    writes is the caller's without a copy. The workers number
+    min(cpu_count(), MAX_WORKERS, parts), at least one: ``parts`` is the
+    most pieces the caller's work splits into, so one piece never forks.
+    The parent fills the first range. The first failed worker's
+    NumericalError, which names its rows, is raised.
+    """
+    n, size = shape[0], prod(shape)
+    array = np.frombuffer(mmap.mmap(-1, size * 8 or 1), count=size).reshape(shape)
+    workers = max(1, min(cpu_count(), MAX_WORKERS, parts))
+    bounds = [n * j // workers for j in range(workers + 1)]
+    for failed in run_forked(role, {f"rows {lo}-{hi - 1}": partial(fill, array, lo, hi)
+                                    for lo, hi in zip(bounds, bounds[1:])}):
+        if failed is not None:
+            raise failed
+    return array

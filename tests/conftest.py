@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import shappaths.workers
 from shappaths import Dataset, SimulationSpec, SplitSpec, simulate
 from shappaths.data import split_indices
 
@@ -25,3 +28,26 @@ def two_class_ds():
     X[:, 0] = np.sign(X[:, 0]) * (0.2 + np.abs(X[:, 0]))
     y = (X[:, 0] > 0).astype(int)
     return Dataset(X, y, ("a", "b", "c"), ("neg", "pos"))
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets workers.MAX_WORKERS (1 or 2) on a host that reports two CPUs,
+    and counts the forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_max(count):
+        assert count in (1, 2)
+        monkeypatch.setattr(shappaths.workers, "MAX_WORKERS", count)
+        forks.clear()
+        return forks
+
+    return set_max

@@ -16,7 +16,9 @@ from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
 from shappaths.models.mlp import Mlp, init_mlp
 from shappaths.rng import generator
-from util import ConstantModel, LinearModel, random_tree
+from util import ConstantModel, LinearModel, assert_no_child_left, random_tree
+
+workers_mod = importlib.import_module("shappaths.workers")
 
 
 def test_constant_model_zero_attributions():
@@ -219,35 +221,6 @@ def test_singular_regression_warns_once(monkeypatch, caplog):
 # ---------------------------------------------------------------------------
 # worker processes: the worker count never changes a value
 
-@pytest.fixture()
-def workers(monkeypatch):
-    """Sets MAX_WORKERS (1 or 2) on a host that reports two CPUs, and
-    counts the forks."""
-    ks = importlib.import_module("shappaths.explain.kernel_shap")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def set_max(count):
-        assert count in (1, 2)
-        monkeypatch.setattr(ks, "MAX_WORKERS", count)
-        forks.clear()
-        return forks
-
-    return set_max
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("budget", [2 ** 6 - 2, 30], ids=["exact", "sampled"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_values_byte_identical_for_any_worker_count(workers, budget, n):
@@ -263,7 +236,7 @@ def test_values_byte_identical_for_any_worker_count(workers, budget, n):
         out.append((t.values.tobytes(), t.base.tobytes()))
         assert len(forks) == min(count, n) - 1
     assert out[0] == out[1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("budget", [2 ** 6 - 2, 30], ids=["exact", "sampled"])
@@ -320,7 +293,7 @@ def test_values_byte_identical_to_coalition_major_blocks(workers, monkeypatch, b
             expected = kernel_shap(model, X, bg, n_coalitions=budget, seed=2).values
         assert np.array_equal(explained, X)
         assert out[0].tobytes() == out[1].tobytes() and same(out[0], expected, model)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("m", [7, 40, 101, 600])
@@ -353,7 +326,7 @@ def test_exact_kernel_shap_on_mlps_of_any_depth(workers, sizes, m):
     assert out[0].values.tobytes() == out[1].values.tobytes()
     for x, phi in zip(X, out[0].values):
         assert np.abs(phi - brute_shapley_interventional(model, x, bg.data)).max() < 1e-6
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("m", [4, 13])
@@ -389,8 +362,7 @@ def test_dead_first_layer_gives_the_bias_only_values(m):
 
 
 def test_one_cpu_never_forks(monkeypatch):
-    ks = importlib.import_module("shappaths.explain.kernel_shap")
-    monkeypatch.setattr(ks, "MAX_WORKERS", 2)
+    monkeypatch.setattr(workers_mod, "MAX_WORKERS", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def no_fork():
@@ -429,7 +401,7 @@ def test_cli_explain_byte_identical_for_any_worker_count(workers, mlp_run):
         assert len(forks) == count - 1
         csvs.append((mlp_run / "shap_mlp.csv").read_bytes())
     assert csvs[0] == csvs[1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_explain_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -498,7 +470,7 @@ def test_failed_worker_exits_4_naming_its_rows(workers, mlp_run, monkeypatch, ca
     assert "kernel SHAP worker failed: rows 18-35 exited with status 1" in err
     assert "Traceback" not in err
     assert not (mlp_run / "shap_mlp.csv").exists()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
@@ -522,4 +494,4 @@ def test_failure_in_parent_chunk_stops_every_worker(workers, monkeypatch, exc):
         kernel_shap(FailsInParentChunk(), rng.normal(size=(4, 5)),
                     Background(rng.normal(size=(10, 5))), n_coalitions=30, seed=0)
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()

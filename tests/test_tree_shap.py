@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,13 +11,15 @@ import pytest
 from oracles import brute_shapley_tree, tree_coalition_value
 from shappaths import (BoostedEnsemble, load_model, save_model, train_boosted, train_tree,
                        tree_shap)
+from shappaths.cli import main
 from shappaths.errors import DataError
 from shappaths.explain.tree_shap import shap_values_tree
 from shappaths.models.tree import LEAF, DecisionTree
-from util import random_tree
+from util import assert_no_child_left, random_tree
 
 # the package re-exports the function under the module's name
 tree_shap_mod = importlib.import_module("shappaths.explain.tree_shap")
+workers_mod = importlib.import_module("shappaths.workers")
 
 
 def make_tree(feature, threshold, left, right, cover, value, n_features):
@@ -261,3 +264,97 @@ def test_values_identical_with_one_blas_thread(boosted_450, tmp_path):
                    check=True, env=env)
     here = tree_shap(load_model(tmp_path / "model.json"), X)
     assert np.load(tmp_path / "out.npy").tobytes() == here.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# worker processes: rows split over forked workers, in whole chunks or not
+
+def _chunk_rows(monkeypatch, packs, rows):
+    """Patches _CHUNK_FLOATS so that the largest pack takes ``rows`` rows per chunk."""
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", rows * max(q.z.size for q in packs))
+
+
+def _class_packs(model):
+    return [tree_shap_mod._pack([trees[c] for trees in model.rounds], model.learning_rate)
+            for c in range(model.n_classes)]
+
+
+@pytest.fixture(scope="module")
+def tree_31(sim_small_split, sim_small):
+    train, _ = sim_small_split
+    return train_tree(train, max_depth=6, min_leaf=2), sim_small.features[:31]
+
+
+def test_values_byte_identical_for_any_worker_count(workers, monkeypatch, tree_31, boosted_450):
+    """31 rows in chunks of 7 (the largest pack's) split 16 | 15 over two
+    workers, so neither worker's rows are whole chunks; the boosted
+    ensemble's smaller packs take longer chunks. Both counts give the
+    bytes of one unchunked call, and the ensemble forks once, not once
+    per class."""
+    tree, X = tree_31
+    model, X450 = boosted_450
+    for explained, rows, packs in [(tree, X, [tree_shap_mod._pack([tree])]),
+                                   (model, X450[:31], _class_packs(model))]:
+        whole = tree_shap(explained, rows).values.tobytes()
+        with monkeypatch.context() as patch:
+            _chunk_rows(patch, packs, 7)
+            for count in (1, 2):
+                forks = workers(count)
+                t = tree_shap(explained, rows)
+                assert len(forks) == count - 1
+                assert t.values.tobytes() == whole
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n, forked", [(1, 0), (8, 0), (9, 1)])
+def test_rows_within_one_chunk_never_fork(workers, monkeypatch, boosted_450, n, forked):
+    """At 8 rows per chunk of the largest pack, 8 rows stay in this process
+    on a two-CPU host and 9 take a second worker."""
+    model, X = boosted_450
+    _chunk_rows(monkeypatch, _class_packs(model), 8)
+    forks = workers(2)
+    tree_shap(model, X[:n])
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+def test_one_cpu_never_forks(monkeypatch, tree_31):
+    monkeypatch.setattr(workers_mod, "MAX_WORKERS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork():
+        raise AssertionError("forked on a one-CPU affinity")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    tree, X = tree_31
+    _chunk_rows(monkeypatch, [tree_shap_mod._pack([tree])], 3)  # 11 chunks
+    t = tree_shap(tree, X)
+    assert np.abs(t.values.sum(axis=1) - (tree.predict_margin(X) - t.base)).max() < 1e-9
+
+
+TREE_RUN = {"seed": 4, "dataset": {"n_samples": 120, "n_features": 5},
+            "models": {"tree": {}}, "cluster": {"source": "tree"}}
+
+
+def test_failed_worker_exits_4_naming_its_rows(workers, monkeypatch, tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TREE_RUN))
+    out = tmp_path / "run"
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    parent, chunk = os.getpid(), tree_shap_mod._shap_chunk
+
+    def chunk_in_parent_only(packed, X, values):
+        if os.getpid() != parent:
+            raise RuntimeError("path weights failed in a worker")
+        return chunk(packed, X, values)
+
+    monkeypatch.setattr(tree_shap_mod, "_shap_chunk", chunk_in_parent_only)
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", 1)  # one row per chunk
+    workers(2)
+    assert main(["explain", "--out", str(out)]) == 4
+    err = capfd.readouterr().err
+    assert "TreeSHAP worker failed: rows 18-35 exited with status 1" in err
+    assert "Traceback" not in err
+    assert not (out / "shap_tree.csv").exists()
+    assert_no_child_left()

@@ -1,6 +1,9 @@
 """Shared helpers for building small fixtures."""
 
+import os
+
 import numpy as np
+import pytest
 
 from shappaths.models.tree import LEAF, DecisionTree
 
@@ -92,3 +95,9 @@ class ConstantModel:
 
     def predict_class(self, X):
         return np.argmax(self.predict_margin(X), axis=1)
+
+
+def assert_no_child_left():
+    """No forked worker of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
