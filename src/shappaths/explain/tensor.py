@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +146,12 @@ def load_tensor(json_path, csv_path) -> ShapTensor:
     if version != TENSOR_SCHEMA_VERSION:
         raise DataError(f"unsupported tensor schema version {version}")
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        next(csv.reader(fh))  # the header: a quoted name may span lines
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        header = next(csv.reader(fh))  # a quoted name may span lines
+        with warnings.catch_warnings():  # a header alone is a tensor of no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if table.size == 0:  # loadtxt reads an empty body as one column
+        table = table.reshape(0, len(header))
     return ShapTensor(values=unflatten_values(table[:, 1:], manifest["k"]),
                       base=np.array(manifest["base"], dtype=float),
                       sample_ids=table[:, 0],

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DataError, InvalidSpecError, NumericalError
 # best_split is not called here; it stays importable because the benchmark's
 # tracer (perfbench/launch.py) wraps it by name on this module too
-from .tree import DecisionTree, best_split, check_growth, grow_tree  # noqa: F401
+from .tree import DecisionTree, best_split, check_growth, grow_tree, sort_columns  # noqa: F401
 
 
 @dataclass
@@ -61,27 +61,47 @@ def log_loss(margins: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _score(g_sum, h_sum, lam):
-    """g^2 / (h + lam), defined as 0 where the denominator vanishes."""
+    """g^2 / (h + lam), and 0 where the denominator vanishes: h >= 0 and
+    lam >= 0, so a denominator is either 0 or positive, and g^2 / inf is 0."""
     denom = h_sum + lam
-    return np.divide(g_sum ** 2, denom, out=np.zeros_like(denom + 0.0),
-                     where=denom > 0)
+    return g_sum ** 2 / np.where(denom > 0, denom, np.inf)
 
 
-def _fit_newton_tree(X, order, g, h, lam, max_depth, min_leaf) -> DecisionTree:
+def _fit_newton_tree(X, order, g, h, lam, max_depth,
+                     min_leaf) -> tuple[DecisionTree, np.ndarray]:
+    """The tree, and its output on each training row.
+
+    grow_tree asks for node values in preorder, so the last weight written
+    to a row is its leaf's: the rows need no second routing through the tree.
+    """
+    fitted = np.empty(X.shape[0])
+
     def leaf_weight(rows):
         denom = h[rows].sum() + lam
-        return np.array([-g[rows].sum() / denom if denom > 0 else 0.0])
+        weight = -g[rows].sum() / denom if denom > 0 else 0.0
+        fitted[rows] = weight
+        return np.array([weight])
+
+    # g and h as the real and imaginary parts of one array: one gather and one
+    # prefix sum give both, each part the same float additions in the same order
+    gh = np.empty(g.shape, dtype=complex)
+    gh.real, gh.imag = g, h
 
     def gain_fn(order):
-        g_cum = np.cumsum(g[order], axis=0)
-        h_cum = np.cumsum(h[order], axis=0)
-        g_left, g_total = g_cum[:-1], g_cum[-1]
-        h_left, h_total = h_cum[:-1], h_cum[-1]
-        parent = _score(np.asarray(g_total[0]), np.asarray(h_total[0]), lam)
-        return 0.5 * (_score(g_left, h_left, lam)
-                      + _score(g_total - g_left, h_total - h_left, lam) - parent)
+        cum = np.cumsum(gh[order], axis=0)
+        left, total = cum[:-1], cum[-1]
+        right = total - left
+        # column 0's sums, kept an array: a float64 scalar is squared by
+        # another routine, which can round differently
+        parent = _score(total[:1].real, total[:1].imag, lam)
+        gains = _score(left.real, left.imag, lam)
+        gains += _score(right.real, right.imag, lam)
+        gains -= parent
+        gains *= 0.5
+        return gains
 
-    return grow_tree(X, order, leaf_weight, lambda rows: gain_fn, max_depth, min_leaf)
+    tree = grow_tree(X, order, leaf_weight, lambda rows: gain_fn, max_depth, min_leaf)
+    return tree, fitted
 
 
 def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
@@ -108,7 +128,7 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
     counts = np.maximum(train.class_counts(), 0.5)  # finite base for absent classes
     base_score = np.log(counts / n)
 
-    order = np.argsort(X, axis=0, kind="stable")
+    order = sort_columns(X)
     margins = np.tile(base_score, (n, 1))
     onehot = np.eye(k)[y]
     rounds: list[list[DecisionTree]] = []
@@ -119,9 +139,9 @@ def train_boosted(train, n_rounds: int = 80, learning_rate: float = 0.3,
         for c in range(k):
             g = probs[:, c] - onehot[:, c]
             h = probs[:, c] * (1.0 - probs[:, c])
-            tree = _fit_newton_tree(X, order, g, h, lam, max_depth, min_leaf)
+            tree, fitted = _fit_newton_tree(X, order, g, h, lam, max_depth, min_leaf)
             round_trees.append(tree)
-            margins[:, c] += learning_rate * tree.predict_margin(X)[:, 0]
+            margins[:, c] += learning_rate * fitted
         rounds.append(round_trees)
         loss = log_loss(margins, y)
         if not np.isfinite(loss):

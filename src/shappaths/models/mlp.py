@@ -6,6 +6,12 @@ from standard backpropagation; ``loss_and_grads`` is exposed separately so
 the analytic gradients can be checked against finite differences. Both it
 and ``predict_margin`` run the one forward pass, ``_forward``; Kernel SHAP
 evaluates the layers itself (explain/kernel_shap.py).
+
+During training every weight matrix and bias is a view of one flat
+parameter vector, and every gradient a view of one flat buffer of the
+same layout (``_flat_views``), so a step updates the whole network with
+``grads *= lr; params -= grads``. The one-hot labels are built once per
+fit and shuffled with the rows once per epoch.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import numpy as np
 
 from ..errors import DataError, InvalidSpecError, NumericalError
 from ..rng import generator
-from .boosted import log_loss, softmax
 
 
 @dataclass
@@ -61,28 +66,56 @@ def _forward(model: Mlp, X: np.ndarray) -> list[np.ndarray]:
     activations = [a]
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ W + b
+        a = a @ W
+        a += b
         if i < last:
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
 
-def loss_and_grads(model: Mlp, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its weight/bias gradients."""
+def _flat_views(sizes: tuple[int, ...], flat: np.ndarray):
+    """Every layer's (fan_in, fan_out) weights and (fan_out,) biases as
+    views of the one vector ``flat``: layer by layer, weights first."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def loss_and_grads(model: Mlp, X: np.ndarray, y: np.ndarray, onehot=None, out=None):
+    """Mean cross-entropy over the batch and its weight/bias gradients.
+
+    ``onehot`` is ``y`` as one-hot rows, and ``out`` a (weights, biases)
+    pair of lists of arrays that the gradients are written into; both are
+    made here when not given. The loss is ``models.boosted.log_loss``'s
+    expression, and it shares its ``exp`` with the softmax of the output delta.
+    """
     activations = _forward(model, X)
     n = activations[0].shape[0]
     last = len(model.weights) - 1
-    loss = log_loss(activations[-1], y)
+    logits = activations.pop()  # the backward pass reads only the layer inputs
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(logits)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    log_probs = logits - np.log(total)
+    loss = float(-log_probs[np.arange(n), y].mean())
 
-    delta = (softmax(activations[-1]) - np.eye(model.n_classes)[y]) / n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    delta = e
+    delta /= total
+    delta -= np.eye(model.n_classes)[y] if onehot is None else onehot
+    delta /= n
+    grads_w, grads_b = ([None] * len(model.weights), [None] * len(model.biases)) \
+        if out is None else out
     for i in range(last, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = np.matmul(activations[i].T, delta, out=grads_w[i])
+        grads_b[i] = np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+            delta = delta @ model.weights[i].T
+            delta *= activations[i] > 0.0
     return loss, grads_w, grads_b
 
 
@@ -104,18 +137,24 @@ def train_mlp(train, layer_sizes, epochs: int = 150, batch_size: int = 32,
         raise DataError("empty training set")
 
     rng = generator(seed, "train.mlp")
-    model = init_mlp(sizes, rng)
+    init = init_mlp(sizes, rng)
+    params = np.concatenate([np.append(W, b) for W, b in zip(init.weights, init.biases)])
+    model = Mlp(sizes, *_flat_views(sizes, params))
+    grads = np.empty_like(params)
+    out = _flat_views(sizes, grads)
     X, y = train.features, train.labels
+    onehot = np.eye(train.k)[y]
     for epoch in range(epochs):
         perm = rng.permutation(train.n)
+        X_perm, y_perm, onehot_perm = X[perm], y[perm], onehot[perm]
         epoch_loss = 0.0
         for start in range(0, train.n, batch_size):
-            batch = perm[start:start + batch_size]
-            loss, grads_w, grads_b = loss_and_grads(model, X[batch], y[batch])
-            epoch_loss += loss * batch.size
-            for W, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                W -= learning_rate * gw
-                b -= learning_rate * gb
+            batch = slice(start, start + batch_size)
+            X_batch = X_perm[batch]
+            loss, _, _ = loss_and_grads(model, X_batch, y_perm[batch], onehot_perm[batch], out)
+            epoch_loss += loss * X_batch.shape[0]
+            grads *= learning_rate
+            params -= grads
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"training loss became non-finite at epoch {epoch}")
     return model

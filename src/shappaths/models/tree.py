@@ -15,7 +15,14 @@ made by the caller: once per fit for the Gini tree, once per ensemble for
 the boosted trees, which all grow on the same rows. Children partition
 it. A child keeps its parent's per-column order minus the other child's
 rows, which is a stable argsort of the child's own rows: ties stay in
-row-index order.
+row-index order. Children at the depth limit are leaves, so their orders
+are never partitioned.
+
+A split between two equal values is not a split. The tie mask is lazy:
+the search takes the first maximum gain, and masks every position
+between equal values, then looks again, only when that maximum sits
+between equal values. Masking lowers gains and never raises one, so the
+first maximum is the one the full mask gives, a nan included.
 """
 
 from __future__ import annotations
@@ -96,21 +103,21 @@ def best_split(X: np.ndarray, order: np.ndarray, gain_fn,
     m = order.shape[0]
     if m < 2:
         return None
-    sorted_x = X[order, np.arange(X.shape[1])]
-    distinct = sorted_x[:-1] != sorted_x[1:]
-    if not distinct.any():
-        return None
     gains = gain_fn(order)
-    gains[~distinct] = -np.inf
     gains[: min_leaf - 1] = -np.inf
     gains[m - min_leaf:] = -np.inf
     # the first maximum in feature-major order; a nan anywhere is found first
     feat, pos = divmod(int(np.argmax(gains.T)), m - 1)
+    lo, hi = X[order[pos:pos + 2, feat], feat]
+    if lo == hi:  # between equal values: mask every such position, then look again
+        sorted_x = X[order, np.arange(X.shape[1])]
+        gains[sorted_x[:-1] == sorted_x[1:]] = -np.inf
+        feat, pos = divmod(int(np.argmax(gains.T)), m - 1)
+        lo, hi = sorted_x[pos:pos + 2, feat]
     best = gains[pos, feat]
     if not np.isfinite(best) or best <= 0.0:
         return None
-    threshold = 0.5 * (sorted_x[pos, feat] + sorted_x[pos + 1, feat])
-    return feat, float(threshold), float(best)
+    return feat, float(0.5 * (lo + hi)), float(best)
 
 
 def check_growth(max_depth: int, min_leaf: int) -> None:
@@ -119,15 +126,23 @@ def check_growth(max_depth: int, min_leaf: int) -> None:
         raise InvalidSpecError("max_depth must be >= 0 and min_leaf >= 1")
 
 
+def sort_columns(X: np.ndarray) -> np.ndarray:
+    """The root order :func:`grow_tree` takes: each column's stable argsort,
+    stored column-major so that a column's prefix sums run over contiguous
+    memory."""
+    return np.asfortranarray(np.argsort(X, axis=0, kind="stable"))
+
+
 def grow_tree(X: np.ndarray, order: np.ndarray, node_value, node_gains, max_depth: int,
               min_leaf: int) -> DecisionTree:
     """Greedy preorder growth over the rows of ``X``.
 
-    ``order`` is the root's per-column order, ``np.argsort(X, axis=0,
-    kind="stable")``, taken by the caller so that trees grown on the same
-    ``X`` share one sort; growth only reads it.
+    ``order`` is the root's per-column order, ``sort_columns(X)``, taken by
+    the caller so that trees grown on the same ``X`` share one sort; growth
+    only reads it.
 
-    ``node_value(rows)`` is the value a node stores; ``node_gains(rows)`` is
+    ``node_value(rows)`` is the value a node stores, asked for once per
+    node in preorder; ``node_gains(rows)`` is
     the ``gain_fn`` of :func:`best_split` for those rows, or None to keep
     the node a leaf. A node also stays a leaf at ``max_depth``, below
     ``2 * min_leaf`` rows, or when no split has positive gain.
@@ -152,12 +167,15 @@ def grow_tree(X: np.ndarray, order: np.ndarray, node_value, node_gains, max_dept
         feat, thr, _ = found
         feature[node], threshold[node] = feat, thr
         split = X[rows, feat] < thr
-        goes_left[rows] = split
-        is_left = goes_left[order.T]
-        left_order = order.T[is_left].reshape(X.shape[1], -1).T
-        right_order = order.T[~is_left].reshape(X.shape[1], -1).T
-        left[node] = grow(rows[split], left_order, depth + 1)
-        right[node] = grow(rows[~split], right_order, depth + 1)
+        left_order = right_order = None  # children at max_depth never read theirs
+        if depth + 1 < max_depth:
+            goes_left[rows] = split
+            columns = order.T.ravel()  # column after column: a view of the column-major order
+            is_left = goes_left[columns]
+            left_order = columns.compress(is_left).reshape(X.shape[1], -1).T
+            right_order = columns.compress(~is_left).reshape(X.shape[1], -1).T
+        left[node] = grow(rows.compress(split), left_order, depth + 1)
+        right[node] = grow(rows.compress(~split), right_order, depth + 1)
         return node
 
     grow(np.arange(X.shape[0]), order, 0)
@@ -205,5 +223,4 @@ def train_tree(train, max_depth: int = 7, min_leaf: int = 1) -> DecisionTree:
 
         return gain_fn
 
-    return grow_tree(X, np.argsort(X, axis=0, kind="stable"), node_value, gini_gains,
-                     max_depth, min_leaf)
+    return grow_tree(X, sort_columns(X), node_value, gini_gains, max_depth, min_leaf)

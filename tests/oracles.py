@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: exponential Shapley
-enumeration for both expectation conventions, naive graph algorithms, and
-finite differences. None of it shares code with the library paths it
-checks.
+enumeration for both expectation conventions, naive graph algorithms,
+finite differences, and training loops that redo every pass at every node
+or step. None of it shares code with the library paths it checks; the
+training oracles build the library's model containers and draw from its
+seeded streams, so that their results compare byte for byte.
 """
 
 import math
@@ -11,7 +13,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from shappaths.models.tree import LEAF
+from shappaths.errors import NumericalError
+from shappaths.models.boosted import BoostedEnsemble
+from shappaths.models.mlp import Mlp
+from shappaths.models.tree import LEAF, DecisionTree
+from shappaths.rng import generator
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +279,183 @@ def perceptron_separable(X: np.ndarray, y: np.ndarray, max_iters: int = 10_000) 
             return True
         w += signs[wrong[0]] * Xb[wrong[0]]
     return False
+
+
+# ---------------------------------------------------------------------------
+# Training oracles: growth that sorts every node afresh and masks every tie
+# before its argmax, and SGD that rebuilds everything at every step
+
+def reference_best_split(X, order, gain_fn, min_leaf):
+    """(feature, threshold) of the first maximum gain in feature-major order,
+    with every position between equal values and every position leaving
+    fewer than ``min_leaf`` rows on a side masked first; or None."""
+    m = order.shape[0]
+    if m < 2:
+        return None
+    sorted_x = X[order, np.arange(X.shape[1])]
+    distinct = sorted_x[:-1] != sorted_x[1:]
+    if not distinct.any():
+        return None
+    gains = gain_fn(order)
+    gains[~distinct] = -np.inf
+    gains[: min_leaf - 1] = -np.inf
+    gains[m - min_leaf:] = -np.inf
+    feat, pos = divmod(int(np.argmax(gains.T)), m - 1)
+    best = gains[pos, feat]
+    if not np.isfinite(best) or best <= 0.0:
+        return None
+    return feat, float(0.5 * (sorted_x[pos, feat] + sorted_x[pos + 1, feat]))
+
+
+def reference_grow(X, node_value, node_gains, max_depth, min_leaf) -> DecisionTree:
+    """Preorder growth in which every node sorts its own rows (a stable
+    argsort: ties in row order) and children are split by routing."""
+    nodes = []  # [feature, threshold, left, right, cover, value]
+
+    def grow(rows, depth):
+        node = len(nodes)
+        nodes.append([LEAF, np.nan, LEAF, LEAF, float(rows.size), node_value(rows)])
+        if depth >= max_depth or rows.size < 2 * min_leaf:
+            return node
+        gain_fn = node_gains(rows)
+        order = rows[np.argsort(X[rows], axis=0, kind="stable")]
+        found = None if gain_fn is None else reference_best_split(X, order, gain_fn, min_leaf)
+        if found is None:
+            return node
+        feat, thr = found
+        goes_left = X[rows, feat] < thr
+        nodes[node][:2] = feat, thr
+        nodes[node][2] = grow(rows[goes_left], depth + 1)
+        nodes[node][3] = grow(rows[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    feature, threshold, left, right, cover, value = zip(*nodes)
+    return DecisionTree(feature=np.array(feature, dtype=int),
+                        threshold=np.array(threshold, dtype=float),
+                        left=np.array(left, dtype=int), right=np.array(right, dtype=int),
+                        cover=np.array(cover, dtype=float), value=np.vstack(value),
+                        n_features=X.shape[1])
+
+
+def reference_tree(X, y, k, max_depth, min_leaf) -> DecisionTree:
+    """The Gini tree: class frequencies at every node, Gini decrease as gain."""
+
+    def node_value(rows):
+        return np.bincount(y[rows], minlength=k) / rows.size
+
+    def node_gains(rows):
+        if np.count_nonzero(np.bincount(y[rows])) == 1:
+            return None
+
+        def gain_fn(order):
+            m = rows.size
+            n_left = np.arange(1, m, dtype=float)[:, None]
+            n_right = m - n_left
+            sq_left = np.zeros((m - 1, order.shape[1]))
+            sq_right = np.zeros((m - 1, order.shape[1]))
+            for c in range(k):
+                cum = np.cumsum(y[order] == c, axis=0).astype(float)
+                sq_left += cum[:-1] ** 2
+                sq_right += (cum[-1] - cum[:-1]) ** 2
+            child = (n_left - sq_left / n_left + n_right - sq_right / n_right) / m
+            parent = 1.0 - np.sum((np.bincount(y[rows], minlength=k) / m) ** 2)
+            return parent - child
+
+        return gain_fn
+
+    return reference_grow(X, node_value, node_gains, max_depth, min_leaf)
+
+
+def _reference_softmax(margins):
+    shifted = margins - margins.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_log_loss(margins, labels):
+    shifted = margins - margins.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(labels.size), labels].mean())
+
+
+def _reference_score(g_sum, h_sum, lam):
+    denom = h_sum + lam
+    return np.divide(g_sum ** 2, denom, out=np.zeros_like(denom + 0.0), where=denom > 0)
+
+
+def reference_boosted(X, y, k, n_rounds, learning_rate, lam, max_depth,
+                      min_leaf) -> BoostedEnsemble:
+    """Softmax boosting with Newton leaves; each tree's output on the
+    training rows comes from routing them through it."""
+    n = X.shape[0]
+    base_score = np.log(np.maximum(np.bincount(y, minlength=k), 0.5) / n)
+    margins = np.tile(base_score, (n, 1))
+    onehot = np.eye(k)[y]
+    rounds, losses = [], [_reference_log_loss(margins, y)]
+    for r in range(n_rounds):
+        probs = _reference_softmax(margins)
+        round_trees = []
+        for c in range(k):
+            g = probs[:, c] - onehot[:, c]
+            h = probs[:, c] * (1.0 - probs[:, c])
+
+            def leaf_weight(rows, g=g, h=h):
+                denom = h[rows].sum() + lam
+                return np.array([-g[rows].sum() / denom if denom > 0 else 0.0])
+
+            def gain_fn(order, g=g, h=h):
+                g_cum = np.cumsum(g[order], axis=0)
+                h_cum = np.cumsum(h[order], axis=0)
+                g_left, g_total = g_cum[:-1], g_cum[-1]
+                h_left, h_total = h_cum[:-1], h_cum[-1]
+                parent = _reference_score(np.asarray(g_total[0]), np.asarray(h_total[0]), lam)
+                return 0.5 * (_reference_score(g_left, h_left, lam)
+                              + _reference_score(g_total - g_left, h_total - h_left, lam)
+                              - parent)
+
+            tree = reference_grow(X, leaf_weight, lambda rows, f=gain_fn: f, max_depth, min_leaf)
+            round_trees.append(tree)
+            margins[:, c] += learning_rate * tree.predict_margin(X)[:, 0]
+        rounds.append(round_trees)
+        loss = _reference_log_loss(margins, y)
+        if not np.isfinite(loss):
+            raise NumericalError(f"training loss became non-finite at round {r}")
+        losses.append(loss)
+    return BoostedEnsemble(base_score=base_score, rounds=rounds, learning_rate=learning_rate,
+                           lam=lam, max_depth=max_depth, n_features=X.shape[1],
+                           train_loss=losses)
+
+
+def reference_mlp(X, y, layer_sizes, epochs, batch_size, learning_rate, seed) -> Mlp:
+    """Minibatch SGD that gathers each batch, builds its one-hot labels,
+    computes the loss and the softmax apart, and updates layer by layer."""
+    rng = generator(seed, "train.mlp")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        limit = np.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    k, n, last = layer_sizes[-1], X.shape[0], len(weights) - 1
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            batch = perm[start:start + batch_size]
+            activations = [X[batch]]
+            for i, (W, b) in enumerate(zip(weights, biases)):
+                a = activations[-1] @ W + b
+                activations.append(np.maximum(a, 0.0) if i < last else a)
+            epoch_loss += _reference_log_loss(activations[-1], y[batch]) * batch.size
+            delta = (_reference_softmax(activations[-1]) - np.eye(k)[y[batch]]) / batch.size
+            grads = [None] * len(weights)
+            for i in range(last, -1, -1):
+                grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (activations[i] > 0.0)
+            for W, b, (gw, gb) in zip(weights, biases, grads):
+                W -= learning_rate * gw
+                b -= learning_rate * gb
+        if not np.isfinite(epoch_loss):
+            raise NumericalError(f"training loss became non-finite at epoch {epoch}")
+    return Mlp(tuple(layer_sizes), weights, biases)

@@ -355,6 +355,139 @@ def test_identical_seeds_identical_serialized_models(sim_small_split):
 
 
 # ---------------------------------------------------------------------------
+# byte identity against the reference trainers (tests/oracles.py)
+
+def _serialized(model) -> str:
+    import json
+
+    from shappaths.models import model_to_dict
+
+    return json.dumps(model_to_dict(model), sort_keys=True)
+
+
+def _three_class_ds(seed, tied):
+    """Noisy three-class data; ``tied`` rounds it to a few values per column
+    and repeats a third of the rows, so ties sit in every column."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=1.5, size=(120, 4))
+    if tied:
+        X = np.round(X)
+        X = np.vstack([X, X[:40]])
+    y = (X[:, 0] + X[:, 1] > 0).astype(int) + (X[:, 2] > 0.5)
+    flip = rng.random(y.size) < 0.15
+    y[flip] = rng.integers(0, 3, int(flip.sum()))
+    return tiny_ds(X, y, k=3)
+
+
+def _spy_best_split(monkeypatch, module, name):
+    """Wrap ``module.name``; return the per-call list of whether the first
+    maximum of the unmasked gains fell between equal values."""
+    real, tied = getattr(module, name), []
+
+    def spy(X, order, gain_fn, min_leaf):
+        m = order.shape[0]
+        if m >= 2:
+            gains = gain_fn(order)
+            gains[: min_leaf - 1] = -np.inf
+            gains[m - min_leaf:] = -np.inf
+            feat, pos = divmod(int(np.argmax(gains.T)), m - 1)
+            lo, hi = X[order[pos:pos + 2, feat], feat]
+            tied.append(bool(lo == hi))
+        return real(X, order, gain_fn, min_leaf)
+
+    monkeypatch.setattr(module, name, spy)
+    return tied
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_boosted_matches_the_per_node_reference(monkeypatch, seed, tied):
+    """Every boosted model is byte-identical to the grower that sorts each
+    node afresh and masks every tie before its argmax, and calls
+    best_split as often; on tied data some node's best raw split falls
+    between equal values, so the full tie mask runs too."""
+    import oracles
+    from shappaths.models import tree as tree_mod
+
+    ds = _three_class_ds(seed, tied)
+    calls = _spy_best_split(monkeypatch, tree_mod, "best_split")
+    reference_calls = _spy_best_split(monkeypatch, oracles, "reference_best_split")
+    for min_leaf in (1, 3, 7):
+        for lam in (0.0, 1.0):
+            calls.clear()
+            reference_calls.clear()
+            model = train_boosted(ds, n_rounds=4, max_depth=4, min_leaf=min_leaf, lam=lam)
+            reference = oracles.reference_boosted(ds.features, ds.labels, ds.k, n_rounds=4,
+                                                  learning_rate=0.3, lam=lam, max_depth=4,
+                                                  min_leaf=min_leaf)
+            assert _serialized(model) == _serialized(reference)
+            assert len(calls) == len(reference_calls) > 10
+            assert any(calls) == tied
+
+
+def test_saturated_unregularized_boosting_matches_the_reference():
+    """lam = 0, and one block of rows saturates to probabilities of exactly
+    0 and 1 while a noisy block does not: nodes holding both have splits
+    whose side sums h to 0, whose score must be 0 as in the reference."""
+    import oracles
+
+    rng = np.random.default_rng(0)
+    easy = np.column_stack([rng.uniform(-3, -1, 40), rng.uniform(-1, 1, 40)])
+    X = np.vstack([easy, rng.uniform(0, 1, size=(60, 2))])
+    y = np.concatenate([np.zeros(40, dtype=int), rng.integers(0, 2, 60)])
+    model = train_boosted(tiny_ds(X, y), n_rounds=40, learning_rate=1.0, lam=0.0, max_depth=2)
+    reference = oracles.reference_boosted(X, y, 2, n_rounds=40, learning_rate=1.0, lam=0.0,
+                                          max_depth=2, min_leaf=1)
+    assert _serialized(model) == _serialized(reference)
+    margins = model.predict_margin(X)
+    assert (np.abs(margins[:, 0] - margins[:, 1]) > 40).any()  # exp underflows: p is 0 or 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gini_tree_on_tied_data_matches_the_reference(seed):
+    from oracles import reference_tree
+
+    ds = _three_class_ds(seed, tied=True)
+    for min_leaf in (1, 3, 7):
+        tree = train_tree(ds, max_depth=6, min_leaf=min_leaf)
+        assert tree.n_nodes > 7
+        assert _serialized(tree) == _serialized(
+            reference_tree(ds.features, ds.labels, ds.k, max_depth=6, min_leaf=min_leaf))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_mlp_matches_the_per_step_reference(sim_small_split, seed):
+    """Same bytes as SGD that gathers every batch and updates layer by layer;
+    the last batch of each epoch is a short one."""
+    from oracles import reference_mlp
+
+    train, _ = sim_small_split
+    assert train.n % 32 != 0
+    sizes = (train.p, 8, 5, train.k)
+    model = train_mlp(train, sizes, epochs=3, batch_size=32, learning_rate=0.1, seed=seed)
+    reference = reference_mlp(train.features, train.labels, sizes, epochs=3, batch_size=32,
+                              learning_rate=0.1, seed=seed)
+    assert _serialized(model) == _serialized(reference)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_mlp_divergence_is_caught_in_the_reference_epoch(sim_small_split, seed):
+    from oracles import reference_mlp
+    from shappaths.errors import NumericalError
+
+    train, _ = sim_small_split
+    sizes = (train.p, 8, train.k)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as reference:
+            reference_mlp(train.features, train.labels, sizes, epochs=10, batch_size=32,
+                          learning_rate=1e3, seed=seed)
+        with pytest.raises(NumericalError) as fitted:
+            train_mlp(train, sizes, epochs=10, batch_size=32, learning_rate=1e3, seed=seed)
+    assert str(fitted.value) == str(reference.value)
+    assert "at epoch 0" not in str(reference.value)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 @pytest.mark.parametrize("kind", ["tree", "boosted", "mlp"])
