@@ -26,7 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from . import __version__
+from . import _DEFINED_IN, __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, artifact_file, config_hash,
@@ -34,53 +34,29 @@ from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, artifact_file, conf
 
 
 # ---------------------------------------------------------------------------
-# the layers each command runs
+# the names each command calls
 
-# Each command imports only the layers it runs: ``main`` binds their names
-# into this module before dispatch, and any other reader (the benchmark's
-# tracer, a test's monkeypatch) resolves a name on first access through the
-# module ``__getattr__``. Binding never replaces a name already bound.
-_LAYER_OF = {name: layer for layer, names in {
-    "numpy": "np",
-    ".data": "Dataset SimulationSpec SplitSpec load_csv load_idx_images min_max_scale "
-             "read_csv simulate split_indices write_csv",
-    ".models": "evaluate load_model save_model train_boosted train_mlp train_tree",
-    ".explain": "flatten kernel_shap load_tensor mean_abs sample_background save_tensor "
-                "tree_shap",
-    ".subgroup": "ClusterLabeling HdbscanParams cluster_purity hdbscan pca_fit pca_transform",
-    ".viz": "PlotSpec build_paths classical_waterfall cluster_heatmap paths_to_csv "
-            "pca_scatter project_paths render_paths stacked_bar",
-}.items() for name in names.split()}
-
-_LAYERS = {
-    "simulate": ("numpy", ".data"),
-    "load": ("numpy", ".data"),
-    "train": ("numpy", ".data", ".models"),
-    "explain": ("numpy", ".data", ".models", ".explain"),
-    "cluster": ("numpy", ".data", ".explain", ".subgroup"),
-    "embed": ("numpy", ".data", ".explain", ".subgroup", ".viz"),
-    "waterfall": ("numpy", ".explain", ".subgroup", ".viz"),
-    "bar": (".explain", ".viz"),
-    "heatmap": ("numpy", ".data", ".explain", ".subgroup", ".viz"),
-    "report": (),
-}
-
+# Each command imports only the modules whose names it calls: ``main`` binds
+# the names listed for it in ``COMMANDS`` into this module before dispatch,
+# each from its defining module in the package's one table, and any other
+# reader (the benchmark's tracer, a test's monkeypatch) resolves a name on
+# first access through the module ``__getattr__``. Binding never replaces a
+# name already bound.
 
 def _resolve(name: str):
-    module = importlib.import_module(_LAYER_OF[name], __package__)
+    module = importlib.import_module(_DEFINED_IN[name], __package__)
     return module if name == "np" else getattr(module, name)
 
 
 def __getattr__(name):
-    if name not in _LAYER_OF:
+    if name not in _DEFINED_IN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals().setdefault(name, _resolve(name))
 
 
-def _bind_layers(command: str) -> None:
-    for name, layer in _LAYER_OF.items():
-        if layer in _LAYERS[command]:
-            globals().setdefault(name, _resolve(name))
+def _bind_names(command: str) -> None:
+    for name in COMMANDS[command].names.split():
+        globals().setdefault(name, _resolve(name))
 
 
 EXIT_OK = 0
@@ -590,17 +566,37 @@ def _render_report(manifest: RunManifest) -> str:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
+class Command(NamedTuple):
+    run: object     # cmd_* function
+    help: str
+    names: str      # the package names it calls, bound before it runs
+
+
+_INGEST_NAMES = ("SimulationSpec simulate load_csv load_idx_images min_max_scale split_indices "
+                 "SplitSpec write_csv")
+
 COMMANDS = {
-    "simulate": (cmd_ingest, "generate the synthetic dataset"),
-    "load": (cmd_ingest, "load a CSV or IDX dataset"),
-    "train": (cmd_train, "train configured models"),
-    "explain": (cmd_explain, "compute SHAP tensors"),
-    "cluster": (cmd_cluster, "HDBSCAN over a flattened SHAP tensor"),
-    "embed": (cmd_embed, "PCA embedding of a flattened SHAP tensor"),
-    "waterfall": (cmd_waterfall, "classical or clustered waterfall plot"),
-    "bar": (cmd_bar, "stacked mean-|SHAP| bars"),
-    "heatmap": (cmd_heatmap, "cluster-mean heatmap of raw features"),
-    "report": (cmd_report, "single-page HTML summary"),
+    "simulate": Command(cmd_ingest, "generate the synthetic dataset", _INGEST_NAMES),
+    "load": Command(cmd_ingest, "load a CSV or IDX dataset", _INGEST_NAMES),
+    "train": Command(cmd_train, "train configured models",
+                     "read_csv train_tree train_boosted train_mlp save_model evaluate"),
+    "explain": Command(cmd_explain, "compute SHAP tensors",
+                       "read_csv np load_model tree_shap sample_background kernel_shap "
+                       "save_tensor"),
+    "cluster": Command(cmd_cluster, "HDBSCAN over a flattened SHAP tensor",
+                       "read_csv load_tensor hdbscan flatten HdbscanParams cluster_purity"),
+    "embed": Command(cmd_embed, "PCA embedding of a flattened SHAP tensor",
+                     "read_csv load_tensor flatten pca_fit pca_transform ClusterLabeling np "
+                     "pca_scatter PlotSpec"),
+    "waterfall": Command(cmd_waterfall, "classical or clustered waterfall plot",
+                         "load_tensor PlotSpec ClusterLabeling np build_paths project_paths "
+                         "render_paths paths_to_csv classical_waterfall"),
+    "bar": Command(cmd_bar, "stacked mean-|SHAP| bars",
+                   "load_tensor mean_abs stacked_bar PlotSpec"),
+    "heatmap": Command(cmd_heatmap, "cluster-mean heatmap of raw features",
+                       "read_csv load_tensor ClusterLabeling PlotSpec mean_abs np "
+                       "cluster_heatmap"),
+    "report": Command(cmd_report, "single-page HTML summary", ""),
 }
 
 
@@ -610,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="SHAP tensors, subgroup discovery, and waterfall paths")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in COMMANDS.items()}
+    commands = {name: sub.add_parser(name, help=command.help)
+                for name, command in COMMANDS.items()}
     for flag in FLAGS:
         for name in flag.commands:
             commands[name].add_argument(flag.name, **flag.kwargs)
@@ -620,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _bind_layers(args.command)
-        return COMMANDS[args.command][0](args)
+        _bind_names(args.command)
+        return COMMANDS[args.command].run(args)
     except ShappathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, MissingArtifactError):

@@ -1,12 +1,12 @@
-"""SHAP tensors: exact TreeSHAP for trees, Kernel SHAP for everything else."""
+"""SHAP tensors: exact TreeSHAP for trees, Kernel SHAP for everything else.
 
-from .kernel_shap import kernel_shap, kernel_weight, sample_background, sample_coalitions
-from .tensor import (Background, ShapTensor, flat_column_names, flatten, load_tensor,
-                     mean_abs, save_tensor, unflatten_values)
-from .tree_shap import shap_values_tree, tree_shap
+Importing this package loads nothing: each name in ``__all__`` is loaded
+from its module on first use (PEP 562). ``kernel_shap`` and ``tree_shap``
+are not re-exported here, because once their modules are loaded those
+names on this package are the modules; take the functions from
+``shappaths`` or from ``.kernel_shap`` and ``.tree_shap``.
+"""
 
-__all__ = [
-    "Background", "ShapTensor", "flat_column_names", "flatten", "kernel_shap",
-    "kernel_weight", "load_tensor", "mean_abs", "sample_background", "sample_coalitions",
-    "save_tensor", "shap_values_tree", "tree_shap", "unflatten_values",
-]
+from .. import _exports
+
+__all__, __getattr__ = _exports(__name__)

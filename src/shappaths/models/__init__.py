@@ -5,16 +5,11 @@ Every model exposes ``predict_margin(X) -> (n, k)`` raw scores and
 ``n_features`` / ``n_classes``. Decision-tree margins are leaf
 class-frequency vectors; the boosted ensemble and the network report
 logits.
+
+Importing this package loads nothing: each name in ``__all__`` is loaded
+from its module on first use (PEP 562).
 """
 
-from .boosted import BoostedEnsemble, log_loss, softmax, train_boosted
-from .io import load_model, model_to_dict, save_model
-from .metrics import EvalReport, evaluate
-from .mlp import Mlp, init_mlp, loss_and_grads, train_mlp
-from .tree import DecisionTree, train_tree
+from .. import _exports
 
-__all__ = [
-    "BoostedEnsemble", "DecisionTree", "EvalReport", "Mlp", "evaluate", "init_mlp",
-    "load_model", "log_loss", "loss_and_grads", "model_to_dict", "save_model", "softmax",
-    "train_boosted", "train_mlp", "train_tree",
-]
+__all__, __getattr__ = _exports(__name__)

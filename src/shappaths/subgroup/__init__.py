@@ -1,14 +1,11 @@
-"""Embedding and subgroup discovery over flattened SHAP matrices."""
+"""Embedding and subgroup discovery over flattened SHAP matrices.
 
-from .hdbscan import (ClusterLabeling, CondensedTree, HdbscanParams, Points, condensed_tree,
-                      core_distances, hdbscan, minimum_spanning_tree,
-                      mutual_reachability, pairwise_distances, single_linkage)
-from .pca import PcaModel, pca_fit, pca_transform
-from .purity import PurityReport, cluster_purity
+Importing this package loads nothing: each name in ``__all__`` is loaded
+from its module on first use (PEP 562). ``hdbscan`` is not re-exported
+here, because once its module is loaded that name on this package is the
+module; take the function from ``shappaths`` or from ``.hdbscan``.
+"""
 
-__all__ = [
-    "ClusterLabeling", "CondensedTree", "HdbscanParams", "PcaModel", "Points", "PurityReport",
-    "cluster_purity", "condensed_tree", "core_distances", "hdbscan",
-    "minimum_spanning_tree", "mutual_reachability", "pairwise_distances",
-    "pca_fit", "pca_transform", "single_linkage",
-]
+from .. import _exports
+
+__all__, __getattr__ = _exports(__name__)

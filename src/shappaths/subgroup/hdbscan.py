@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DataError, InvalidSpecError
+from .purity import ClusterLabeling
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,6 @@ class HdbscanParams:
     @property
     def effective_min_samples(self) -> int:
         return self.min_cluster_size if self.min_samples is None else self.min_samples
-
-
-@dataclass(frozen=True)
-class ClusterLabeling:
-    labels: np.ndarray      # (n,) int, -1 = noise
-    n_clusters: int
-    stability: np.ndarray   # (n_clusters,) selected-cluster stabilities
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "stability", np.asarray(self.stability, dtype=float))
-        if labels.size and (labels.min() < -1 or labels.max() >= self.n_clusters):
-            raise DataError("labels must lie in {-1} U [0, n_clusters)")
-
-    @property
-    def n_noise(self) -> int:
-        return int((self.labels == -1).sum())
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Cluster-vs-truth contingency summaries."""
+"""Cluster labelings and their contingency against the truth."""
 
 from __future__ import annotations
 
@@ -7,6 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+
+
+@dataclass(frozen=True)
+class ClusterLabeling:
+    labels: np.ndarray      # (n,) int, -1 = noise
+    n_clusters: int
+    stability: np.ndarray   # (n_clusters,) selected-cluster stabilities
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels, dtype=int)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stability", np.asarray(self.stability, dtype=float))
+        if labels.size and (labels.min() < -1 or labels.max() >= self.n_clusters):
+            raise DataError("labels must lie in {-1} U [0, n_clusters)")
+
+    @property
+    def n_noise(self) -> int:
+        return int((self.labels == -1).sum())
 
 
 @dataclass(frozen=True)

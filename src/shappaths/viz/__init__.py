@@ -1,13 +1,9 @@
-"""Deterministic SVG renderings of SHAP explanations."""
+"""Deterministic SVG renderings of SHAP explanations.
 
-from .charts import cluster_heatmap, pca_scatter, stacked_bar
-from .paths import (REMAINDER, ProjectedPath, WaterfallPath, build_paths, paths_to_csv,
-                    project_paths, render_paths)
-from .svg import Canvas, PALETTE
-from .waterfall import PlotSpec, classical_waterfall, waterfall_entries
+Importing this package loads nothing: each name in ``__all__`` is loaded
+from its module on first use (PEP 562).
+"""
 
-__all__ = [
-    "Canvas", "PALETTE", "PlotSpec", "ProjectedPath", "REMAINDER", "WaterfallPath",
-    "build_paths", "classical_waterfall", "cluster_heatmap", "paths_to_csv",
-    "pca_scatter", "project_paths", "render_paths", "stacked_bar", "waterfall_entries",
-]
+from .. import _exports
+
+__all__, __getattr__ = _exports(__name__)

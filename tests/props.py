@@ -8,13 +8,13 @@ import numpy as np
 
 from oracles import (dense_core_distances, dense_distances, dense_mutual_reachability,
                      finite_difference_grads, naive_mst_weight)
-from shappaths import SimulationSpec, SplitSpec, simulate, train_boosted
+from shappaths import SimulationSpec, SplitSpec, hdbscan, simulate, train_boosted
 from shappaths.data import split_indices
 from shappaths.models.mlp import init_mlp, loss_and_grads
 from shappaths.rng import generator
-from shappaths.subgroup import (HdbscanParams, Points, core_distances, hdbscan,
-                                minimum_spanning_tree, mutual_reachability,
-                                pairwise_distances, pca_fit, pca_transform)
+from shappaths.subgroup import (HdbscanParams, Points, core_distances, minimum_spanning_tree,
+                                mutual_reachability, pairwise_distances, pca_fit,
+                                pca_transform)
 
 
 def check_pca_conservation(seed=0, n=80, d=7):

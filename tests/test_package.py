@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from shappaths import _DEFINED_IN, cli
 
 
 @pytest.mark.parametrize("module", ["shappaths", "shappaths.models", "shappaths.explain",
@@ -37,14 +40,17 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-LAYERS = ("data", "models", "explain", "subgroup", "viz")
-_PRINT_LOADED = ("; print(json.dumps([m.split('.')[1] if m.startswith('shappaths.') else m "
-                 "for m in sys.modules if m in ('numpy', 'numpy.random', 'numpy.ma') "
-                 "or m.startswith('shappaths.')]))")
+LAYERS = tuple(f"shappaths.{layer}" for layer in ("data", "models", "explain", "subgroup", "viz"))
+SUBPACKAGES = LAYERS[1:]
+# no command after `explain` calls into these
+EXPLAINERS = {"shappaths.explain.kernel_shap", "shappaths.explain.tree_shap", "shappaths.workers"}
+UNUSED_BY_PLOTS = EXPLAINERS | {"shappaths.subgroup.hdbscan"}
+_PRINT_LOADED = ("; print(json.dumps([m for m in sys.modules "
+                 "if m in ('numpy', 'numpy.random', 'numpy.ma') or m.startswith('shappaths.')]))")
 
 
 def _loaded_after(code: str) -> set[str]:
-    """numpy, numpy.random, numpy.ma and the shappaths layers in sys.modules
+    """numpy, numpy.random, numpy.ma and the shappaths modules in sys.modules
     after ``code``."""
     out = _python("import json, sys; " + code + _PRINT_LOADED)
     return set(json.loads(out.stdout.splitlines()[-1]))
@@ -54,6 +60,12 @@ def _loaded_after(code: str) -> set[str]:
 def test_import_loads_no_numpy_and_no_layer(module):
     """Each of the pipeline's ten processes pays this import."""
     assert _loaded_after(f"import {module}") & {"numpy", *LAYERS} == set()
+
+
+@pytest.mark.parametrize("package", SUBPACKAGES)
+def test_subpackage_import_loads_no_submodule(package):
+    """A subpackage loads each of its modules on first use of one of its names."""
+    assert _loaded_after(f"import {package}") == {package}
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +82,89 @@ def tree_run(tmp_path_factory) -> Path:
 
 @pytest.mark.parametrize("argv, not_loaded", [
     (["report"], {"numpy", *LAYERS}),
-    (["train", "--model", "tree"], {"explain", "subgroup", "viz"}),
-    (["explain", "--model", "tree"], {"subgroup", "viz", "numpy.random"}),
-    (["cluster", "--source", "tree"], {"models", "viz"}),
-    (["embed", "--source", "tree"], {"models"}),
-    (["waterfall", "--clustered", "--source", "tree"], {"data", "models"}),
-    (["bar", "--source", "tree"], {"data", "models", "subgroup", "numpy.random"}),
-    (["heatmap", "--source", "tree"], {"models"}),
-], ids=["report", "train", "explain", "cluster", "embed", "waterfall-clustered", "bar",
-        "heatmap"])
+    (["train", "--model", "tree"], {"shappaths.explain", "shappaths.subgroup", "shappaths.viz"}),
+    (["explain", "--model", "tree"], {"shappaths.subgroup", "shappaths.viz", "numpy.random"}),
+    (["cluster", "--source", "tree"], {"shappaths.models", "shappaths.viz", *EXPLAINERS}),
+    (["embed", "--source", "tree"], {"shappaths.models", *UNUSED_BY_PLOTS}),
+    (["waterfall", "--source", "tree"],
+     {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
+    (["waterfall", "--clustered", "--source", "tree"],
+     {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
+    (["bar", "--source", "tree"],
+     {"shappaths.data", "shappaths.models", "shappaths.subgroup", "numpy.random",
+      *UNUSED_BY_PLOTS}),
+    (["heatmap", "--source", "tree"], {"shappaths.models", *UNUSED_BY_PLOTS}),
+], ids=["report", "train", "explain", "cluster", "embed", "waterfall", "waterfall-clustered",
+        "bar", "heatmap"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
-    """No command loads numpy.ma either: numpy's first np.unique does, at
-    about 6 ms per process."""
+    """Each command loads only the modules whose names it calls. No command
+    loads numpy.ma either: numpy's first np.unique does, at about 6 ms per
+    process."""
     code = (f"from shappaths.cli import main; "
             f"assert main({[*argv, '--out', str(tree_run)]!r}) == 0")
     assert _loaded_after(code) & (not_loaded | {"numpy.ma"}) == set()
+
+
+_EXPORTS_ARE_THE_DEFINITIONS = """
+import importlib
+from shappaths import _DEFINED_IN
+
+def defined(name):
+    return getattr(importlib.import_module(_DEFINED_IN[name], "shappaths"), name)
+
+for module in ("explain.tree_shap", "explain.kernel_shap", "subgroup.hdbscan"):
+    importlib.import_module(f"shappaths.{module}")
+from shappaths import tree_shap, kernel_shap, hdbscan
+assert [tree_shap, kernel_shap, hdbscan] == [defined(n) for n in ("tree_shap", "kernel_shap",
+                                                                   "hdbscan")]
+for package in ("shappaths", *SUBPACKAGES):
+    exported = importlib.import_module(package)
+    for name in exported.__all__:
+        assert getattr(exported, name) is defined(name), (package, name)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("before", [[], ["cluster", "--source", "tree"]],
+                         ids=["fresh", "after-cluster"])
+def test_functions_named_like_their_modules_stay_functions(tree_run, before):
+    """Importing a module sets it as an attribute of its package, under the
+    name of the function it defines (``tree_shap``, ``kernel_shap``,
+    ``hdbscan``); the top-level package still exports the function, and no
+    subpackage exports the module in its place."""
+    code = f"SUBPACKAGES = {SUBPACKAGES!r}\n"
+    if before:
+        code += ("from shappaths.cli import main\n"
+                 f"assert main({[*before, '--out', str(tree_run)]!r}) == 0\n")
+    assert _python(code + _EXPORTS_ARE_THE_DEFINITIONS).stdout.splitlines()[-1] == "ok"
+
+
+def _global_names(fn) -> set[str]:
+    """The names that ``fn``, its nested code and every cli function it
+    reaches (through the names it loads) look up."""
+    names, seen, todo = set(), set(), [fn.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        todo += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        for name in code.co_names:
+            names.add(name)
+            helper = vars(cli).get(name)
+            if isinstance(helper, types.FunctionType) and helper.__module__ == cli.__name__:
+                todo.append(helper.__code__)
+    return names
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_command_binds_every_name_it_calls(command):
+    """A name a command calls but does not bind is a NameError on a branch
+    that may never run in the tests (``load --idx-images`` for one); a name
+    it binds but never calls loads a module for nothing.
+    So the check is static, over the code objects."""
+    run, _, names = cli.COMMANDS[command]
+    assert _global_names(run) & set(_DEFINED_IN) == set(names.split())
 
 
 def test_sampled_coalitions_and_idx_labels_load_no_numpy_ma(tmp_path):
