@@ -22,8 +22,9 @@ _DEFINED_IN = {name: module for module, names in {
     ".data": "Dataset ScalingMeta SimulationSpec SplitSpec load_csv load_idx_images "
              "min_max_scale read_csv simulate split_indices write_csv",
     ".explain.kernel_shap": "kernel_shap kernel_weight sample_background sample_coalitions",
-    ".explain.tensor": "Background ShapTensor flat_column_names flatten load_tensor mean_abs "
-                       "save_tensor unflatten_values",
+    ".explain.tensor": "Background ShapTensor TensorReader descending flat_column_names flatten "
+                       "load_tensor mean_abs pairwise_sum rank_features save_tensor "
+                       "unflatten_values",
     ".explain.tree_shap": "shap_values_tree tree_shap",
     ".models.boosted": "BoostedEnsemble log_loss softmax train_boosted",
     ".models.io": "load_model model_to_dict save_model",
@@ -39,7 +40,7 @@ _DEFINED_IN = {name: module for module, names in {
     ".viz.paths": "REMAINDER ProjectedPath WaterfallPath build_paths paths_to_csv "
                   "project_paths render_paths",
     ".viz.svg": "Canvas PALETTE",
-    ".viz.waterfall": "PlotSpec classical_waterfall waterfall_entries",
+    ".viz.waterfall": "PlotSpec classical_waterfall waterfall_entries waterfall_row",
 }.items() for name in names.split()}
 
 

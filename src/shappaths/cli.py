@@ -36,12 +36,12 @@ from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, artifact_file, conf
 # ---------------------------------------------------------------------------
 # the names each command calls
 
-# Each command imports only the modules whose names it calls: ``main`` binds
-# the names listed for it in ``COMMANDS`` into this module before dispatch,
-# each from its defining module in the package's one table, and any other
-# reader (the benchmark's tracer, a test's monkeypatch) resolves a name on
-# first access through the module ``__getattr__``. Binding never replaces a
-# name already bound.
+# Each command imports only the modules whose names it calls: its entry in
+# ``COMMANDS``, or a branch's in ``BRANCHES``, binds the names it lists into
+# this module before it runs, each from its defining module in the package's
+# one table, and any other reader (the benchmark's tracer, a test's
+# monkeypatch) resolves a name on first access through the module
+# ``__getattr__``. Binding never replaces a name already bound.
 
 def _resolve(name: str):
     module = importlib.import_module(_DEFINED_IN[name], __package__)
@@ -52,11 +52,6 @@ def __getattr__(name):
     if name not in _DEFINED_IN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals().setdefault(name, _resolve(name))
-
-
-def _bind_names(command: str) -> None:
-    for name in COMMANDS[command].names.split():
-        globals().setdefault(name, _resolve(name))
 
 
 EXIT_OK = 0
@@ -351,12 +346,12 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _read_tensor(args, manifest: RunManifest):
-    """The --source model (default: cluster.source) and its SHAP tensor."""
+def _read_tensor(args, manifest: RunManifest, read):
+    """The --source model (default: cluster.source) and its tensor, opened by ``read``."""
     kind = args.source or manifest.config["cluster"]["source"]
     json_path = manifest.require(f"shap_{kind}",
                                  hint=f"run `shappaths explain --model {kind}` first")
-    return kind, load_tensor(json_path, manifest.require(f"shap_{kind}_csv"))
+    return kind, read(json_path, manifest.require(f"shap_{kind}_csv"))
 
 
 def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
@@ -370,7 +365,7 @@ def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
 def cmd_cluster(args) -> int:
     manifest = _open_run(args)
     ds, _ = _load_dataset(manifest)
-    source, tensor = _read_tensor(args, manifest)
+    source, tensor = _read_tensor(args, manifest, load_tensor)
     cfg = manifest.config["cluster"]
     with manifest.stage("cluster"):
         labeling = hdbscan(flatten(tensor),
@@ -408,8 +403,7 @@ def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
 
 def cmd_embed(args) -> int:
     manifest = _open_run(args)
-    ds, _ = _load_dataset(manifest)
-    source, tensor = _read_tensor(args, manifest)
+    source, tensor = _read_tensor(args, manifest, load_tensor)
     if tensor.n < 3:
         raise DataError(f"embed needs at least 3 explained rows for a 2-D embedding; "
                         f"shap_{source} has {tensor.n}")
@@ -424,6 +418,7 @@ def cmd_embed(args) -> int:
             colors, names = _load_labeling(manifest), None
             title = f"SHAP embedding [{source}] by cluster"
         else:
+            ds, _ = BRANCHES["embed by class"](manifest)
             colors, names = ds.labels[tensor.sample_ids], list(ds.class_names)
             title = f"SHAP embedding [{source}] by class"
         svg = pca_scatter(scores, colors, _plot_spec(manifest), label_names=names,
@@ -440,36 +435,41 @@ def _plot_spec(manifest: RunManifest) -> PlotSpec:
 
 def cmd_waterfall(args) -> int:
     manifest = _open_run(args)
-    source, tensor = _read_tensor(args, manifest)
     spec = _plot_spec(manifest)
     if args.clustered:
-        labeling = _load_labeling(manifest)
-        with manifest.stage("waterfall.clustered"):
-            paths = build_paths(tensor, labeling, top_n=spec.top_n)
-            projected, _ = project_paths(paths, r=2)
-            footnote = (f"noise: {labeling.n_noise} samples excluded"
-                        if labeling.n_noise else "")
-            svg = render_paths(projected, spec, feature_names=tensor.feature_names,
-                               footnote=footnote)
-            name = f"waterfall_clustered_{source}"
-            _write_text(manifest.set_artifact(f"{name}_svg"), svg)
-            _write_text(manifest.set_artifact(f"{name}_csv"),
-                        paths_to_csv(projected, feature_names=tensor.feature_names))
-            print(f"waterfall [{source}]: {len(projected)} clustered paths")
-    else:
-        sample = manifest.config["plots"]["waterfall_sample"]
-        class_index = manifest.config["plots"]["waterfall_class"]
-        with manifest.stage("waterfall.classical"):
-            svg = classical_waterfall(tensor, sample, class_index, spec)
-            name = f"waterfall_{source}_s{sample}_c{class_index}"
-            _write_text(manifest.set_artifact(f"{name}_svg"), svg)
-            print(f"waterfall [{source}]: sample {sample}, class {class_index}")
+        return BRANCHES["waterfall --clustered"](args, manifest, spec)
+    source, tensor = _read_tensor(args, manifest, TensorReader)
+    sample = manifest.config["plots"]["waterfall_sample"]
+    class_index = manifest.config["plots"]["waterfall_class"]
+    with manifest.stage("waterfall.classical"):
+        svg = classical_waterfall(*waterfall_row(tensor, sample, class_index), spec)
+        name = f"waterfall_{source}_s{sample}_c{class_index}"
+        _write_text(manifest.set_artifact(f"{name}_svg"), svg)
+        print(f"waterfall [{source}]: sample {sample}, class {class_index}")
+    return EXIT_OK
+
+
+def _clustered_waterfall(args, manifest: RunManifest, spec: PlotSpec) -> int:
+    source, tensor = _read_tensor(args, manifest, load_tensor)
+    labeling = _load_labeling(manifest)
+    with manifest.stage("waterfall.clustered"):
+        paths = build_paths(tensor, labeling, top_n=spec.top_n)
+        projected, _ = project_paths(paths, r=2)
+        footnote = (f"noise: {labeling.n_noise} samples excluded"
+                    if labeling.n_noise else "")
+        svg = render_paths(projected, spec, feature_names=tensor.feature_names,
+                           footnote=footnote)
+        name = f"waterfall_clustered_{source}"
+        _write_text(manifest.set_artifact(f"{name}_svg"), svg)
+        _write_text(manifest.set_artifact(f"{name}_csv"),
+                    paths_to_csv(projected, feature_names=tensor.feature_names))
+        print(f"waterfall [{source}]: {len(projected)} clustered paths")
     return EXIT_OK
 
 
 def cmd_bar(args) -> int:
     manifest = _open_run(args)
-    source, tensor = _read_tensor(args, manifest)
+    source, tensor = _read_tensor(args, manifest, TensorReader)
     with manifest.stage(f"bar.{source}"):
         svg = stacked_bar(mean_abs(tensor), _plot_spec(manifest),
                           feature_names=tensor.feature_names,
@@ -482,17 +482,15 @@ def cmd_bar(args) -> int:
 def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
     ds, _ = _load_dataset(manifest)
-    _, tensor = _read_tensor(args, manifest)
+    _, tensor = _read_tensor(args, manifest, TensorReader)
     labeling = _load_labeling(manifest)
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
-        totals = mean_abs(tensor).sum(axis=1)
-        order = np.lexsort((np.arange(tensor.p), -totals))[: spec.top_n]
-        explained = ds.take(tensor.sample_ids)
-        svg = cluster_heatmap(explained, labeling, feature_subset=[int(j) for j in order],
-                              spec=spec)
+        order = rank_features(mean_abs(tensor))[1][: spec.top_n]
+        explained = ds.take(tensor.sample_ids())
+        svg = cluster_heatmap(explained, labeling, feature_subset=order, spec=spec)
         _write_text(manifest.set_artifact("heatmap_svg"), svg)
-        print(f"heatmap: {labeling.n_clusters} clusters x {order.size} features")
+        print(f"heatmap: {labeling.n_clusters} clusters x {len(order)} features")
     return EXIT_OK
 
 
@@ -567,9 +565,14 @@ def _render_report(manifest: RunManifest) -> str:
 # parser and entry point
 
 class Command(NamedTuple):
-    run: object     # cmd_* function
+    run: object     # the function it runs
     help: str
     names: str      # the package names it calls, bound before it runs
+
+    def __call__(self, *args):
+        for name in self.names.split():
+            globals().setdefault(name, _resolve(name))
+        return self.run(*args)
 
 
 _INGEST_NAMES = ("SimulationSpec simulate load_csv load_idx_images min_max_scale split_indices "
@@ -586,17 +589,24 @@ COMMANDS = {
     "cluster": Command(cmd_cluster, "HDBSCAN over a flattened SHAP tensor",
                        "read_csv load_tensor hdbscan flatten HdbscanParams cluster_purity"),
     "embed": Command(cmd_embed, "PCA embedding of a flattened SHAP tensor",
-                     "read_csv load_tensor flatten pca_fit pca_transform ClusterLabeling np "
-                     "pca_scatter PlotSpec"),
+                     "load_tensor flatten pca_fit pca_transform ClusterLabeling np pca_scatter "
+                     "PlotSpec"),
     "waterfall": Command(cmd_waterfall, "classical or clustered waterfall plot",
-                         "load_tensor PlotSpec ClusterLabeling np build_paths project_paths "
-                         "render_paths paths_to_csv classical_waterfall"),
+                         "PlotSpec TensorReader classical_waterfall waterfall_row"),
     "bar": Command(cmd_bar, "stacked mean-|SHAP| bars",
-                   "load_tensor mean_abs stacked_bar PlotSpec"),
+                   "TensorReader mean_abs stacked_bar PlotSpec"),
     "heatmap": Command(cmd_heatmap, "cluster-mean heatmap of raw features",
-                       "read_csv load_tensor ClusterLabeling PlotSpec mean_abs np "
+                       "read_csv TensorReader ClusterLabeling np PlotSpec rank_features mean_abs "
                        "cluster_heatmap"),
     "report": Command(cmd_report, "single-page HTML summary", ""),
+}
+
+# branches that call names the rest of their command does not
+BRANCHES = {
+    "waterfall --clustered": Command(_clustered_waterfall, "clustered waterfall paths",
+                                     "load_tensor ClusterLabeling np build_paths project_paths "
+                                     "render_paths paths_to_csv"),
+    "embed by class": Command(_load_dataset, "the dataset, for its classes", "read_csv"),
 }
 
 
@@ -617,8 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _bind_names(args.command)
-        return COMMANDS[args.command].run(args)
+        return COMMANDS[args.command](args)
     except ShappathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, MissingArtifactError):

@@ -2,28 +2,31 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import DataError
+from ..explain.tensor import rank_features
 from .svg import NOISE, PALETTE, Canvas, nice_ticks
 from .waterfall import PlotSpec
 
+if TYPE_CHECKING:
+    import numpy as np
 
-def stacked_bar(meanabs: np.ndarray, spec: PlotSpec = PlotSpec(),
+
+def stacked_bar(meanabs: list[list[float]], spec: PlotSpec = PlotSpec(),
                 feature_names=None, class_names=None) -> str:
-    """Per-feature mean-|SHAP| bars stacked by class, tallest first."""
+    """Per-feature mean-|SHAP| bars stacked by class, tallest first; ``meanabs``
+    holds one row of k floats per feature."""
     spec.validate()
-    meanabs = np.atleast_2d(np.asarray(meanabs, dtype=float))
-    p, k = meanabs.shape
+    p, k = len(meanabs), len(meanabs[0])
     feature_names = list(feature_names) if feature_names else [f"feature_{j}" for j in range(p)]
     class_names = list(class_names) if class_names else [f"class_{c}" for c in range(k)]
-    totals = meanabs.sum(axis=1)
-    order = np.lexsort((np.arange(p), -totals))[: spec.top_n]
+    totals, order = rank_features(meanabs)
+    order = order[: spec.top_n]
 
     left, right, top, bottom = 64, 150, 40, 70
     plot_w, plot_h = spec.width - left - right, spec.height - top - bottom
-    hi = float(totals[order].max()) if order.size else 1.0
-    hi = hi or 1.0
+    hi = totals[order[0]] or 1.0  # the tallest
     canvas = Canvas(spec.width, spec.height, title="mean |SHAP| by feature and class")
     for tick in nice_ticks(0.0, hi):
         y = top + plot_h - tick / (hi * 1.05) * plot_h
@@ -36,7 +39,7 @@ def stacked_bar(meanabs: np.ndarray, spec: PlotSpec = PlotSpec(),
         x = left + i * slot + (slot - bar_w) / 2
         y = top + plot_h
         for c in range(k):
-            h = meanabs[j, c] / (hi * 1.05) * plot_h
+            h = meanabs[j][c] / (hi * 1.05) * plot_h
             if h > 0:
                 canvas.rect(x, y - h, bar_w, h, fill=PALETTE[c % len(PALETTE)],
                             cls=f"bar-{c}")
@@ -73,6 +76,8 @@ def cluster_heatmap(ds, labeling, feature_subset=None,
     defaults to all features; callers usually pass the top features by
     mean |SHAP|.
     """
+    import numpy as np
+
     spec.validate()
     labels = np.asarray(getattr(labeling, "labels", labeling), dtype=int)
     if labels.shape != (ds.n,):
@@ -116,6 +121,8 @@ def cluster_heatmap(ds, labeling, feature_subset=None,
 def pca_scatter(scores: np.ndarray, labels, spec: PlotSpec = PlotSpec(),
                 label_names=None, title: str = "embedding") -> str:
     """2-D scatter of PCA scores colored by integer label (-1 = noise)."""
+    import numpy as np
+
     spec.validate()
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     labels = np.asarray(getattr(labels, "labels", labels), dtype=int)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import InvalidSpecError
-from ..explain.tensor import ShapTensor
+from ..explain.tensor import TensorReader, descending, pairwise_sum
 from .svg import NEGATIVE, POSITIVE, Canvas, nice_ticks
 
 
@@ -30,21 +28,21 @@ class PlotSpec:
             raise InvalidSpecError("plot must be at least 100x100 pixels")
 
 
-def waterfall_entries(t: ShapTensor, sample: int, class_index: int,
+def waterfall_entries(phi: list[float], feature_names,
                       top_n: int) -> list[tuple[str, float]]:
     """(label, contribution) rows in plot order, with the tail aggregated."""
-    phi = t.values[sample, :, class_index]
-    order = np.lexsort((np.arange(t.p), -np.abs(phi)))
-    entries = [(t.feature_names[j], float(phi[j])) for j in order[:top_n]]
-    if t.p > top_n:
-        entries.append((f"other ({t.p - top_n} features)", float(phi[order[top_n:]].sum())))
+    order = descending([abs(v) for v in phi])
+    entries = [(feature_names[j], phi[j]) for j in order[:top_n]]
+    if len(phi) > top_n:
+        entries.append((f"other ({len(phi) - top_n} features)",
+                        pairwise_sum([phi[j] for j in order[top_n:]])))
     return entries
 
 
-def classical_waterfall(t: ShapTensor, sample: int, class_index: int | None = None,
-                        spec: PlotSpec = PlotSpec()) -> str:
-    """SVG waterfall for one sample and one class (class optional when k=1)."""
-    spec.validate()
+def waterfall_row(t: TensorReader, sample: int, class_index: int | None = None):
+    """The leading arguments of :func:`classical_waterfall` for one sample
+    and one class (optional when k=1) of a saved tensor: phi, base, feature
+    names and title. Only the sample's row is parsed."""
     if not (0 <= sample < t.n):
         raise InvalidSpecError(f"sample {sample} out of range [0, {t.n})")
     if class_index is None:
@@ -53,10 +51,16 @@ def classical_waterfall(t: ShapTensor, sample: int, class_index: int | None = No
         class_index = 0
     if not (0 <= class_index < t.k):
         raise InvalidSpecError(f"class_index {class_index} out of range [0, {t.k})")
+    sample_id, phi = t.sample(sample, class_index)
+    title = f"sample {sample_id}" + (f", {t.class_names[class_index]}" if t.k > 1 else "")
+    return phi, t.base[class_index], t.feature_names, title
 
-    base = float(t.base[class_index])
-    entries = [(name, v) for name, v in
-               waterfall_entries(t, sample, class_index, spec.top_n)]
+
+def classical_waterfall(phi: list[float], base: float, feature_names, title: str = "",
+                        spec: PlotSpec = PlotSpec()) -> str:
+    """SVG waterfall of one sample's attributions ``phi`` to one class."""
+    spec.validate()
+    entries = waterfall_entries(phi, feature_names, spec.top_n)
     cumulative = [base]
     for _, v in entries:
         cumulative.append(cumulative[-1] + v)
@@ -73,8 +77,6 @@ def classical_waterfall(t: ShapTensor, sample: int, class_index: int | None = No
     def xpix(v):
         return left + (v - lo) / (hi - lo) * plot_w
 
-    title = (f"sample {int(t.sample_ids[sample])}"
-             + (f", {t.class_names[class_index]}" if t.k > 1 else ""))
     canvas = Canvas(spec.width, spec.height, title=f"waterfall: {title}")
     for tick in nice_ticks(lo, hi):
         x = xpix(tick)

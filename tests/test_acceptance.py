@@ -21,10 +21,10 @@ import pytest
 
 from oracles import brute_shapley_interventional, brute_shapley_tree
 from props import ALL_CHECKS
-from shappaths import (Background, HdbscanParams, SimulationSpec, SplitSpec, evaluate,
-                       flatten, hdbscan, kernel_shap, load_idx_images, mean_abs,
-                       min_max_scale, sample_background, simulate, train_boosted,
-                       train_mlp, train_tree, tree_shap)
+from shappaths import (Background, HdbscanParams, SimulationSpec, SplitSpec, TensorReader,
+                       evaluate, flatten, hdbscan, kernel_shap, load_idx_images, mean_abs,
+                       min_max_scale, sample_background, save_tensor, simulate,
+                       train_boosted, train_mlp, train_tree, tree_shap)
 from shappaths.data import split_indices
 from shappaths.explain.tree_shap import shap_values_tree
 from shappaths.explain.tensor import ShapTensor
@@ -191,11 +191,13 @@ def test_criterion_4_subgroup_discovery(seed0):
            f"{passes}/{len(SEEDS)} seeds pass (need >= 4)")
 
 
-def test_criterion_5_feature_dominance(seed0):
+def test_criterion_5_feature_dominance(seed0, tmp_path):
     factors = {}
     ok = True
     for kind, tensor in seed0["tensors"].items():
-        totals = mean_abs(tensor).sum(axis=1)
+        paths = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+        save_tensor(tensor, *paths)
+        totals = np.sum(mean_abs(TensorReader(*paths)), axis=1)
         others = totals[2:].max()
         factors[kind] = (float(totals[0] / others), float(totals[1] / others))
         ok = ok and min(factors[kind]) >= 2.0
@@ -214,7 +216,8 @@ def test_criterion_6_waterfall_identities(seed0):
     worst_tip = 0.0
     for i in samples:
         for c in range(tensor.k):
-            entries = waterfall_entries(tensor, int(i), c, top_n=9)
+            entries = waterfall_entries(tensor.values[i, :, c].tolist(), tensor.feature_names,
+                                        top_n=9)
             tip = float(tensor.base[c]) + float(np.sum([v for _, v in entries]))
             worst_tip = max(worst_tip, abs(tip - margins[i, c]))
 
@@ -227,7 +230,7 @@ def test_criterion_6_waterfall_identities(seed0):
         projected, _ = project_paths(paths, r=2)
     exact = True
     for i, proj in enumerate(projected):
-        entries = waterfall_entries(k1, i, 0, top_n=k1.p)
+        entries = waterfall_entries(k1.values[i, :, 0].tolist(), k1.feature_names, top_n=k1.p)
         cums = np.concatenate([[0.0], np.cumsum([v for _, v in entries])])
         exact = exact and np.array_equal(proj.points[:, 1], cums)
 

@@ -16,8 +16,10 @@ import pytest
 from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
 from shappaths.data import load_csv
 from shappaths.errors import ConfigError, NumericalError
+from shappaths.explain.tensor import TensorReader
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 resolve_config)
+from shappaths.viz import PlotSpec, classical_waterfall
 from shappaths.workers import run_forked
 from util import QUOTED_CLASSES, QUOTED_FEATURES
 
@@ -183,24 +185,33 @@ def test_csv_load_pipeline(tmp_path):
     assert meta["class_names"] == ["hi", "lo"] or meta["class_names"] == ["lo", "hi"]
 
 
-def test_quoted_names_survive_the_reload(tmp_path):
-    """Names holding a delimiter, a quote and a line break, read back by
-    train and explain as `load` ingested them."""
-    target = 'the "class",\nsaid'
+QUOTED_TARGET = 'the "class",\nsaid'
+
+
+def _quoted_run(tmp_path) -> Path:
+    """A run loaded from a CSV whose names hold a delimiter, a quote and a
+    line break, with a tree trained and explained."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(60, len(QUOTED_FEATURES)))
     y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
     path = tmp_path / "quoted.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([QUOTED_FEATURES[0], target, *QUOTED_FEATURES[1:]])
+        writer.writerow([QUOTED_FEATURES[0], QUOTED_TARGET, *QUOTED_FEATURES[1:]])
         writer.writerows([repr(row[0]), QUOTED_CLASSES[c], *map(repr, row[1:])]
                          for row, c in zip(X.tolist(), y))
     out = tmp_path / "run"
-    assert main(["load", "--csv", str(path), "--target", target, "--out", str(out)]) == 0
+    assert main(["load", "--csv", str(path), "--target", QUOTED_TARGET, "--out", str(out)]) == 0
     for cmd in (["train", "--model", "tree"], ["explain", "--model", "tree"]):
         assert main([*cmd, "--out", str(out)]) == 0, cmd
-    ingested = load_csv(path, target)
+    return out
+
+
+def test_quoted_names_survive_the_reload(tmp_path):
+    """Names holding a delimiter, a quote and a line break, read back by
+    train and explain as `load` ingested them."""
+    out = _quoted_run(tmp_path)
+    ingested = load_csv(tmp_path / "quoted.csv", QUOTED_TARGET)
     reloaded, _ = _load_dataset(_open_run(build_parser().parse_args(["train", "--out",
                                                                      str(out)])))
     assert reloaded.feature_names == ingested.feature_names == QUOTED_FEATURES
@@ -211,6 +222,24 @@ def test_quoted_names_survive_the_reload(tmp_path):
     shap = json.loads((out / "shap_tree.json").read_text(encoding="utf-8"))
     assert (shap["feature_names"], shap["class_names"]) == \
         (list(QUOTED_FEATURES), list(ingested.class_names))
+
+
+def test_classical_waterfall_under_a_quoted_header_draws_the_asked_row(tmp_path):
+    """The tensor's header spans lines and holds a lone \\r; the streaming
+    reader skips it whole and draws the row --sample names, as the csv
+    module reads that row."""
+    out = _quoted_run(tmp_path)
+    assert main(["waterfall", "--source", "tree", "--sample", "1", "--class-index", "1",
+                 "--out", str(out)]) == 0
+    shap = json.loads((out / "shap_tree.json").read_text(encoding="utf-8"))
+    with open(out / "shap_tree.csv", newline="", encoding="utf-8") as fh:
+        header, _, row, *_ = csv.reader(fh)
+    assert header[1] == f"{QUOTED_FEATURES[0]}|{shap['class_names'][0]}"
+    k = len(shap["class_names"])
+    expected = classical_waterfall([float(v) for v in row[1:]][1::k], shap["base"][1],
+                                   QUOTED_FEATURES, f"sample {row[0]}, {shap['class_names'][1]}",
+                                   PlotSpec())
+    assert (out / "waterfall_tree_s1_c1.svg").read_bytes() == expected.encode("utf-8")
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -943,6 +972,25 @@ def test_damaged_artifact_is_caught_by_its_reader(tree_run, tmp_path, capfd, nam
     assert main([READER[name], "--out", str(out)]) == (3 if damage == "delete" else 2)
     err = capfd.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, message", [("--sample", "sample {n} out of range [0, {n})"),
+                                           ("--class-index",
+                                            "class_index {k} out of range [0, {k})")])
+def test_waterfall_out_of_range_fails_before_a_row_is_read(tree_run, tmp_path, capfd,
+                                                           monkeypatch, flag, message):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    shap = json.loads((out / "shap_tree.json").read_text())
+
+    def no_rows(self, start=0):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(TensorReader, "_lines", no_rows)
+    capfd.readouterr()
+    value = shap["n"] if flag == "--sample" else shap["k"]
+    assert main(["waterfall", flag, str(value), "--out", str(out)]) == 2
+    assert capfd.readouterr().err == f"error: {message.format(**shap)}\n"
 
 
 @pytest.mark.parametrize("command", ["train", "explain", "cluster", "embed", "report"])

@@ -85,21 +85,21 @@ def tree_run(tmp_path_factory) -> Path:
     (["train", "--model", "tree"], {"shappaths.explain", "shappaths.subgroup", "shappaths.viz"}),
     (["explain", "--model", "tree"], {"shappaths.subgroup", "shappaths.viz", "numpy.random"}),
     (["cluster", "--source", "tree"], {"shappaths.models", "shappaths.viz", *EXPLAINERS}),
-    (["embed", "--source", "tree"], {"shappaths.models", *UNUSED_BY_PLOTS}),
+    (["embed", "--source", "tree"], {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
     (["waterfall", "--source", "tree"],
-     {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
+     {"numpy", "shappaths.data", "shappaths.models", "shappaths.subgroup", *UNUSED_BY_PLOTS}),
     (["waterfall", "--clustered", "--source", "tree"],
      {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
     (["bar", "--source", "tree"],
-     {"shappaths.data", "shappaths.models", "shappaths.subgroup", "numpy.random",
-      *UNUSED_BY_PLOTS}),
+     {"numpy", "shappaths.data", "shappaths.models", "shappaths.subgroup", *UNUSED_BY_PLOTS}),
     (["heatmap", "--source", "tree"], {"shappaths.models", *UNUSED_BY_PLOTS}),
 ], ids=["report", "train", "explain", "cluster", "embed", "waterfall", "waterfall-clustered",
         "bar", "heatmap"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
-    """Each command loads only the modules whose names it calls. No command
-    loads numpy.ma either: numpy's first np.unique does, at about 6 ms per
-    process."""
+    """Each command loads only the modules whose names it calls: `bar` and the
+    classical `waterfall` load no numpy, and `embed`, which colours by
+    cluster here, reads no dataset. No command loads numpy.ma either:
+    numpy's first np.unique does, at about 6 ms per process."""
     code = (f"from shappaths.cli import main; "
             f"assert main({[*argv, '--out', str(tree_run)]!r}) == 0")
     assert _loaded_after(code) & (not_loaded | {"numpy.ma"}) == set()
@@ -157,13 +157,15 @@ def _global_names(fn) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS) + sorted(cli.BRANCHES))
 def test_each_command_binds_every_name_it_calls(command):
     """A name a command calls but does not bind is a NameError on a branch
     that may never run in the tests (``load --idx-images`` for one); a name
     it binds but never calls loads a module for nothing.
-    So the check is static, over the code objects."""
-    run, _, names = cli.COMMANDS[command]
+    So the check is static, over the code objects. A branch in
+    ``cli.BRANCHES`` (``waterfall --clustered``) binds its own names, and
+    the walk from its command does not enter it."""
+    run, _, names = {**cli.COMMANDS, **cli.BRANCHES}[command]
     assert _global_names(run) & set(_DEFINED_IN) == set(names.split())
 
 

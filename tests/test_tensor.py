@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shappaths import ShapTensor, flatten, load_tensor, mean_abs, save_tensor, unflatten_values
+from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, mean_abs, pairwise_sum,
+                       rank_features, save_tensor, unflatten_values)
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
+from shappaths.viz import waterfall_entries
 from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
 
 
@@ -46,11 +48,173 @@ def test_unflatten_round_trip(n, p, k, seed):
     assert np.array_equal(unflatten_values(flatten(t), k), values)
 
 
-def test_mean_abs():
-    t = make_tensor(np.zeros((4, 3, 2)))
+def saved(tmp_path, t: ShapTensor, name: str = "t") -> TensorReader:
+    jp, cp = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    save_tensor(t, jp, cp)
+    return TensorReader(jp, cp)
+
+
+def test_mean_abs(tmp_path):
+    t = saved(tmp_path, make_tensor(np.zeros((4, 3, 2))), "zeros")
     assert np.array_equal(mean_abs(t), np.zeros((3, 2)))
-    one = make_tensor([[[-2.0, 1.0], [0.5, -0.5]]])
+    one = saved(tmp_path, make_tensor([[[-2.0, 1.0], [0.5, -0.5]]]), "one")
     assert np.array_equal(mean_abs(one), [[2.0, 1.0], [0.5, 0.5]])
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python summaries give numpy's exact bits
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def running_total(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _arrays(seed: int, lengths) -> list[np.ndarray]:
+    """Random arrays over many magnitudes, plus signed zeros and AWKWARD's values."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n) for n in lengths]
+    return arrays + [np.array(AWKWARD), np.array(AWKWARD[::-1]), np.array(AWKWARD * 9),
+                     np.full(9, -0.0), np.array([-0.0]), np.array([-0.0, 0.0]), np.array([])]
+
+
+def test_pairwise_sum_has_numpy_bits():
+    arrays = _arrays(5, [n for n in range(300) for _ in range(4)] + [1000, 4097, 9000])
+    with np.errstate(all="ignore"):  # AWKWARD's extremes overflow to inf and nan
+        expected = [bits(a.sum()) for a in arrays]
+    assert [bits(pairwise_sum(a.tolist())) for a in arrays] == expected
+    # the data tell numpy's order apart from a running total and from sum()
+    assert any(bits(running_total(a.tolist())) != e for a, e in zip(arrays, expected))
+    assert any(bits(sum(a.tolist())) != e for a, e in zip(arrays, expected))
+
+
+def _mean_abs_cases() -> list[np.ndarray]:
+    rng = np.random.default_rng(8)
+    cases = [rng.standard_normal((n, p, k)) * 10.0 ** rng.integers(-4, 5, (n, p, k))
+             for n, p, k in [(300, 1, 1), (37, 1, 1), (9, 1, 1), (1, 1, 1), (40, 3, 4),
+                             (25, 1, 2), (25, 2, 1), (30, 10, 10), (150, 4, 3)]]
+    cases += [rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 6)),
+                                   int(rng.integers(1, 6)))) for _ in range(40)]
+    awkward = np.array(AWKWARD * 2)
+    return cases + [awkward.reshape(32, 1, 1), awkward.reshape(8, 2, 2)]
+
+
+def test_mean_abs_has_numpy_bits(tmp_path):
+    """numpy's mean over rows adds them one after another when p*k >= 2,
+    and pairwise when p*k == 1; a running total or a pairwise sum used for
+    both cases each misses one of them."""
+    misses = {"running": 0, "pairwise": 0}
+    for i, values in enumerate(_mean_abs_cases()):
+        with np.errstate(all="ignore"):
+            expected = np.abs(values).mean(axis=0)
+        got = mean_abs(saved(tmp_path, make_tensor(values), f"t{i}"))
+        assert bits(got) == bits(expected), values.shape
+        n, p, k = values.shape
+        columns = np.abs(values).reshape(n, p * k).T.tolist()
+        misses["running"] += bits([running_total(c) / n for c in columns]) != bits(expected.ravel())
+        misses["pairwise"] += bits([pairwise_sum(c) / n for c in columns]) != bits(expected.ravel())
+    assert misses["running"] and misses["pairwise"]
+
+
+def test_mean_abs_of_no_rows_is_nan(tmp_path):
+    """As numpy's mean of no rows is (its NaN may carry the other sign bit)."""
+    got = np.array(mean_abs(saved(tmp_path, make_tensor(np.zeros((0, 3, 2))))))
+    assert got.shape == (3, 2) and np.isnan(got).all()
+
+
+def test_rank_features_has_numpy_bits_and_order():
+    """Totals over k >= 8 classes are pairwise; ties (equal totals, and
+    -0.0 against 0.0) go to the lower index, NaN last, as np.lexsort puts them."""
+    rng = np.random.default_rng(9)
+    meanabs = rng.uniform(size=(12, 10)) * 10.0 ** rng.integers(-3, 4, (12, 10))
+    meanabs[5] = meanabs[2]
+    meanabs[7] = meanabs[2][::-1]
+    keys = [0.0, -0.0, 2.0, 2.0, -1.0, np.nan, 2.0, 0.0, -np.inf, np.nan, np.inf]
+    rows = [meanabs, rng.uniform(size=(6, 1)), np.array(AWKWARD).reshape(8, 2),
+            np.array(keys).reshape(-1, 1)]
+    running_misses = 0
+    for m in rows:
+        with np.errstate(all="ignore"):
+            totals = m.sum(axis=1)
+        got_totals, got_order = rank_features(m.tolist())
+        assert bits(got_totals) == bits(totals)
+        assert got_order == np.lexsort((np.arange(len(m)), -totals)).tolist()
+        running_misses += bits([running_total(r) for r in m.tolist()]) != bits(totals)
+    assert running_misses
+
+
+def test_waterfall_tail_has_numpy_bits():
+    """A tail of 8 or more features is summed pairwise, in the order of
+    descending magnitude (ties to the lower index)."""
+    rng = np.random.default_rng(10)
+    cases = [rng.standard_normal(p) * 10.0 ** rng.integers(-5, 6, p) for p in (12, 20, 40, 140)]
+    tied = rng.standard_normal(24)
+    tied[1::2] = -tied[::2]  # every magnitude twice, with both signs
+    cases += [tied, np.array(AWKWARD[:14] + [-0.0, 0.0, -0.0])]
+    running_misses = 0
+    for phi in cases:
+        order = np.lexsort((np.arange(phi.size), -np.abs(phi)))
+        names = [f"f{j}" for j in range(phi.size)]
+        entries = waterfall_entries(phi.tolist(), names, top_n=3)
+        with np.errstate(all="ignore"):
+            tail = phi[order[3:]].sum()
+        assert [name for name, _ in entries[:3]] == [names[j] for j in order[:3]]
+        assert bits([v for _, v in entries]) == bits([*phi[order[:3]], tail])
+        running_misses += bits(running_total(phi[order[3:]].tolist())) != bits(tail)
+    assert running_misses
+
+
+# ---------------------------------------------------------------------------
+# the streaming reader
+
+def test_reader_streams_rows_as_floats(tmp_path):
+    rng = np.random.default_rng(12)
+    t = replace(make_tensor(rng.normal(size=(5, 4, 3)), base=rng.normal(size=3)),
+                sample_ids=np.arange(5) * 7 + 3,
+                feature_names=QUOTED_FEATURES, class_names=QUOTED_CLASSES)
+    reader = saved(tmp_path, t)
+    assert (reader.n, reader.p, reader.k) == (5, 4, 3)
+    assert (reader.feature_names, reader.class_names) == (QUOTED_FEATURES, QUOTED_CLASSES)
+    assert bits(reader.base) == bits(t.base)
+    expected = [[float(sid), *row] for sid, row in zip(t.sample_ids, flatten(t).tolist())]
+    assert [bits(row) for row in reader.rows()] == [bits(row) for row in expected]
+    assert [(sid, bits(phi)) for sid, phi in (reader.sample(3, c) for c in range(3))] == \
+        [(int(expected[3][0]), bits(expected[3][1 + c::3])) for c in range(3)]
+    assert list(reader.rows(4)) == expected[4:]
+    assert reader.sample_ids() == t.sample_ids.tolist()
+
+
+def test_reader_stops_at_the_row_asked_for(tmp_path):
+    """Rows after the one asked for are never parsed: here they are not numbers."""
+    reader = saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
+    body = reader.csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    reader.csv_path.write_text("".join(body[:3]) + "x,y,z\r\n", encoding="utf-8")
+    assert reader.sample(1, 0) == (1, [1.0, 1.0])
+    with pytest.raises(DataError, match="row 2 does not hold 3 numbers"):
+        list(reader.rows())
+
+
+def test_reader_of_a_tensor_with_no_rows(tmp_path):
+    t = make_tensor(np.zeros((0, 4, 3)))
+    reader = saved(tmp_path, t)
+    assert (reader.n, list(reader.rows()), reader.sample_ids()) == (0, [], [])
+    with pytest.raises(DataError, match="has no row 0"):
+        reader.sample(0, 0)
+    loaded = load_tensor(tmp_path / "t.json", tmp_path / "t.csv")
+    assert loaded.values.shape == (0, 4, 3) and loaded.sample_ids.shape == (0,)
+
+
+def test_load_tensor_of_a_short_body_is_a_data_error(tmp_path):
+    reader = saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
+    body = reader.csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    reader.csv_path.write_text("".join(body[:3]), encoding="utf-8")
+    with pytest.raises(DataError, match="fewer than 3 rows"):
+        load_tensor(tmp_path / "t.json", reader.csv_path)
 
 
 def test_tensor_round_trip(tmp_path):

@@ -4,11 +4,11 @@ import io
 import numpy as np
 import pytest
 
-from shappaths import Dataset, ShapTensor
+from shappaths import Dataset, ShapTensor, TensorReader, save_tensor
 from shappaths.errors import DataError, InvalidSpecError
 from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
                            paths_to_csv, pca_scatter, project_paths, render_paths,
-                           stacked_bar, waterfall_entries)
+                           stacked_bar, waterfall_entries, waterfall_row)
 from shappaths.viz.paths import REMAINDER
 from util import QUOTED_FEATURES
 
@@ -23,29 +23,34 @@ def make_tensor(values, base=None):
                       class_names=tuple(f"c{c}" for c in range(k)))
 
 
+def saved(tmp_path, t: ShapTensor) -> TensorReader:
+    save_tensor(t, tmp_path / "t.json", tmp_path / "t.csv")
+    return TensorReader(tmp_path / "t.json", tmp_path / "t.csv")
+
+
 # ---------------------------------------------------------------------------
 # classical waterfall
 
-def test_waterfall_all_zero_no_bars():
-    t = make_tensor(np.zeros((1, 4, 1)), base=[2.0])
-    svg = classical_waterfall(t, 0)
+def test_waterfall_all_zero_no_bars(tmp_path):
+    t = saved(tmp_path, make_tensor(np.zeros((1, 4, 1)), base=[2.0]))
+    svg = classical_waterfall(*waterfall_row(t, 0))
     assert 'class="bar' not in svg
     assert "prediction 2.00" in svg
 
 
-def test_waterfall_cumulative_order_and_tip():
+def test_waterfall_cumulative_order_and_tip(tmp_path):
     t = make_tensor([[[2.0], [-1.0]]], base=[0.0])
-    entries = waterfall_entries(t, 0, 0, top_n=5)
+    entries = waterfall_entries(t.values[0, :, 0].tolist(), t.feature_names, top_n=5)
     assert entries == [("f0", 2.0), ("f1", -1.0)]  # descending magnitude
-    svg = classical_waterfall(t, 0)
+    svg = classical_waterfall(*waterfall_row(saved(tmp_path, t), 0))
     assert svg.count('class="bar') == 2
     assert "prediction 1.00" in svg
 
 
-def test_waterfall_reported_negative_prediction():
+def test_waterfall_reported_negative_prediction(tmp_path):
     # the bars cumulate to a tip at -6.75: the marker must sit there
-    t = make_tensor([[[-4.0], [-2.0], [0.25]]], base=[-1.0])
-    svg = classical_waterfall(t, 0)
+    t = saved(tmp_path, make_tensor([[[-4.0], [-2.0], [0.25]]], base=[-1.0]))
+    svg = classical_waterfall(*waterfall_row(t, 0))
     assert "prediction -6.75" in svg
 
 
@@ -53,26 +58,27 @@ def test_waterfall_other_aggregation_preserves_tip():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(1, 12, 1))
     t = make_tensor(values, base=[0.5])
-    entries = waterfall_entries(t, 0, 0, top_n=3)
+    entries = waterfall_entries(t.values[0, :, 0].tolist(), t.feature_names, top_n=3)
     assert len(entries) == 4 and entries[-1][0].startswith("other")
     total = sum(v for _, v in entries)
     assert abs(total - values.sum()) < 1e-12
 
 
-def test_waterfall_validation():
-    t = make_tensor(np.zeros((2, 3, 2)))
+def test_waterfall_validation(tmp_path):
+    t = saved(tmp_path, make_tensor(np.zeros((2, 3, 2))))
     with pytest.raises(InvalidSpecError):
-        classical_waterfall(t, 5, 0)
+        waterfall_row(t, 5, 0)
     with pytest.raises(InvalidSpecError):
-        classical_waterfall(t, 0)  # k=2 needs a class index
+        waterfall_row(t, 0)  # k=2 needs a class index
     with pytest.raises(InvalidSpecError):
-        classical_waterfall(t, 0, 0, PlotSpec(top_n=0))
+        classical_waterfall(*waterfall_row(t, 0, 0), PlotSpec(top_n=0))
 
 
-def test_waterfall_deterministic():
+def test_waterfall_deterministic(tmp_path):
     rng = np.random.default_rng(1)
-    t = make_tensor(rng.normal(size=(3, 5, 2)), base=[0.1, -0.2])
-    assert classical_waterfall(t, 1, 0) == classical_waterfall(t, 1, 0)
+    t = saved(tmp_path, make_tensor(rng.normal(size=(3, 5, 2)), base=[0.1, -0.2]))
+    assert classical_waterfall(*waterfall_row(t, 1, 0)) == \
+        classical_waterfall(*waterfall_row(t, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +241,17 @@ def test_ordering_invariant_norm_nonincreasing():
 # charts
 
 def test_stacked_bar_single_class_and_sorting():
-    meanabs = np.array([[0.5], [2.0], [1.0]])
+    meanabs = [[0.5], [2.0], [1.0]]
     svg = stacked_bar(meanabs, PlotSpec(top_n=3))
     assert svg.count('class="bar-0"') == 3
-    t = np.array([[1.0, 1.0], [1.0, 1.0]])
+    t = [[1.0, 1.0], [1.0, 1.0]]
     equal = stacked_bar(t)
     assert equal.count('class="bar-') == 4
 
 
 def test_stacked_bar_deterministic():
     rng = np.random.default_rng(8)
-    meanabs = rng.uniform(size=(6, 3))
+    meanabs = rng.uniform(size=(6, 3)).tolist()
     assert stacked_bar(meanabs) == stacked_bar(meanabs)
 
 
@@ -253,7 +259,7 @@ def test_stacked_bar_heights_nonincreasing():
     import re
 
     rng = np.random.default_rng(11)
-    meanabs = rng.uniform(size=(7, 3))
+    meanabs = rng.uniform(size=(7, 3)).tolist()
     svg = stacked_bar(meanabs, PlotSpec(top_n=7))
     stacks = {}
     for match in re.finditer(
