@@ -22,8 +22,9 @@ _DEFINED_IN = {name: module for module, names in {
     ".data": "Dataset ScalingMeta SimulationSpec SplitSpec load_csv load_idx_images "
              "min_max_scale read_csv simulate split_indices write_csv",
     ".explain.kernel_shap": "kernel_shap kernel_weight sample_background sample_coalitions",
-    ".explain.tensor": "Background ShapTensor TensorReader descending flat_column_names flatten "
-                       "load_tensor mean_abs pairwise_sum rank_features save_tensor "
+    ".explain.reader": "TensorReader column_means descending mean_abs pairwise_sum "
+                       "rank_features",
+    ".explain.tensor": "Background ShapTensor flat_column_names flatten load_tensor save_tensor "
                        "unflatten_values",
     ".explain.tree_shap": "shap_values_tree tree_shap",
     ".models.boosted": "BoostedEnsemble log_loss softmax train_boosted",
@@ -36,7 +37,7 @@ _DEFINED_IN = {name: module for module, names in {
                          "single_linkage",
     ".subgroup.pca": "PcaModel pca_fit pca_transform",
     ".subgroup.purity": "ClusterLabeling PurityReport cluster_purity",
-    ".viz.charts": "cluster_heatmap pca_scatter stacked_bar",
+    ".viz.charts": "cluster_heatmap dataset_rows pca_scatter stacked_bar",
     ".viz.paths": "REMAINDER ProjectedPath WaterfallPath build_paths paths_to_csv "
                   "project_paths render_paths",
     ".viz.svg": "Canvas PALETTE",

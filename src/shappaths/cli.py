@@ -336,9 +336,8 @@ def cmd_explain(args) -> int:
                                      seed=manifest.config["seed"],
                                      feature_names=ds.feature_names,
                                      class_names=ds.class_names, sample_ids=rows)
-            save_tensor(tensor,
-                        manifest.set_artifact(f"shap_{kind}"),
-                        manifest.set_artifact(f"shap_{kind}_csv"))
+            save_tensor(tensor, *(manifest.set_artifact(f"shap_{kind}{ext}")
+                                  for ext in ("", "_csv", "_f64")))
             gap = np.abs(tensor.values.sum(axis=1)
                          - (model.predict_margin(X) - tensor.base)).max()
             print(f"explain {kind} [{method}]: n={tensor.n} "
@@ -349,9 +348,9 @@ def cmd_explain(args) -> int:
 def _read_tensor(args, manifest: RunManifest, read):
     """The --source model (default: cluster.source) and its tensor, opened by ``read``."""
     kind = args.source or manifest.config["cluster"]["source"]
-    json_path = manifest.require(f"shap_{kind}",
-                                 hint=f"run `shappaths explain --model {kind}` first")
-    return kind, read(json_path, manifest.require(f"shap_{kind}_csv"))
+    hint = f"run `shappaths explain --model {kind}`"
+    return kind, read(manifest.require(f"shap_{kind}", hint=f"{hint} first"),
+                      manifest.require(f"shap_{kind}_f64", hint=f"{hint} again"))
 
 
 def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
@@ -390,15 +389,18 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
-    """The cluster labels of the explained rows, as `cluster` wrote them."""
+def _cluster_rows(manifest: RunManifest) -> list[list[str]]:
+    """The id, label and stability cells of each explained row, as `cluster` wrote them."""
     path = manifest.require("clusters", hint="run `shappaths cluster` first")
-    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
+    rows = _cluster_rows(manifest)
     stabilities = {int(lab): float(stab) for _, lab, stab in rows if stab}
-    n_clusters = max(stabilities) + 1 if stabilities else 0
-    stability = np.array([stabilities.get(c, 0.0) for c in range(n_clusters)])
-    return ClusterLabeling(labels=np.array([int(lab) for _, lab, _ in rows]),
-                           n_clusters=n_clusters, stability=stability)
+    n_clusters = max(stabilities, default=-1) + 1
+    return ClusterLabeling(labels=np.array([int(lab) for _, lab, _ in rows]), n_clusters=n_clusters,
+                           stability=np.array([stabilities.get(c, 0.0) for c in range(n_clusters)]))
 
 
 def cmd_embed(args) -> int:
@@ -472,8 +474,7 @@ def cmd_bar(args) -> int:
     source, tensor = _read_tensor(args, manifest, TensorReader)
     with manifest.stage(f"bar.{source}"):
         svg = stacked_bar(mean_abs(tensor), _plot_spec(manifest),
-                          feature_names=tensor.feature_names,
-                          class_names=tensor.class_names)
+                          feature_names=tensor.feature_names, class_names=tensor.class_names)
         _write_text(manifest.set_artifact(f"bar_{source}_svg"), svg)
         print(f"bar [{source}]: wrote bar_{source}.svg")
     return EXIT_OK
@@ -481,23 +482,22 @@ def cmd_bar(args) -> int:
 
 def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
-    ds, _ = _load_dataset(manifest)
+    dataset = manifest.require("dataset_csv", hint="run `shappaths simulate` or `load` first")
     _, tensor = _read_tensor(args, manifest, TensorReader)
-    labeling = _load_labeling(manifest)
+    labels = [int(label) for _, label, _ in _cluster_rows(manifest)]
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
         order = rank_features(mean_abs(tensor))[1][: spec.top_n]
-        explained = ds.take(tensor.sample_ids())
-        svg = cluster_heatmap(explained, labeling, feature_subset=order, spec=spec)
+        svg = cluster_heatmap(dataset_rows(dataset, tensor.sample_ids(), order), labels,
+                              [tensor.feature_names[j] for j in order], spec=spec)
         _write_text(manifest.set_artifact("heatmap_svg"), svg)
-        print(f"heatmap: {labeling.n_clusters} clusters x {len(order)} features")
+        print(f"heatmap: {max(labels, default=-1) + 1} clusters x {len(order)} features")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     manifest = _open_run(args)
-    required = ["dataset_manifest", "metrics"]
-    missing = [name for name in required if not manifest.has(name)]
+    missing = [name for name in ("dataset_manifest", "metrics") if not manifest.has(name)]
     tensors = [k for k in manifest.config["models"] if manifest.has(f"shap_{k}")]
     if not tensors:
         missing.append("shap_<model>")
@@ -596,7 +596,7 @@ COMMANDS = {
     "bar": Command(cmd_bar, "stacked mean-|SHAP| bars",
                    "TensorReader mean_abs stacked_bar PlotSpec"),
     "heatmap": Command(cmd_heatmap, "cluster-mean heatmap of raw features",
-                       "read_csv TensorReader ClusterLabeling np PlotSpec rank_features mean_abs "
+                       "TensorReader PlotSpec rank_features mean_abs dataset_rows "
                        "cluster_heatmap"),
     "report": Command(cmd_report, "single-page HTML summary", ""),
 }

@@ -165,8 +165,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# the artifacts not written to <stem>.csv or <stem>.svg (a name ending in
-# _csv or _svg) or to <name>.json (every other name)
+# the artifacts not written to <stem>.<ext> (a name ending in _csv, _svg or
+# _f64) or to <name>.json (every other name)
 _FILES = {"dataset_manifest": "dataset.json", "clusters": "clusters.csv",
           "embedding": "embed.csv", "report": "report.html"}
 
@@ -174,7 +174,8 @@ _FILES = {"dataset_manifest": "dataset.json", "clusters": "clusters.csv",
 def artifact_file(name: str) -> str:
     """The file artifact ``name`` is written to, in the run directory."""
     stem, _, ext = name.rpartition("_")
-    return _FILES.get(name) or (f"{stem}.{ext}" if ext in ("csv", "svg") else f"{name}.json")
+    return _FILES.get(name) or (f"{stem}.{ext}" if ext in ("csv", "svg", "f64")
+                                else f"{name}.json")
 
 
 def _sha256(path: Path) -> str:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 from typing import TYPE_CHECKING
 
 from ..errors import DataError
-from ..explain.tensor import rank_features
+from ..explain.reader import column_means, rank_features
 from .svg import NOISE, PALETTE, Canvas, nice_ticks
 from .waterfall import PlotSpec
 
@@ -67,50 +68,62 @@ def _diverging_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def cluster_heatmap(ds, labeling, feature_subset=None,
+def dataset_rows(path, rows, columns) -> list[list[float]]:
+    """Columns ``columns`` of rows ``rows`` of a dataset CSV as
+    :func:`shappaths.data.write_csv` writes it (a header, then each row's
+    feature values as the repr of a float and its class name), read
+    without numpy."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))  # a quoted name may span lines
+    try:
+        return [[float(table[1 + i][j]) for j in columns] for i in rows]
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"{path} does not hold the explained rows: {exc}") from None
+
+
+def cluster_heatmap(values: list[list[float]], labels: list[int], feature_names,
                     spec: PlotSpec = PlotSpec()) -> str:
     """Cluster-mean raw feature values, diverging around the global mean.
 
+    ``values`` holds one row per sample of the features to draw (callers
+    usually pass the top features by mean |SHAP|), ``labels`` each row's
+    cluster (-1 for noise) and ``feature_names`` the drawn features' names.
     Colors normalize per feature (columns have their own scales); noise
-    points are excluded and counted in the footnote. ``feature_subset``
-    defaults to all features; callers usually pass the top features by
-    mean |SHAP|.
+    points are excluded and counted in the footnote. The means have the
+    bits numpy gives when it takes the features as ``X[:, subset]``.
     """
-    import numpy as np
-
     spec.validate()
-    labels = np.asarray(getattr(labeling, "labels", labeling), dtype=int)
-    if labels.shape != (ds.n,):
-        raise DataError(f"labels must have length {ds.n}")
-    features = list(feature_subset) if feature_subset is not None else list(range(ds.p))
-    clusters = [c for c in sorted(set(labels.tolist())) if c != -1]
-    global_mean = ds.features[:, features].mean(axis=0)
-    cells = np.zeros((len(clusters), len(features)))
-    for i, c in enumerate(clusters):
-        members = labels == c
-        cells[i] = ds.features[members][:, features].mean(axis=0)
-    deviation = cells - global_mean
-    scale = np.maximum(np.abs(deviation).max(axis=0, initial=0.0), 1e-300)
+    if len(labels) != len(values):
+        raise DataError(f"labels must have length {len(values)}")
+    columns = [[row[j] for row in values] for j in range(len(feature_names))]
+    clusters = sorted(set(labels) - {-1})
+    global_mean = column_means(columns)
+    cells = []
+    for c in clusters:
+        members = [i for i, label in enumerate(labels) if label == c]
+        cells.append(column_means([[column[i] for i in members] for column in columns]))
+    deviation = [[cell - mean for cell, mean in zip(row, global_mean)] for row in cells]
+    scale = [max(max((abs(row[j]) for row in deviation), default=0.0), 1e-300)
+             for j in range(len(feature_names))]
 
     left, right, top, bottom = 110, 30, 56, 46
     plot_w = spec.width - left - right
     plot_h = spec.height - top - bottom
-    cell_w = plot_w / max(len(features), 1)
+    cell_w = plot_w / max(len(feature_names), 1)
     cell_h = min(36.0, plot_h / max(len(clusters), 1))
     canvas = Canvas(spec.width, spec.height, title="cluster means of raw features")
-    for j, f in enumerate(features):
-        canvas.text(left + (j + 0.5) * cell_w, top - 8, ds.feature_names[f],
-                    anchor="middle", size=9)
+    for j, name in enumerate(feature_names):
+        canvas.text(left + (j + 0.5) * cell_w, top - 8, name, anchor="middle", size=9)
     for i, c in enumerate(clusters):
         y = top + i * cell_h
         canvas.text(left - 8, y + cell_h / 2 + 3, f"cluster {c}", anchor="end", size=10)
-        for j in range(len(features)):
-            color = _diverging_color(float(deviation[i, j] / scale[j]))
+        for j in range(len(feature_names)):
+            color = _diverging_color(deviation[i][j] / scale[j])
             canvas.rect(left + j * cell_w, y, cell_w - 1, cell_h - 1, fill=color,
                         cls="cell")
             canvas.text(left + (j + 0.5) * cell_w, y + cell_h / 2 + 3,
-                        f"{cells[i, j]:.2f}", anchor="middle", size=8)
-    n_noise = int((labels == -1).sum())
+                        f"{cells[i][j]:.2f}", anchor="middle", size=8)
+    n_noise = labels.count(-1)
     if n_noise:
         canvas.text(left, top + len(clusters) * cell_h + 18,
                     f"noise: {n_noise} samples excluded", size=9, fill=NOISE,

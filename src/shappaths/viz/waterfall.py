@@ -8,15 +8,14 @@ tip still lands exactly on the explained margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import InvalidSpecError
-from ..explain.tensor import TensorReader, descending, pairwise_sum
+from ..explain.reader import TensorReader, descending, pairwise_sum
 from .svg import NEGATIVE, POSITIVE, Canvas, nice_ticks
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(NamedTuple):
     width: int = 760
     height: int = 520
     top_n: int = 9
@@ -42,7 +41,7 @@ def waterfall_entries(phi: list[float], feature_names,
 def waterfall_row(t: TensorReader, sample: int, class_index: int | None = None):
     """The leading arguments of :func:`classical_waterfall` for one sample
     and one class (optional when k=1) of a saved tensor: phi, base, feature
-    names and title. Only the sample's row is parsed."""
+    names and title. Only the sample's row is read."""
     if not (0 <= sample < t.n):
         raise InvalidSpecError(f"sample {sample} out of range [0, {t.n})")
     if class_index is None:

@@ -195,9 +195,9 @@ def test_criterion_5_feature_dominance(seed0, tmp_path):
     factors = {}
     ok = True
     for kind, tensor in seed0["tensors"].items():
-        paths = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+        paths = [tmp_path / f"{kind}.{ext}" for ext in ("json", "csv", "f64")]
         save_tensor(tensor, *paths)
-        totals = np.sum(mean_abs(TensorReader(*paths)), axis=1)
+        totals = np.sum(mean_abs(TensorReader(paths[0], paths[2])), axis=1)
         others = totals[2:].max()
         factors[kind] = (float(totals[0] / others), float(totals[1] / others))
         ok = ok and min(factors[kind]) >= 2.0

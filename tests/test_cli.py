@@ -16,7 +16,7 @@ import pytest
 from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
 from shappaths.data import load_csv
 from shappaths.errors import ConfigError, NumericalError
-from shappaths.explain.tensor import TensorReader
+from shappaths.explain.reader import TensorReader
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 resolve_config)
 from shappaths.viz import PlotSpec, classical_waterfall
@@ -118,7 +118,7 @@ def test_full_pipeline_artifacts_and_report(cfg_file, tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert set(metrics) == {"tree", "boosted", "mlp"}
     for kind in ("tree", "boosted", "mlp"):
-        assert (out / f"shap_{kind}.csv").exists()
+        assert (out / f"shap_{kind}.csv").exists() and (out / f"shap_{kind}.f64").exists()
         rows = metrics[kind]["classes"]
         assert [r["class"] for r in rows] == ["class_1", "class_2", "class_3"]
         assert sum(r["support"] for r in rows) == 72  # 30% of 240
@@ -144,7 +144,7 @@ def test_end_to_end_determinism(cfg_file, tmp_path):
     for out in (a, b):
         for cmd in (["simulate"], ["train"], ["explain"], ["cluster"]):
             assert run(cfg_file, out, *cmd) == 0
-    for name in ("dataset.csv", "model_boosted.json", "shap_boosted.csv",
+    for name in ("dataset.csv", "model_boosted.json", "shap_boosted.csv", "shap_boosted.f64",
                  "clusters.csv", "purity.json", "metrics.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     ma = json.loads((a / "manifest.json").read_text())
@@ -349,14 +349,17 @@ CUTS = {"half": lambda b: b[: len(b) // 2],
         "whole-row": _cut_last_row}
 
 
-@pytest.mark.parametrize("name,cut", [("shap_boosted.csv", c) for c in CUTS]
+@pytest.mark.parametrize("name,cut", [("shap_boosted.f64", c) for c in CUTS]
                          + [("shap_boosted.json", "half")])
 def test_truncated_shap_tensor_exits_2(cfg_file, tmp_path, capfd, name, cut):
     out = tmp_path / "r"
     for cmd in (["simulate"], ["train", "--model", "boosted"], ["explain", "--model", "boosted"]):
         assert run(cfg_file, out, *cmd) == 0
     path = out / name
-    path.write_bytes(CUTS[cut](path.read_bytes()))
+    shap = json.loads((out / "shap_boosted.json").read_text())
+    row_bytes = 8 * (1 + shap["p"] * shap["k"])  # the body holds no line breaks
+    cuts = {**CUTS, "whole-row": lambda b: b[:-row_bytes]} if name.endswith(".f64") else CUTS
+    path.write_bytes(cuts[cut](path.read_bytes()))
     capfd.readouterr()
     assert main(["cluster", "--out", str(out)]) == 2
     err = capfd.readouterr().err
@@ -916,24 +919,30 @@ TREE_RUN = {"seed": 3, "dataset": {"n_samples": 200, "n_features": 4},
 SVGS = ["scatter.svg", "waterfall_tree_s0_c0.svg", "waterfall_clustered_tree.svg",
         "bar_tree.svg", "heatmap.svg"]
 READER = {"dataset.csv": "train", "dataset.json": "train", "model_tree.json": "explain",
-          "shap_tree.json": "cluster", "shap_tree.csv": "cluster", "clusters.csv": "embed",
+          "shap_tree.json": "cluster", "shap_tree.f64": "cluster", "clusters.csv": "embed",
           "metrics.json": "report", "purity.json": "report",
           **{name: "report" for name in SVGS}}
 
 
-def _flip_mid_byte(b: bytes) -> bytes:
+def _flip_mid_byte(path: Path) -> bytes:
+    b = path.read_bytes()
     i = len(b) // 2
     return b[:i] + bytes([b[i] ^ 0xFF]) + b[i + 1:]
 
 
-def _first_decimal_to_nan(b: bytes) -> bytes:
+def _first_number_to_nan(path: Path) -> bytes:
+    """The file with its first decimal number, or its first float64 in a
+    binary body, made a NaN."""
+    b = path.read_bytes()
+    if path.suffix == ".f64":
+        return np.array([np.nan]).astype("<f8").tobytes() + b[8:]
     damaged = re.sub(rb"\d+\.\d+", b"nan", b, count=1)
     assert damaged != b, "no decimal number to replace"
     return damaged
 
 
-DAMAGE = {"half": lambda b: b[: len(b) // 2], "delete": None,
-          "flip-byte": _flip_mid_byte, "nan": _first_decimal_to_nan}
+DAMAGE = {"half": lambda path: path.read_bytes()[: path.stat().st_size // 2], "delete": None,
+          "flip-byte": _flip_mid_byte, "nan": _first_number_to_nan}
 
 
 @pytest.fixture(scope="module")
@@ -967,7 +976,7 @@ def test_damaged_artifact_is_caught_by_its_reader(tree_run, tmp_path, capfd, nam
     if DAMAGE[damage] is None:
         path.unlink()
     else:
-        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        path.write_bytes(DAMAGE[damage](path))
     capfd.readouterr()
     assert main([READER[name], "--out", str(out)]) == (3 if damage == "delete" else 2)
     err = capfd.readouterr().err
@@ -983,14 +992,80 @@ def test_waterfall_out_of_range_fails_before_a_row_is_read(tree_run, tmp_path, c
     shutil.copytree(tree_run, out)
     shap = json.loads((out / "shap_tree.json").read_text())
 
-    def no_rows(self, start=0):
+    def no_rows(self, start, count):
         raise AssertionError("a row was read")
 
-    monkeypatch.setattr(TensorReader, "_lines", no_rows)
+    monkeypatch.setattr(TensorReader, "_read", no_rows)
     capfd.readouterr()
     value = shap["n"] if flag == "--sample" else shap["k"]
     assert main(["waterfall", flag, str(value), "--out", str(out)]) == 2
     assert capfd.readouterr().err == f"error: {message.format(**shap)}\n"
+
+
+def _record_digest(out: Path, name: str) -> None:
+    """Record artifact ``name``'s present digest, as if its stage had written it so."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    data = (out / manifest["artifacts"][name]).read_bytes()
+    manifest["digests"][name] = hashlib.sha256(data).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
+@pytest.mark.parametrize("command", ["cluster", "bar", "heatmap"])
+@pytest.mark.parametrize("change", [-8, -3, 5, 8], ids=["value-short", "3-short", "5-long",
+                                                        "value-long"])
+def test_float64_body_of_the_wrong_length_exits_2(tree_run, tmp_path, capfd, command, change):
+    """A body whose digest was recorded but which does not hold n rows of
+    1 + p*k values ends in one line that names it."""
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    path = out / "shap_tree.f64"
+    body = path.read_bytes()
+    path.write_bytes(body[:change] if change < 0 else body + body[:change])
+    _record_digest(out, "shap_tree_f64")
+    capfd.readouterr()
+    assert main([command, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: {path} holds {len(body) + change} bytes, not the "
+                          f"{len(body)} of ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cluster", "embed", "waterfall", "bar", "heatmap"])
+def test_run_from_before_the_float64_body_asks_to_explain_again(tree_run, tmp_path, capfd,
+                                                                 command):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for block in ("artifacts", "digests"):
+        del manifest[block]["shap_tree_f64"]
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    (out / "shap_tree.f64").unlink()
+    capfd.readouterr()
+    assert main([command, "--out", str(out)]) == 3
+    assert capfd.readouterr().err == (f"error: missing artifact: expected {out / 'shap_tree.f64'} "
+                                      "(run `shappaths explain --model tree` again)\n")
+
+
+def test_no_command_reads_the_tensor_csv(cfg_file, tmp_path):
+    """The CSV of each tensor is an export: with all of them deleted after
+    `explain`, every later command writes the same bytes."""
+    kept, deleted = tmp_path / "kept", tmp_path / "deleted"
+    for cmd in (["simulate"], ["train"], ["explain"]):
+        assert run(cfg_file, kept, *cmd) == 0, cmd
+    shutil.copytree(kept, deleted)
+    exports = {path.name for path in deleted.glob("shap_*.csv")}
+    assert exports == {"shap_tree.csv", "shap_boosted.csv", "shap_mlp.csv"}
+    for name in exports:
+        (deleted / name).unlink()
+    for out in (kept, deleted):
+        for cmd in (["cluster"], ["embed"], ["waterfall", "--source", "mlp", "--class-index", "1"],
+                    ["waterfall", "--clustered"], ["bar", "--source", "tree"], ["bar"],
+                    ["bar", "--source", "mlp"], ["heatmap"], ["report"]):
+            assert run(cfg_file, out, *cmd) == 0, (out.name, cmd)
+    assert {path.name for path in kept.iterdir()} - {p.name for p in deleted.iterdir()} == exports
+    for path in deleted.iterdir():
+        if path.name != "manifest.json":
+            assert path.read_bytes() == (kept / path.name).read_bytes(), path.name
+    assert _without_stages(deleted) == _without_stages(kept)
 
 
 @pytest.mark.parametrize("command", ["train", "explain", "cluster", "embed", "report"])

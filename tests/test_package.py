@@ -46,12 +46,16 @@ SUBPACKAGES = LAYERS[1:]
 EXPLAINERS = {"shappaths.explain.kernel_shap", "shappaths.explain.tree_shap", "shappaths.workers"}
 UNUSED_BY_PLOTS = EXPLAINERS | {"shappaths.subgroup.hdbscan"}
 _PRINT_LOADED = ("; print(json.dumps([m for m in sys.modules "
-                 "if m in ('numpy', 'numpy.random', 'numpy.ma') or m.startswith('shappaths.')]))")
+                 "if m in ('numpy', 'numpy.random', 'numpy.ma', 'dataclasses') "
+                 "or m.startswith('shappaths.')]))")
+# what a plot that does no array work leaves out
+NO_ARRAYS = {"numpy", "dataclasses", "shappaths.data", "shappaths.models", "shappaths.subgroup",
+             *UNUSED_BY_PLOTS}
 
 
 def _loaded_after(code: str) -> set[str]:
-    """numpy, numpy.random, numpy.ma and the shappaths modules in sys.modules
-    after ``code``."""
+    """numpy, numpy.random, numpy.ma, dataclasses and the shappaths modules in
+    sys.modules after ``code``."""
     out = _python("import json, sys; " + code + _PRINT_LOADED)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
@@ -86,19 +90,18 @@ def tree_run(tmp_path_factory) -> Path:
     (["explain", "--model", "tree"], {"shappaths.subgroup", "shappaths.viz", "numpy.random"}),
     (["cluster", "--source", "tree"], {"shappaths.models", "shappaths.viz", *EXPLAINERS}),
     (["embed", "--source", "tree"], {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
-    (["waterfall", "--source", "tree"],
-     {"numpy", "shappaths.data", "shappaths.models", "shappaths.subgroup", *UNUSED_BY_PLOTS}),
+    (["waterfall", "--source", "tree"], NO_ARRAYS),
     (["waterfall", "--clustered", "--source", "tree"],
      {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
-    (["bar", "--source", "tree"],
-     {"numpy", "shappaths.data", "shappaths.models", "shappaths.subgroup", *UNUSED_BY_PLOTS}),
-    (["heatmap", "--source", "tree"], {"shappaths.models", *UNUSED_BY_PLOTS}),
+    (["bar", "--source", "tree"], NO_ARRAYS),
+    (["heatmap", "--source", "tree"], NO_ARRAYS),
 ], ids=["report", "train", "explain", "cluster", "embed", "waterfall", "waterfall-clustered",
         "bar", "heatmap"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
-    """Each command loads only the modules whose names it calls: `bar` and the
-    classical `waterfall` load no numpy, and `embed`, which colours by
-    cluster here, reads no dataset. No command loads numpy.ma either:
+    """Each command loads only the modules whose names it calls: `bar`, the
+    classical `waterfall` and `heatmap` load neither numpy nor dataclasses
+    (which loads inspect), and `embed`, which colours by cluster here,
+    reads no dataset. No command loads numpy.ma either:
     numpy's first np.unique does, at about 6 ms per process."""
     code = (f"from shappaths.cli import main; "
             f"assert main({[*argv, '--out', str(tree_run)]!r}) == 0")

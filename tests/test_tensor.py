@@ -1,4 +1,6 @@
 import csv
+import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, mean_abs, pairwise_sum,
-                       rank_features, save_tensor, unflatten_values)
+from shappaths import (ShapTensor, TensorReader, column_means, flatten, load_tensor, mean_abs,
+                       pairwise_sum, rank_features, save_tensor, unflatten_values)
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
 from shappaths.viz import waterfall_entries
@@ -49,9 +51,10 @@ def test_unflatten_round_trip(n, p, k, seed):
 
 
 def saved(tmp_path, t: ShapTensor, name: str = "t") -> TensorReader:
-    jp, cp = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
-    save_tensor(t, jp, cp)
-    return TensorReader(jp, cp)
+    """The reader of ``t`` saved under ``name``; its CSV export lies beside it."""
+    jp, cp, fp = (tmp_path / f"{name}.{ext}" for ext in ("json", "csv", "f64"))
+    save_tensor(t, jp, cp, fp)
+    return TensorReader(jp, fp)
 
 
 def test_mean_abs(tmp_path):
@@ -127,6 +130,43 @@ def test_mean_abs_of_no_rows_is_nan(tmp_path):
     assert got.shape == (3, 2) and np.isnan(got).all()
 
 
+def _heatmap_tables() -> list[np.ndarray]:
+    rng = np.random.default_rng(14)
+    tables = [rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 7, (n, p))
+              for n, p in [(1, 3), (7, 2), (9, 1), (130, 1), (300, 4), (1600, 10), (2000, 1)]]
+    tables += [rng.uniform(-5, 5, (int(rng.integers(1, 700)), int(rng.integers(1, 12))))
+               for _ in range(30)]
+    zeros = np.array([[-0.0, 0.0, -0.0]] * 20)
+    return tables + [zeros, np.array(AWKWARD * 2).reshape(16, 2), np.array(AWKWARD).reshape(-1, 1)]
+
+
+def test_column_means_have_the_heatmaps_numpy_bits():
+    """The heatmap took ``X[:, subset].mean(axis=0)`` over all rows and over
+    each cluster's rows: one column or several, numpy sums each column of
+    that Fortran-ordered copy pairwise. Adding rows one after another, as
+    numpy does for a C-ordered table, misses its bits."""
+    rng = np.random.default_rng(15)
+    row_by_row_misses = 0
+    for X in _heatmap_tables():
+        for subset in ([0], [X.shape[1] - 1], list(range(X.shape[1]))[::-1],
+                       rng.permutation(X.shape[1])[:max(2, X.shape[1] // 2)].tolist()):
+            subset = subset[:X.shape[1]]
+            members = rng.random(X.shape[0]) < 0.6
+            members[0] = True  # a cluster has members
+            for rows in (X, X[members]):
+                with np.errstate(all="ignore"):
+                    expected = rows[:, subset].mean(axis=0)
+                got = column_means([rows[:, j].tolist() for j in subset])
+                assert bits(got) == bits(expected), (X.shape, subset)
+                if len(subset) >= 2:
+                    with np.errstate(all="ignore"):
+                        sums = np.zeros(len(subset))
+                        for row in rows[:, subset].tolist():
+                            sums = sums + row
+                    row_by_row_misses += bits(sums / len(rows)) != bits(expected)
+    assert row_by_row_misses
+
+
 def test_rank_features_has_numpy_bits_and_order():
     """Totals over k >= 8 classes are pairwise; ties (equal totals, and
     -0.0 against 0.0) go to the lower index, NaN last, as np.lexsort puts them."""
@@ -170,7 +210,7 @@ def test_waterfall_tail_has_numpy_bits():
 
 
 # ---------------------------------------------------------------------------
-# the streaming reader
+# the float64 body and its reader
 
 def test_reader_streams_rows_as_floats(tmp_path):
     rng = np.random.default_rng(12)
@@ -185,49 +225,90 @@ def test_reader_streams_rows_as_floats(tmp_path):
     assert [bits(row) for row in reader.rows()] == [bits(row) for row in expected]
     assert [(sid, bits(phi)) for sid, phi in (reader.sample(3, c) for c in range(3))] == \
         [(int(expected[3][0]), bits(expected[3][1 + c::3])) for c in range(3)]
-    assert list(reader.rows(4)) == expected[4:]
     assert reader.sample_ids() == t.sample_ids.tolist()
 
 
-def test_reader_stops_at_the_row_asked_for(tmp_path):
-    """Rows after the one asked for are never parsed: here they are not numbers."""
-    reader = saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
-    body = reader.csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    reader.csv_path.write_text("".join(body[:3]) + "x,y,z\r\n", encoding="utf-8")
-    assert reader.sample(1, 0) == (1, [1.0, 1.0])
-    with pytest.raises(DataError, match="row 2 does not hold 3 numbers"):
-        list(reader.rows())
+class _CountingFile:
+    """A binary file that records each seek and read made through it."""
+
+    def __init__(self, path, mode, calls: list):
+        self.file, self.calls = open(path, mode), calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def seek(self, offset):
+        self.calls.append(("seek", offset))
+        return self.file.seek(offset)
+
+    def read(self, size):
+        self.calls.append(("read", size))
+        return self.file.read(size)
+
+
+def test_reader_stops_at_the_row_asked_for(tmp_path, monkeypatch):
+    """`sample` seeks to its row and reads those 8 * (1 + p*k) bytes alone."""
+    reader = saved(tmp_path, make_tensor(np.arange(12.0).reshape(3, 2, 2)))
+    calls = []
+    monkeypatch.setattr(importlib.import_module("shappaths.explain.reader"), "open",
+                        lambda path, mode: _CountingFile(path, mode, calls), raising=False)
+    assert reader.sample(1, 1) == (1, [5.0, 7.0])
+    assert calls == [("seek", 40), ("read", 40)]
 
 
 def test_reader_of_a_tensor_with_no_rows(tmp_path):
     t = make_tensor(np.zeros((0, 4, 3)))
     reader = saved(tmp_path, t)
     assert (reader.n, list(reader.rows()), reader.sample_ids()) == (0, [], [])
+    assert reader.path.read_bytes() == b""
     with pytest.raises(DataError, match="has no row 0"):
         reader.sample(0, 0)
-    loaded = load_tensor(tmp_path / "t.json", tmp_path / "t.csv")
-    assert loaded.values.shape == (0, 4, 3) and loaded.sample_ids.shape == (0,)
+    for body in ("t.csv", "t.f64"):
+        loaded = load_tensor(tmp_path / "t.json", tmp_path / body)
+        assert loaded.values.shape == (0, 4, 3) and loaded.sample_ids.shape == (0,)
 
 
 def test_load_tensor_of_a_short_body_is_a_data_error(tmp_path):
-    reader = saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
-    body = reader.csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    reader.csv_path.write_text("".join(body[:3]), encoding="utf-8")
+    saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
+    csv_path = tmp_path / "t.csv"
+    body = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    csv_path.write_text("".join(body[:3]), encoding="utf-8")
     with pytest.raises(DataError, match="fewer than 3 rows"):
-        load_tensor(tmp_path / "t.json", reader.csv_path)
+        load_tensor(tmp_path / "t.json", csv_path)
+
+
+@pytest.mark.parametrize("change", [-24, -3, 1, 24], ids=["row-short", "3-short",
+                                                          "1-long", "row-long"])
+def test_a_float64_body_of_the_wrong_length_is_a_data_error(tmp_path, change):
+    """Each reader of the body checks its length before it reads a value."""
+    reader = saved(tmp_path, make_tensor(np.ones((3, 2, 1))))
+    body = reader.path.read_bytes()
+    reader.path.write_bytes(body[:change] if change < 0 else body + b"\0" * change)
+    message = re.escape(f"{reader.path} holds {len(body) + change} bytes, not the 72 of "
+                        "3 rows of 3 float64 values")
+    for read in (lambda: load_tensor(tmp_path / "t.json", reader.path), reader.rows,
+                 reader.sample_ids, lambda: reader.sample(2, 0)):
+        with pytest.raises(DataError, match=message):
+            read()
 
 
 def test_tensor_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     t = make_tensor(rng.normal(size=(5, 4, 3)), base=rng.normal(size=3))
-    jp, cp = tmp_path / "t.json", tmp_path / "t.csv"
-    save_tensor(t, jp, cp)
-    loaded = load_tensor(jp, cp)
-    assert np.array_equal(loaded.values, t.values)
-    assert np.array_equal(loaded.base, t.base)
-    assert loaded.feature_names == t.feature_names
-    assert loaded.class_names == t.class_names
-    assert loaded.method == t.method
+    saved(tmp_path, t)
+    for body in ("t.csv", "t.f64"):
+        loaded = load_tensor(tmp_path / "t.json", tmp_path / body)
+        assert np.array_equal(loaded.values, t.values)
+        assert np.array_equal(loaded.base, t.base)
+        assert loaded.feature_names == t.feature_names
+        assert loaded.class_names == t.class_names
+        assert loaded.method == t.method
 
 
 def _loop_save(t, csv_path):
@@ -256,17 +337,74 @@ def test_bulk_tensor_io_matches_the_per_cell_loop(tmp_path):
                      feature_names=QUOTED_FEATURES, class_names=QUOTED_CLASSES)
     no_rows = make_tensor(np.zeros((0, 4, 3)))  # the header alone
     for i, tensor in enumerate([t, quoted, no_rows]):
-        jp, cp, oracle = (tmp_path / f"{i}_{name}" for name in ("t.json", "t.csv", "oracle.csv"))
-        save_tensor(tensor, jp, cp)
+        jp, cp, fp, oracle = (tmp_path / f"{i}_{name}"
+                              for name in ("t.json", "t.csv", "t.f64", "oracle.csv"))
+        save_tensor(tensor, jp, cp, fp)
         _loop_save(tensor, oracle)
         assert cp.read_bytes() == oracle.read_bytes()
-        loaded = load_tensor(jp, cp)
-        flat = flatten(loaded)
-        assert np.array_equal(flat.view(np.uint64), _loop_load(cp).view(np.uint64))
-        assert np.array_equal(flat.view(np.uint64), flatten(tensor).view(np.uint64))
-        assert np.array_equal(loaded.sample_ids, tensor.sample_ids)
-        assert (loaded.feature_names, loaded.class_names) == \
-            (tensor.feature_names, tensor.class_names)
+        for body in (cp, fp):
+            loaded = load_tensor(jp, body)
+            flat = flatten(loaded)
+            assert np.array_equal(flat.view(np.uint64), _loop_load(cp).view(np.uint64))
+            assert np.array_equal(flat.view(np.uint64), flatten(tensor).view(np.uint64))
+            assert np.array_equal(loaded.sample_ids, tensor.sample_ids)
+            assert (loaded.feature_names, loaded.class_names) == \
+                (tensor.feature_names, tensor.class_names)
+
+
+def _csv_table(csv_path) -> list[list[float]]:
+    """Each CSV body row, its sample id included, parsed cell by cell."""
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
+
+def test_float64_body_loads_the_bits_of_the_csv(tmp_path):
+    """Extreme values, both zeros, subnormals and sample ids up to 2**53 read
+    back from the float64 body with the bits the CSV's text parses to."""
+    extremes = AWKWARD + [5e-310, -5e-310, 1e308, -1e308, 2.0 ** -1074, -(2.0 ** -1074),
+                          np.nextafter(0.0, 1.0), 1e-320, -0.0, 0.0]
+    values = np.array(extremes * 3).reshape(13, 2, 3)
+    t = replace(make_tensor(values, base=np.array(AWKWARD[8:11])),
+                sample_ids=[0, 1, 2 ** 53, 2 ** 53 - 1, 2 ** 52 + 1, *range(7, 15)],
+                feature_names=QUOTED_FEATURES[:2], class_names=QUOTED_CLASSES)
+    reader = saved(tmp_path, t)
+    from_csv, from_f64 = (load_tensor(tmp_path / "t.json", tmp_path / body)
+                          for body in ("t.csv", "t.f64"))
+    for name in ("values", "base", "sample_ids"):
+        assert getattr(from_csv, name).tobytes() == getattr(from_f64, name).tobytes(), name
+    assert from_f64.values.tobytes() == t.values.tobytes()
+    assert from_f64.sample_ids.tolist() == t.sample_ids.tolist()
+    table = _csv_table(tmp_path / "t.csv")
+    assert [bits(row) for row in reader.rows()] == [bits(row) for row in table]
+    assert reader.sample_ids() == [int(row[0]) for row in table]
+    for i in (0, 2, 12):
+        for c in range(3):
+            sid, phi = reader.sample(i, c)
+            assert (sid, bits(phi)) == (int(table[i][0]), bits(table[i][1 + c::3]))
+
+
+@pytest.fixture(scope="module")
+def three_kinds_run(tmp_path_factory):
+    """A small run with a tree, a boosted ensemble and an MLP explained."""
+    from shappaths.cli import main
+
+    out = tmp_path_factory.mktemp("three_kinds") / "run"
+    for argv in (["simulate", "--n", "90", "--p", "4"], ["train"], ["explain"]):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+    return out
+
+
+@pytest.mark.parametrize("kind", ["tree", "boosted", "mlp"])
+def test_each_models_float64_body_loads_the_bits_of_its_csv(three_kinds_run, kind):
+    json_path = three_kinds_run / f"shap_{kind}.json"
+    from_csv, from_f64 = (load_tensor(json_path, three_kinds_run / f"shap_{kind}.{ext}")
+                          for ext in ("csv", "f64"))
+    for name in ("values", "base", "sample_ids"):
+        assert getattr(from_csv, name).tobytes() == getattr(from_f64, name).tobytes(), name
+    reader = TensorReader(json_path, three_kinds_run / f"shap_{kind}.f64")
+    table = _csv_table(three_kinds_run / f"shap_{kind}.csv")
+    assert [bits(row) for row in reader.rows()] == [bits(row) for row in table]
+    assert reader.sample(5, 2) == (int(table[5][0]), table[5][3::3])
 
 
 def test_default_ids_and_names():

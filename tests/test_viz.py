@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from shappaths import Dataset, ShapTensor, TensorReader, save_tensor
+from shappaths import ShapTensor, TensorReader, save_tensor
 from shappaths.errors import DataError, InvalidSpecError
 from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
                            paths_to_csv, pca_scatter, project_paths, render_paths,
@@ -24,8 +24,8 @@ def make_tensor(values, base=None):
 
 
 def saved(tmp_path, t: ShapTensor) -> TensorReader:
-    save_tensor(t, tmp_path / "t.json", tmp_path / "t.csv")
-    return TensorReader(tmp_path / "t.json", tmp_path / "t.csv")
+    save_tensor(t, tmp_path / "t.json", tmp_path / "t.csv", tmp_path / "t.f64")
+    return TensorReader(tmp_path / "t.json", tmp_path / "t.f64")
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +275,21 @@ def test_stacked_bar_heights_nonincreasing():
 def test_heatmap_single_cluster_is_global_mean():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(20, 3))
-    ds = Dataset(X, rng.integers(0, 2, 20), ("a", "b", "c"), ("x", "y"))
-    svg = cluster_heatmap(ds, np.zeros(20, dtype=int))
+    svg = cluster_heatmap(X.tolist(), [0] * 20, ("a", "b", "c"))
     for mean in X.mean(axis=0):
         assert f"{mean:.2f}" in svg
 
 
 def test_heatmap_hand_built_cells():
     X = np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 20.0], [6.0, 20.0]])
-    ds = Dataset(X, np.zeros(4, dtype=int).tolist(), ("u", "v"), ("a", "b"))
-    svg = cluster_heatmap(ds, np.array([0, 0, 1, 1]))
+    rows, names = X.tolist(), ("u", "v")
+    svg = cluster_heatmap(rows, [0, 0, 1, 1], names)
     for cell in ("1.00", "10.00", "5.00", "20.00"):
         assert cell in svg
     assert "noise" not in svg
-    with_noise = cluster_heatmap(ds, np.array([0, 0, 1, -1]))
+    with_noise = cluster_heatmap(rows, [0, 0, 1, -1], names)
     assert "noise: 1 samples excluded" in with_noise
-    only_noise = cluster_heatmap(ds, np.full(4, -1))
+    only_noise = cluster_heatmap(rows, [-1] * 4, names)
     assert "noise: 4 samples excluded" in only_noise and 'class="cell"' not in only_noise
 
 
