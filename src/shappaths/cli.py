@@ -29,8 +29,8 @@ from typing import NamedTuple
 from . import _DEFINED_IN, __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
-from .manifest import (DEFAULT_MODELS, ENV_OUT, RunManifest, artifact_file, config_hash,
-                       read_manifest, resolve_config)
+from .manifest import (DEFAULT_MODELS, ENV_OUT, DamagedManifestError, RunManifest,
+                       artifact_file, config_hash, read_manifest, resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +159,22 @@ def _overrides(args) -> dict:
 
 
 def _open_run(args) -> RunManifest:
+    """The run of --out, else of the config's hash. simulate and load start
+    afresh over a manifest that cannot be read; any other command stops there."""
     run_dir = Path(args.out) if args.out else None
+    ingest = args.command in INGEST
+    base = _load_file_config(args.config)
     if run_dir and (run_dir / "manifest.json").exists() and not args.config:
-        base = read_manifest(run_dir / "manifest.json")["config"]  # resume the run
-    else:
-        base = _load_file_config(args.config)
+        try:
+            base = read_manifest(run_dir / "manifest.json")["config"]  # resume the run
+        except DamagedManifestError as exc:
+            if not ingest:
+                raise
+            print(f"{args.command}: {exc.args[0]}; starting the run afresh", file=sys.stderr)
     config = resolve_config(base, _overrides(args))
     if run_dir is None:
         run_dir = Path(os.environ.get(ENV_OUT, "runs")) / config_hash(config)[:12]
-    return RunManifest(run_dir, config, __version__)
+    return RunManifest(run_dir, config, __version__, replace_damaged=ingest)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +345,7 @@ def cmd_explain(args) -> int:
                                      class_names=ds.class_names, sample_ids=rows)
             save_tensor(tensor, *(manifest.set_artifact(f"shap_{kind}{ext}")
                                   for ext in ("", "_csv", "_f64")))
+            _write_json(manifest.set_artifact(f"summary_{kind}"), shap_summary(tensor))
             gap = np.abs(tensor.values.sum(axis=1)
                          - (model.predict_margin(X) - tensor.base)).max()
             print(f"explain {kind} [{method}]: n={tensor.n} "
@@ -351,6 +359,15 @@ def _read_tensor(args, manifest: RunManifest, read):
     hint = f"run `shappaths explain --model {kind}`"
     return kind, read(manifest.require(f"shap_{kind}", hint=f"{hint} first"),
                       manifest.require(f"shap_{kind}_f64", hint=f"{hint} again"))
+
+
+def _read_summary(args, manifest: RunManifest) -> tuple[str, dict]:
+    """The --source model (default: cluster.source) and its tensor's summary."""
+    kind = args.source or manifest.config["cluster"]["source"]
+    again = "again" if manifest.has(f"shap_{kind}") else "first"
+    path = manifest.require(f"summary_{kind}", hint=f"run `shappaths explain --model {kind}` "
+                                                    f"{again}")
+    return kind, _read_json(path)
 
 
 def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
@@ -374,6 +391,8 @@ def cmd_cluster(args) -> int:
                     tensor.sample_ids,
                     ([str(int(lab)), "" if lab == -1 else repr(float(labeling.stability[lab]))]
                      for lab in labeling.labels))
+        _write_json(manifest.set_artifact("cluster_means"),
+                    cluster_means(ds.features[tensor.sample_ids], labeling.labels))
         truth = ds.labels[tensor.sample_ids]
         report = cluster_purity(labeling, truth)
         _write_json(manifest.set_artifact("purity"),
@@ -389,14 +408,9 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _cluster_rows(manifest: RunManifest) -> list[list[str]]:
-    """The id, label and stability cells of each explained row, as `cluster` wrote them."""
-    path = manifest.require("clusters", hint="run `shappaths cluster` first")
-    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-
-
 def _load_labeling(manifest: RunManifest) -> ClusterLabeling:
-    rows = _cluster_rows(manifest)
+    path = manifest.require("clusters", hint="run `shappaths cluster` first")
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     stabilities = {int(lab): float(stab) for _, lab, stab in rows if stab}
     n_clusters = max(stabilities, default=-1) + 1
     return ClusterLabeling(labels=np.array([int(lab) for _, lab, _ in rows]), n_clusters=n_clusters,
@@ -471,10 +485,9 @@ def _clustered_waterfall(args, manifest: RunManifest, spec: PlotSpec) -> int:
 
 def cmd_bar(args) -> int:
     manifest = _open_run(args)
-    source, tensor = _read_tensor(args, manifest, TensorReader)
+    source, summary = _read_summary(args, manifest)
     with manifest.stage(f"bar.{source}"):
-        svg = stacked_bar(mean_abs(tensor), _plot_spec(manifest),
-                          feature_names=tensor.feature_names, class_names=tensor.class_names)
+        svg = stacked_bar(summary, _plot_spec(manifest))
         _write_text(manifest.set_artifact(f"bar_{source}_svg"), svg)
         print(f"bar [{source}]: wrote bar_{source}.svg")
     return EXIT_OK
@@ -482,16 +495,16 @@ def cmd_bar(args) -> int:
 
 def cmd_heatmap(args) -> int:
     manifest = _open_run(args)
-    dataset = manifest.require("dataset_csv", hint="run `shappaths simulate` or `load` first")
-    _, tensor = _read_tensor(args, manifest, TensorReader)
-    labels = [int(label) for _, label, _ in _cluster_rows(manifest)]
+    again = "again" if manifest.has("clusters") else "first"
+    means = _read_json(manifest.require("cluster_means", hint=f"run `shappaths cluster` {again}"))
+    _, summary = _read_summary(args, manifest)
     spec = _plot_spec(manifest)
     with manifest.stage("heatmap"):
-        order = rank_features(mean_abs(tensor))[1][: spec.top_n]
-        svg = cluster_heatmap(dataset_rows(dataset, tensor.sample_ids(), order), labels,
-                              [tensor.feature_names[j] for j in order], spec=spec)
+        columns = summary["order"][: spec.top_n]
+        svg = cluster_heatmap(means, columns, [summary["feature_names"][j] for j in columns],
+                              spec=spec)
         _write_text(manifest.set_artifact("heatmap_svg"), svg)
-        print(f"heatmap: {max(labels, default=-1) + 1} clusters x {len(order)} features")
+        print(f"heatmap: {len(means['cluster_ids'])} clusters x {len(columns)} features")
     return EXIT_OK
 
 
@@ -585,19 +598,18 @@ COMMANDS = {
                      "read_csv train_tree train_boosted train_mlp save_model evaluate"),
     "explain": Command(cmd_explain, "compute SHAP tensors",
                        "read_csv np load_model tree_shap sample_background kernel_shap "
-                       "save_tensor"),
+                       "save_tensor shap_summary"),
     "cluster": Command(cmd_cluster, "HDBSCAN over a flattened SHAP tensor",
-                       "read_csv load_tensor hdbscan flatten HdbscanParams cluster_purity"),
+                       "read_csv load_tensor hdbscan flatten HdbscanParams cluster_means "
+                       "cluster_purity"),
     "embed": Command(cmd_embed, "PCA embedding of a flattened SHAP tensor",
                      "load_tensor flatten pca_fit pca_transform ClusterLabeling np pca_scatter "
                      "PlotSpec"),
     "waterfall": Command(cmd_waterfall, "classical or clustered waterfall plot",
                          "PlotSpec TensorReader classical_waterfall waterfall_row"),
-    "bar": Command(cmd_bar, "stacked mean-|SHAP| bars",
-                   "TensorReader mean_abs stacked_bar PlotSpec"),
+    "bar": Command(cmd_bar, "stacked mean-|SHAP| bars", "stacked_bar PlotSpec"),
     "heatmap": Command(cmd_heatmap, "cluster-mean heatmap of raw features",
-                       "TensorReader PlotSpec rank_features mean_abs dataset_rows "
-                       "cluster_heatmap"),
+                       "PlotSpec cluster_heatmap"),
     "report": Command(cmd_report, "single-page HTML summary", ""),
 }
 

@@ -1,4 +1,5 @@
-"""A saved SHAP tensor read without numpy, and the summaries drawn from it.
+"""A saved SHAP tensor read without numpy, and the classical waterfall's
+order and sum.
 
 ``save_tensor`` writes each tensor three times over: a manifest JSON
 (n, p, k, base values, names), a CSV export, and a body of raw
@@ -6,10 +7,10 @@ little-endian float64, n rows of 1 + p*k values, the sample id first and
 then the values in ``flatten``'s layout. The commands after ``explain``
 read the body; none parses the CSV.
 
-The summaries the plots draw (``mean_abs``, ``rank_features``,
-``column_means``) are plain Python that adds in numpy's order, so they give
-numpy's exact bits without loading it. Neither numpy nor ``dataclasses``
-is imported here.
+The classical waterfall orders one sample's attributions and sums their
+tail at plot time. ``descending`` and ``pairwise_sum`` do that in plain
+Python in numpy's order, so they give numpy's exact bits without loading
+it. Neither numpy nor ``dataclasses`` is imported here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 from array import array
-from functools import cached_property
 from operator import add
 
 from ..errors import DataError
@@ -28,7 +28,7 @@ TENSOR_SCHEMA_VERSION = 1
 
 class TensorReader:
     """A tensor written by :func:`save_tensor`: its manifest, read at once,
-    and its float64 body, read whole on first use of ``table``.
+    and its float64 body, read a row at a time.
 
     The files are read as written; the CLI checks their digests first. A
     body whose length is not n * (1 + p*k) values is a DataError.
@@ -69,17 +69,6 @@ class TensorReader:
             body.byteswap()
         return body
 
-    @cached_property
-    def table(self) -> array:
-        """The whole body, row after row."""
-        return self._read(0, self.n)
-
-    def rows(self):
-        """The body rows, each a list of floats: the sample id, then the p*k
-        values in :func:`flatten`'s layout."""
-        table, width = self.table, self.width
-        return (table[i:i + width].tolist() for i in range(0, len(table), width))
-
     def sample(self, i: int, class_index: int) -> tuple[int, list[float]]:
         """Row i's sample id and its p attributions to one class; only that
         row is read."""
@@ -88,13 +77,9 @@ class TensorReader:
         row = self._read(i, 1)
         return int(row[0]), row[1 + class_index::self.k].tolist()
 
-    def sample_ids(self) -> list[int]:
-        """Every body row's sample id."""
-        return [int(sid) for sid in self.table[::self.width]]
-
 
 # ---------------------------------------------------------------------------
-# summaries in numpy's order
+# the waterfall's order and tail, in numpy's order
 
 def _pairwise(a: list[float], lo: int, n: int) -> float:
     """numpy's pairwise sum of ``a[lo:lo + n]``."""
@@ -130,36 +115,3 @@ def descending(keys: list[float]) -> list[int]:
     """Positions by descending key, ties to the lower position and NaN last:
     ``np.lexsort((np.arange(len(keys)), -keys))``."""
     return sorted(range(len(keys)), key=lambda j: (keys[j] == keys[j], keys[j]), reverse=True)
-
-
-def mean_abs(t: TensorReader) -> list[list[float]]:
-    """(p, k) mean absolute attribution per feature and class, in one pass
-    over the rows, with the bits of numpy's ``np.abs(values).mean(axis=0)``:
-    numpy adds the rows from the first down when p*k >= 2, and sums its one
-    column pairwise when p*k == 1."""
-    if t.p * t.k == 1:
-        sums = [pairwise_sum([abs(row[1]) for row in t.rows()])]
-    else:
-        sums = [0.0] * (t.p * t.k)
-        for row in t.rows():
-            sums = list(map(add, sums, map(abs, row[1:])))
-    means = [s / t.n if t.n else float("nan") for s in sums]
-    return [means[j * t.k:(j + 1) * t.k] for j in range(t.p)]
-
-
-def column_means(columns: list[list[float]]) -> list[float]:
-    """numpy's ``X[:, subset].mean(axis=0)`` over the columns of that table.
-
-    Indexing columns with a list gives a Fortran-ordered array, whose
-    columns numpy sums pairwise, however many there are; each sum is then
-    divided by the row count (NaN for none).
-    """
-    return [pairwise_sum(column) / len(column) if column else float("nan")
-            for column in columns]
-
-
-def rank_features(meanabs: list[list[float]]) -> tuple[list[float], list[int]]:
-    """Each feature's total over classes (numpy's ``meanabs.sum(axis=1)``),
-    and the features by descending total, ties to the lower index."""
-    totals = [pairwise_sum(row) for row in meanabs]
-    return totals, descending(totals)

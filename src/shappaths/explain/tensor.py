@@ -13,7 +13,9 @@ class c.
 A saved tensor is a manifest JSON, a CSV export of the flattened values
 and the same table as raw float64 (see ``reader``). The commands after
 ``explain`` read the float64 body, through ``TensorReader`` or, where they
-need arrays, ``load_tensor``; ``load_tensor`` also parses the CSV.
+need arrays, ``load_tensor``; ``load_tensor`` also parses the CSV. The
+bars and the heatmap read no tensor: they draw ``shap_summary``, which
+``explain`` writes beside it.
 """
 
 from __future__ import annotations
@@ -119,6 +121,20 @@ def unflatten_values(flat: np.ndarray, n_classes: int) -> np.ndarray:
 
 def flat_column_names(t: ShapTensor) -> list[str]:
     return [f"{f}|{c}" for f in t.feature_names for c in t.class_names]
+
+
+def shap_summary(t: ShapTensor) -> dict:
+    """What the importance plots draw, as JSON: the names, the (p, k) mean
+    absolute attribution per feature and class, each feature's total over
+    the classes, and the features by descending total (ties to the lower
+    index, NaN last)."""
+    import numpy as np
+
+    mean_abs = np.abs(t.values).mean(axis=0)
+    totals = mean_abs.sum(axis=1)
+    return {"feature_names": list(t.feature_names), "class_names": list(t.class_names),
+            "mean_abs": mean_abs.tolist(), "totals": totals.tolist(),
+            "order": np.lexsort((np.arange(t.p), -totals)).tolist()}
 
 
 def save_tensor(t: ShapTensor, json_path, csv_path, f64_path) -> None:

@@ -14,6 +14,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -182,28 +183,46 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class DamagedManifestError(ConfigError):
+    """A manifest.json that holds no run state; only the commands that
+    start a run can replace it, and the message names them."""
+
+    def __str__(self):
+        return f"{self.args[0]}; run `shappaths simulate` or `load` to start the run afresh"
+
+
 def read_manifest(path: Path) -> dict:
-    """The state stored in a run's manifest.json; a damaged file is a ConfigError."""
+    """The state stored in a run's manifest.json; a damaged file is a DamagedManifestError."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"run manifest {path} is not valid JSON: {exc}")
+        raise DamagedManifestError(f"run manifest {path} is not valid JSON: {exc}")
     if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
-        raise ConfigError(f"run manifest {path} holds no config object")
+        raise DamagedManifestError(f"run manifest {path} holds no config object")
     return state
 
 
 class RunManifest:
-    """The mutable manifest.json of one run directory."""
+    """The mutable manifest.json of one run directory.
 
-    def __init__(self, run_dir: Path, config: dict, version: str):
+    A stored manifest that cannot be read is a DamagedManifestError, unless
+    ``replace_damaged`` is set: then the run starts afresh over it.
+    """
+
+    def __init__(self, run_dir: Path, config: dict, version: str,
+                 replace_damaged: bool = False):
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / "manifest.json"
         self.config = config
         self.hash = config_hash(config)
         self._written: set[str] = set()  # artifacts to digest at the next save
-        state = read_manifest(self.path) if self.path.exists() else None
+        try:
+            state = read_manifest(self.path) if self.path.exists() else None
+        except DamagedManifestError:
+            if not replace_damaged:
+                raise
+            state = None
         if state is not None and state.get("config_hash") != self.hash and state.get("artifacts"):
             raise ConfigError(
                 f"run directory {self.run_dir} was created with a different "
@@ -213,15 +232,21 @@ class RunManifest:
             self.state = state
             self.state.setdefault("digests", {})
         else:
-            # a new run, or one whose first stage failed before it wrote any
-            # artifact: that manifest protects nothing, so a new config replaces it
+            # a new run, one over a damaged manifest, or one whose first stage
+            # failed before it wrote any artifact: that manifest protects
+            # nothing, so a new config replaces it
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self.state = {"version": version, "config_hash": self.hash,
                           "config": config, "artifacts": {}, "digests": {}, "stages": {}}
             self.save()
 
     def save(self) -> None:
-        """Write manifest.json, with the digest of every artifact written since."""
+        """Write manifest.json, with the digest of every artifact written since.
+
+        The state goes to a temporary file in the run directory, which then
+        replaces manifest.json in one rename: a reader sees the old
+        manifest or the new one, and a save that fails leaves the old one.
+        """
         for name in self._written:
             self.state["digests"][name] = _sha256(self.run_dir / self.state["artifacts"][name])
         self._written.clear()
@@ -231,9 +256,15 @@ class RunManifest:
                    "artifacts": dict(sorted(self.state["artifacts"].items())),
                    "digests": dict(sorted(self.state["digests"].items())),
                    "stages": self.state["stages"]}
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(ordered, fh, indent=1, sort_keys=False)
-            fh.write("\n")
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(ordered, fh, indent=1, sort_keys=False)
+                fh.write("\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def set_artifact(self, name: str) -> Path:
         """The path to write artifact ``name`` to; the next save digests it."""

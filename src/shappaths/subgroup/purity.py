@@ -1,4 +1,5 @@
-"""Cluster labelings and their contingency against the truth."""
+"""Cluster labelings, their contingency against the truth, and the
+clusters' feature means."""
 
 from __future__ import annotations
 
@@ -66,3 +67,21 @@ def cluster_purity(labeling, truth) -> PurityReport:
                         purity=purity,
                         majority_class=table.argmax(axis=1),
                         noise_count=int((labels == -1).sum()))
+
+
+def cluster_means(X, labels) -> dict:
+    """The global mean of each column of ``X`` and its mean in each cluster,
+    with the cluster ids present and the count of noise rows (label -1),
+    as JSON.
+
+    Each mean is taken over the rows' ``[:, list(range(p))]`` copy, which is
+    Fortran-ordered: numpy sums each of its columns pairwise, so a column's
+    mean has the bits it has in ``X[rows][:, subset]`` for any subset.
+    """
+    labels = np.asarray(labels, dtype=int)
+    columns = list(range(X.shape[1]))
+    ids = sorted(set(labels.tolist()) - {-1})
+    return {"global": X[:, columns].mean(axis=0).tolist(),
+            "cluster_ids": ids,
+            "clusters": [X[labels == c][:, columns].mean(axis=0).tolist() for c in ids],
+            "noise": int((labels == -1).sum())}

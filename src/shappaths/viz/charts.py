@@ -2,28 +2,22 @@
 
 from __future__ import annotations
 
-import csv
 from typing import TYPE_CHECKING
 
-from ..errors import DataError
-from ..explain.reader import column_means, rank_features
-from .svg import NOISE, PALETTE, Canvas, nice_ticks
-from .waterfall import PlotSpec
+from .svg import NOISE, PALETTE, Canvas, PlotSpec, nice_ticks
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def stacked_bar(meanabs: list[list[float]], spec: PlotSpec = PlotSpec(),
-                feature_names=None, class_names=None) -> str:
-    """Per-feature mean-|SHAP| bars stacked by class, tallest first; ``meanabs``
-    holds one row of k floats per feature."""
+def stacked_bar(summary: dict, spec: PlotSpec = PlotSpec()) -> str:
+    """Per-feature mean-|SHAP| bars stacked by class, tallest first, from a
+    tensor's :func:`~shappaths.explain.tensor.shap_summary`."""
     spec.validate()
-    p, k = len(meanabs), len(meanabs[0])
-    feature_names = list(feature_names) if feature_names else [f"feature_{j}" for j in range(p)]
-    class_names = list(class_names) if class_names else [f"class_{c}" for c in range(k)]
-    totals, order = rank_features(meanabs)
-    order = order[: spec.top_n]
+    meanabs, totals = summary["mean_abs"], summary["totals"]
+    feature_names, class_names = summary["feature_names"], summary["class_names"]
+    k = len(class_names)
+    order = summary["order"][: spec.top_n]
 
     left, right, top, bottom = 64, 150, 40, 70
     plot_w, plot_h = spec.width - left - right, spec.height - top - bottom
@@ -68,40 +62,19 @@ def _diverging_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def dataset_rows(path, rows, columns) -> list[list[float]]:
-    """Columns ``columns`` of rows ``rows`` of a dataset CSV as
-    :func:`shappaths.data.write_csv` writes it (a header, then each row's
-    feature values as the repr of a float and its class name), read
-    without numpy."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        table = list(csv.reader(fh))  # a quoted name may span lines
-    try:
-        return [[float(table[1 + i][j]) for j in columns] for i in rows]
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"{path} does not hold the explained rows: {exc}") from None
-
-
-def cluster_heatmap(values: list[list[float]], labels: list[int], feature_names,
-                    spec: PlotSpec = PlotSpec()) -> str:
+def cluster_heatmap(means: dict, columns, feature_names, spec: PlotSpec = PlotSpec()) -> str:
     """Cluster-mean raw feature values, diverging around the global mean.
 
-    ``values`` holds one row per sample of the features to draw (callers
-    usually pass the top features by mean |SHAP|), ``labels`` each row's
-    cluster (-1 for noise) and ``feature_names`` the drawn features' names.
-    Colors normalize per feature (columns have their own scales); noise
-    points are excluded and counted in the footnote. The means have the
-    bits numpy gives when it takes the features as ``X[:, subset]``.
+    ``means`` is :func:`~shappaths.subgroup.purity.cluster_means` of the
+    explained rows, ``columns`` the features to draw, in order (callers
+    usually pass the top features by mean |SHAP|), and ``feature_names``
+    their names. Colors normalize per feature (columns have their own
+    scales); noise points are excluded and counted in the footnote.
     """
     spec.validate()
-    if len(labels) != len(values):
-        raise DataError(f"labels must have length {len(values)}")
-    columns = [[row[j] for row in values] for j in range(len(feature_names))]
-    clusters = sorted(set(labels) - {-1})
-    global_mean = column_means(columns)
-    cells = []
-    for c in clusters:
-        members = [i for i, label in enumerate(labels) if label == c]
-        cells.append(column_means([[column[i] for i in members] for column in columns]))
+    clusters = means["cluster_ids"]
+    global_mean = [means["global"][j] for j in columns]
+    cells = [[row[j] for j in columns] for row in means["clusters"]]
     deviation = [[cell - mean for cell, mean in zip(row, global_mean)] for row in cells]
     scale = [max(max((abs(row[j]) for row in deviation), default=0.0), 1e-300)
              for j in range(len(feature_names))]
@@ -123,7 +96,7 @@ def cluster_heatmap(values: list[list[float]], labels: list[int], feature_names,
                         cls="cell")
             canvas.text(left + (j + 0.5) * cell_w, y + cell_h / 2 + 3,
                         f"{cells[i][j]:.2f}", anchor="middle", size=8)
-    n_noise = labels.count(-1)
+    n_noise = means["noise"]
     if n_noise:
         canvas.text(left, top + len(clusters) * cell_h + 18,
                     f"noise: {n_noise} samples excluded", size=9, fill=NOISE,

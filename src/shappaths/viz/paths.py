@@ -18,8 +18,7 @@ import numpy as np
 
 from ..errors import DataError, InvalidSpecError
 from ..explain.tensor import ShapTensor
-from .svg import NOISE, PALETTE, Canvas, nice_ticks
-from .waterfall import PlotSpec
+from .svg import NOISE, PALETTE, Canvas, PlotSpec, nice_ticks
 
 if TYPE_CHECKING:
     from ..subgroup.pca import PcaModel

@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+from ..errors import InvalidSpecError
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 POSITIVE = "#d62728"
 NEGATIVE = "#1f77b4"
 NOISE = "#b0b0b0"
+
+
+class PlotSpec(NamedTuple):
+    width: int = 760
+    height: int = 520
+    top_n: int = 9
+
+    def validate(self):
+        if self.top_n < 1:
+            raise InvalidSpecError("top_n must be at least 1")
+        if self.width < 100 or self.height < 100:
+            raise InvalidSpecError("plot must be at least 100x100 pixels")
 
 
 def fmt(v: float) -> str:

@@ -8,23 +8,9 @@ tip still lands exactly on the explained margin.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..errors import InvalidSpecError
 from ..explain.reader import TensorReader, descending, pairwise_sum
-from .svg import NEGATIVE, POSITIVE, Canvas, nice_ticks
-
-
-class PlotSpec(NamedTuple):
-    width: int = 760
-    height: int = 520
-    top_n: int = 9
-
-    def validate(self):
-        if self.top_n < 1:
-            raise InvalidSpecError("top_n must be at least 1")
-        if self.width < 100 or self.height < 100:
-            raise InvalidSpecError("plot must be at least 100x100 pixels")
+from .svg import NEGATIVE, POSITIVE, Canvas, PlotSpec, nice_ticks
 
 
 def waterfall_entries(phi: list[float], feature_names,

@@ -21,10 +21,9 @@ import pytest
 
 from oracles import brute_shapley_interventional, brute_shapley_tree
 from props import ALL_CHECKS
-from shappaths import (Background, HdbscanParams, SimulationSpec, SplitSpec, TensorReader,
-                       evaluate, flatten, hdbscan, kernel_shap, load_idx_images, mean_abs,
-                       min_max_scale, sample_background, save_tensor, simulate,
-                       train_boosted, train_mlp, train_tree, tree_shap)
+from shappaths import (Background, HdbscanParams, SimulationSpec, SplitSpec, evaluate, flatten,
+                       hdbscan, kernel_shap, load_idx_images, min_max_scale, sample_background,
+                       shap_summary, simulate, train_boosted, train_mlp, train_tree, tree_shap)
 from shappaths.data import split_indices
 from shappaths.explain.tree_shap import shap_values_tree
 from shappaths.explain.tensor import ShapTensor
@@ -191,13 +190,11 @@ def test_criterion_4_subgroup_discovery(seed0):
            f"{passes}/{len(SEEDS)} seeds pass (need >= 4)")
 
 
-def test_criterion_5_feature_dominance(seed0, tmp_path):
+def test_criterion_5_feature_dominance(seed0):
     factors = {}
     ok = True
     for kind, tensor in seed0["tensors"].items():
-        paths = [tmp_path / f"{kind}.{ext}" for ext in ("json", "csv", "f64")]
-        save_tensor(tensor, *paths)
-        totals = np.sum(mean_abs(TensorReader(paths[0], paths[2])), axis=1)
+        totals = np.array(shap_summary(tensor)["totals"])
         others = totals[2:].max()
         factors[kind] = (float(totals[0] / others), float(totals[1] / others))
         ok = ok and min(factors[kind]) >= 2.0

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
-from shappaths.data import load_csv
+from shappaths.data import load_csv, read_csv
+from shappaths.explain import load_tensor
 from shappaths.errors import ConfigError, NumericalError
 from shappaths.explain.reader import TensorReader
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
-                                resolve_config)
+                                read_manifest, resolve_config)
 from shappaths.viz import PlotSpec, classical_waterfall
 from shappaths.workers import run_forked
 from util import QUOTED_CLASSES, QUOTED_FEATURES
@@ -73,12 +74,15 @@ def test_train_in_an_empty_run_names_the_dataset_file(cfg_file, tmp_path, capsys
 
 @pytest.mark.parametrize("argv", [["heatmap"], ["waterfall", "--clustered"]])
 def test_clusters_before_cluster_names_the_clusters_file(cfg_file, tmp_path, capsys, argv):
+    """Each names the file of `cluster`'s that it reads: the heatmap draws
+    the cluster means, the clustered waterfall groups by the labels."""
     out = tmp_path / "r"
     for cmd in (["simulate"], ["train", "--model", "tree"], ["explain", "--model", "tree"]):
         assert run(cfg_file, out, *cmd) == 0, cmd
     capsys.readouterr()
     assert run(cfg_file, out, *argv, "--source", "tree") == 3
-    assert f"expected {out / 'clusters.csv'} " in capsys.readouterr().err
+    name = "cluster_means.json" if argv == ["heatmap"] else "clusters.csv"
+    assert f"expected {out / name} (run `shappaths cluster` first)" in capsys.readouterr().err
 
 
 def test_config_hash_mismatch_rejected(cfg_file, tmp_path):
@@ -394,8 +398,8 @@ CLUSTER_DAMAGE = {"id,label": lambda b: b[: _last_commas(b)[1]],
                   "not-utf8": lambda b: b[:-3] + b"\xff\n"}
 
 
-@pytest.mark.parametrize("command", [["embed"], ["waterfall", "--clustered"], ["heatmap"]],
-                         ids=["embed", "waterfall", "heatmap"])
+@pytest.mark.parametrize("command", [["embed"], ["waterfall", "--clustered"]],
+                         ids=["embed", "waterfall"])
 @pytest.mark.parametrize("damage", list(CLUSTER_DAMAGE))
 def test_damaged_clusters_exits_2(cfg_file, tmp_path, capfd, damage, command):
     out = tmp_path / "r"
@@ -466,6 +470,52 @@ def test_stage_records_only_a_clean_exit(tmp_path):
         raise RuntimeError("stage failed")
     saved = json.loads(manifest.path.read_text(encoding="utf-8"))["stages"]
     assert list(saved) == ["ok"] and saved["ok"]["seconds"] >= 0
+
+
+def test_a_save_that_fails_partway_leaves_the_previous_manifest(tmp_path, monkeypatch):
+    """The state goes to a temporary file that replaces manifest.json only
+    once it is whole; a failed write leaves the old file and no temporary."""
+    manifest = RunManifest(tmp_path / "r", resolve_config({}), "test")
+    manifest.record_stage("first", 1.0)
+    before = manifest.path.read_bytes()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:200])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="no space left"):
+        manifest.record_stage("second", 2.0)
+    assert manifest.path.read_bytes() == before
+    assert list(read_manifest(manifest.path)["stages"]) == ["first"]
+    assert [path.name for path in manifest.run_dir.iterdir()] == ["manifest.json"]
+
+
+MANIFEST_DAMAGE = {"cut": lambda b: b[:300], "no-config": lambda b: b"{}\n"}
+
+
+@pytest.mark.parametrize("damage", list(MANIFEST_DAMAGE))
+@pytest.mark.parametrize("ingest", ["simulate", "load"])
+def test_only_simulate_or_load_starts_afresh_over_a_damaged_manifest(tree_run, tmp_path, capfd,
+                                                                      ingest, damage):
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    path = out / "manifest.json"
+    path.write_bytes(MANIFEST_DAMAGE[damage](path.read_bytes()))
+    capfd.readouterr()
+    for command in ("train", "explain", "cluster", "bar", "heatmap", "report"):
+        assert main([command, "--out", str(out)]) == 2, command
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: run manifest {path} ") and err.endswith(
+            "; run `shappaths simulate` or `load` to start the run afresh\n"), err
+    csv_path = tmp_path / "input.csv"
+    shutil.copy(tree_run / "dataset.csv", csv_path)
+    argv = {"simulate": ["simulate", "--n", "120"],
+            "load": ["load", "--csv", str(csv_path), "--target", "__target__"]}[ingest]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capfd.readouterr().err.endswith("; starting the run afresh\n")
+    assert set(read_manifest(path)["artifacts"]) == {"dataset_csv", "dataset_manifest"}
+    assert main(["train", "--out", str(out)]) == 0
 
 
 def _lookup(config: dict, path: str):
@@ -920,6 +970,7 @@ SVGS = ["scatter.svg", "waterfall_tree_s0_c0.svg", "waterfall_clustered_tree.svg
         "bar_tree.svg", "heatmap.svg"]
 READER = {"dataset.csv": "train", "dataset.json": "train", "model_tree.json": "explain",
           "shap_tree.json": "cluster", "shap_tree.f64": "cluster", "clusters.csv": "embed",
+          "summary_tree.json": "bar", "cluster_means.json": "heatmap",
           "metrics.json": "report", "purity.json": "report",
           **{name: "report" for name in SVGS}}
 
@@ -1010,7 +1061,7 @@ def _record_digest(out: Path, name: str) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
-@pytest.mark.parametrize("command", ["cluster", "bar", "heatmap"])
+@pytest.mark.parametrize("command", ["cluster", "waterfall"])
 @pytest.mark.parametrize("change", [-8, -3, 5, 8], ids=["value-short", "3-short", "5-long",
                                                         "value-long"])
 def test_float64_body_of_the_wrong_length_exits_2(tree_run, tmp_path, capfd, command, change):
@@ -1029,7 +1080,7 @@ def test_float64_body_of_the_wrong_length_exits_2(tree_run, tmp_path, capfd, com
                           f"{len(body)} of ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["cluster", "embed", "waterfall", "bar", "heatmap"])
+@pytest.mark.parametrize("command", ["cluster", "embed", "waterfall"])
 def test_run_from_before_the_float64_body_asks_to_explain_again(tree_run, tmp_path, capfd,
                                                                  command):
     out = tmp_path / "run"
@@ -1043,6 +1094,50 @@ def test_run_from_before_the_float64_body_asks_to_explain_again(tree_run, tmp_pa
     assert main([command, "--out", str(out)]) == 3
     assert capfd.readouterr().err == (f"error: missing artifact: expected {out / 'shap_tree.f64'} "
                                       "(run `shappaths explain --model tree` again)\n")
+
+
+@pytest.mark.parametrize("command, name, remedy", [
+    ("bar", "summary_tree.json", "explain --model tree"),
+    ("heatmap", "cluster_means.json", "cluster")], ids=["bar", "heatmap"])
+def test_run_from_before_the_summaries_names_its_remedy(tree_run, tmp_path, capfd, command,
+                                                       name, remedy):
+    """A run directory from before `explain` and `cluster` wrote the plot
+    summaries lacks both; each plot names the stage to run again."""
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for block in ("artifacts", "digests"):
+        for artifact in ("summary_tree", "cluster_means"):
+            del manifest[block][artifact]
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    for path in ("summary_tree.json", "cluster_means.json"):
+        (out / path).unlink()
+    capfd.readouterr()
+    assert main([command, "--out", str(out)]) == 3
+    assert capfd.readouterr().err == (f"error: missing artifact: expected {out / name} "
+                                      f"(run `shappaths {remedy}` again)\n")
+
+
+def test_cluster_means_are_numpys_over_the_explained_rows(tree_run):
+    """`cluster` writes the mean of every raw feature over the explained
+    rows, globally and per cluster, as numpy takes it over the rows'
+    column-indexed (Fortran-ordered) copy, to the bit."""
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    meta = json.loads((tree_run / "dataset.json").read_text())
+    X = read_csv(tree_run / "dataset.csv", meta["class_names"]).features
+    ids = load_tensor(tree_run / "shap_tree.json", tree_run / "shap_tree.f64").sample_ids
+    labels = np.array([int(line.split(",")[1]) for line in
+                       (tree_run / "clusters.csv").read_text().splitlines()[1:]])
+    columns = list(range(meta["p"]))
+    written = json.loads((tree_run / "cluster_means.json").read_text())
+    present = sorted(set(labels.tolist()) - {-1})
+    assert len(present) >= 2 and written["cluster_ids"] == present
+    assert written["noise"] == int((labels == -1).sum())
+    assert bits(written["global"]) == bits(X[ids][:, columns].mean(axis=0))
+    assert [bits(row) for row in written["clusters"]] == \
+        [bits(X[ids[labels == c]][:, columns].mean(axis=0)) for c in present]
 
 
 def test_no_command_reads_the_tensor_csv(cfg_file, tmp_path):

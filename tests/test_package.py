@@ -51,6 +51,9 @@ _PRINT_LOADED = ("; print(json.dumps([m for m in sys.modules "
 # what a plot that does no array work leaves out
 NO_ARRAYS = {"numpy", "dataclasses", "shappaths.data", "shappaths.models", "shappaths.subgroup",
              *UNUSED_BY_PLOTS}
+# and a plot drawn from a written summary, which opens no tensor
+NO_TENSORS = NO_ARRAYS | {"shappaths.explain", "shappaths.explain.reader",
+                          "shappaths.explain.tensor"}
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -93,14 +96,15 @@ def tree_run(tmp_path_factory) -> Path:
     (["waterfall", "--source", "tree"], NO_ARRAYS),
     (["waterfall", "--clustered", "--source", "tree"],
      {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
-    (["bar", "--source", "tree"], NO_ARRAYS),
-    (["heatmap", "--source", "tree"], NO_ARRAYS),
+    (["bar", "--source", "tree"], NO_TENSORS),
+    (["heatmap", "--source", "tree"], NO_TENSORS),
 ], ids=["report", "train", "explain", "cluster", "embed", "waterfall", "waterfall-clustered",
         "bar", "heatmap"])
 def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
     """Each command loads only the modules whose names it calls: `bar`, the
     classical `waterfall` and `heatmap` load neither numpy nor dataclasses
-    (which loads inspect), and `embed`, which colours by cluster here,
+    (which loads inspect), `bar` and `heatmap` no module of
+    shappaths.explain, and `embed`, which colours by cluster here,
     reads no dataset. No command loads numpy.ma either:
     numpy's first np.unique does, at about 6 ms per process."""
     code = (f"from shappaths.cli import main; "

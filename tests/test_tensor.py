@@ -1,5 +1,6 @@
 import csv
 import importlib
+import json
 import re
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shappaths import (ShapTensor, TensorReader, column_means, flatten, load_tensor, mean_abs,
-                       pairwise_sum, rank_features, save_tensor, unflatten_values)
+from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, pairwise_sum, save_tensor,
+                       shap_summary, unflatten_values)
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
 from shappaths.viz import waterfall_entries
@@ -57,15 +58,17 @@ def saved(tmp_path, t: ShapTensor, name: str = "t") -> TensorReader:
     return TensorReader(jp, fp)
 
 
-def test_mean_abs(tmp_path):
-    t = saved(tmp_path, make_tensor(np.zeros((4, 3, 2))), "zeros")
-    assert np.array_equal(mean_abs(t), np.zeros((3, 2)))
-    one = saved(tmp_path, make_tensor([[[-2.0, 1.0], [0.5, -0.5]]]), "one")
-    assert np.array_equal(mean_abs(one), [[2.0, 1.0], [0.5, 0.5]])
+def test_mean_abs():
+    zeros = shap_summary(make_tensor(np.zeros((4, 3, 2))))
+    assert np.array_equal(zeros["mean_abs"], np.zeros((3, 2)))
+    one = shap_summary(make_tensor([[[-2.0, 1.0], [0.5, -0.5]]]))
+    assert np.array_equal(one["mean_abs"], [[2.0, 1.0], [0.5, 0.5]])
+    assert (one["totals"], one["order"]) == ([3.0, 1.0], [0, 1])
+    assert (one["feature_names"], one["class_names"]) == (["f0", "f1"], ["c0", "c1"])
 
 
 # ---------------------------------------------------------------------------
-# the pure-Python summaries give numpy's exact bits
+# the summaries the plots draw, and the waterfall's pure-Python sums
 
 def bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
@@ -96,96 +99,20 @@ def test_pairwise_sum_has_numpy_bits():
     assert any(bits(sum(a.tolist())) != e for a, e in zip(arrays, expected))
 
 
-def _mean_abs_cases() -> list[np.ndarray]:
-    rng = np.random.default_rng(8)
-    cases = [rng.standard_normal((n, p, k)) * 10.0 ** rng.integers(-4, 5, (n, p, k))
-             for n, p, k in [(300, 1, 1), (37, 1, 1), (9, 1, 1), (1, 1, 1), (40, 3, 4),
-                             (25, 1, 2), (25, 2, 1), (30, 10, 10), (150, 4, 3)]]
-    cases += [rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 6)),
-                                   int(rng.integers(1, 6)))) for _ in range(40)]
-    awkward = np.array(AWKWARD * 2)
-    return cases + [awkward.reshape(32, 1, 1), awkward.reshape(8, 2, 2)]
+def test_mean_abs_of_no_rows_is_nan():
+    """As numpy's mean of no rows is; the NaN totals keep the features in order."""
+    with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
+        summary = shap_summary(make_tensor(np.zeros((0, 3, 2))))
+    got = np.array(summary["mean_abs"])
+    assert got.shape == (3, 2) and np.isnan(got).all() and summary["order"] == [0, 1, 2]
 
 
-def test_mean_abs_has_numpy_bits(tmp_path):
-    """numpy's mean over rows adds them one after another when p*k >= 2,
-    and pairwise when p*k == 1; a running total or a pairwise sum used for
-    both cases each misses one of them."""
-    misses = {"running": 0, "pairwise": 0}
-    for i, values in enumerate(_mean_abs_cases()):
-        with np.errstate(all="ignore"):
-            expected = np.abs(values).mean(axis=0)
-        got = mean_abs(saved(tmp_path, make_tensor(values), f"t{i}"))
-        assert bits(got) == bits(expected), values.shape
-        n, p, k = values.shape
-        columns = np.abs(values).reshape(n, p * k).T.tolist()
-        misses["running"] += bits([running_total(c) / n for c in columns]) != bits(expected.ravel())
-        misses["pairwise"] += bits([pairwise_sum(c) / n for c in columns]) != bits(expected.ravel())
-    assert misses["running"] and misses["pairwise"]
-
-
-def test_mean_abs_of_no_rows_is_nan(tmp_path):
-    """As numpy's mean of no rows is (its NaN may carry the other sign bit)."""
-    got = np.array(mean_abs(saved(tmp_path, make_tensor(np.zeros((0, 3, 2))))))
-    assert got.shape == (3, 2) and np.isnan(got).all()
-
-
-def _heatmap_tables() -> list[np.ndarray]:
-    rng = np.random.default_rng(14)
-    tables = [rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 7, (n, p))
-              for n, p in [(1, 3), (7, 2), (9, 1), (130, 1), (300, 4), (1600, 10), (2000, 1)]]
-    tables += [rng.uniform(-5, 5, (int(rng.integers(1, 700)), int(rng.integers(1, 12))))
-               for _ in range(30)]
-    zeros = np.array([[-0.0, 0.0, -0.0]] * 20)
-    return tables + [zeros, np.array(AWKWARD * 2).reshape(16, 2), np.array(AWKWARD).reshape(-1, 1)]
-
-
-def test_column_means_have_the_heatmaps_numpy_bits():
-    """The heatmap took ``X[:, subset].mean(axis=0)`` over all rows and over
-    each cluster's rows: one column or several, numpy sums each column of
-    that Fortran-ordered copy pairwise. Adding rows one after another, as
-    numpy does for a C-ordered table, misses its bits."""
-    rng = np.random.default_rng(15)
-    row_by_row_misses = 0
-    for X in _heatmap_tables():
-        for subset in ([0], [X.shape[1] - 1], list(range(X.shape[1]))[::-1],
-                       rng.permutation(X.shape[1])[:max(2, X.shape[1] // 2)].tolist()):
-            subset = subset[:X.shape[1]]
-            members = rng.random(X.shape[0]) < 0.6
-            members[0] = True  # a cluster has members
-            for rows in (X, X[members]):
-                with np.errstate(all="ignore"):
-                    expected = rows[:, subset].mean(axis=0)
-                got = column_means([rows[:, j].tolist() for j in subset])
-                assert bits(got) == bits(expected), (X.shape, subset)
-                if len(subset) >= 2:
-                    with np.errstate(all="ignore"):
-                        sums = np.zeros(len(subset))
-                        for row in rows[:, subset].tolist():
-                            sums = sums + row
-                    row_by_row_misses += bits(sums / len(rows)) != bits(expected)
-    assert row_by_row_misses
-
-
-def test_rank_features_has_numpy_bits_and_order():
-    """Totals over k >= 8 classes are pairwise; ties (equal totals, and
-    -0.0 against 0.0) go to the lower index, NaN last, as np.lexsort puts them."""
-    rng = np.random.default_rng(9)
-    meanabs = rng.uniform(size=(12, 10)) * 10.0 ** rng.integers(-3, 4, (12, 10))
-    meanabs[5] = meanabs[2]
-    meanabs[7] = meanabs[2][::-1]
-    keys = [0.0, -0.0, 2.0, 2.0, -1.0, np.nan, 2.0, 0.0, -np.inf, np.nan, np.inf]
-    rows = [meanabs, rng.uniform(size=(6, 1)), np.array(AWKWARD).reshape(8, 2),
-            np.array(keys).reshape(-1, 1)]
-    running_misses = 0
-    for m in rows:
-        with np.errstate(all="ignore"):
-            totals = m.sum(axis=1)
-        got_totals, got_order = rank_features(m.tolist())
-        assert bits(got_totals) == bits(totals)
-        assert got_order == np.lexsort((np.arange(len(m)), -totals)).tolist()
-        running_misses += bits([running_total(r) for r in m.tolist()]) != bits(totals)
-    assert running_misses
+def test_summary_ties_go_to_the_lower_index():
+    """Equal totals keep the lower feature first."""
+    meanabs = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0], [3.0, 0.0], [0.5, 0.5]])
+    summary = shap_summary(make_tensor(meanabs[None]))
+    assert summary["totals"] == [3.0, 0.0, 3.0, 3.0, 1.0]
+    assert summary["order"] == [0, 2, 3, 4, 1]
 
 
 def test_waterfall_tail_has_numpy_bits():
@@ -222,10 +149,9 @@ def test_reader_streams_rows_as_floats(tmp_path):
     assert (reader.feature_names, reader.class_names) == (QUOTED_FEATURES, QUOTED_CLASSES)
     assert bits(reader.base) == bits(t.base)
     expected = [[float(sid), *row] for sid, row in zip(t.sample_ids, flatten(t).tolist())]
-    assert [bits(row) for row in reader.rows()] == [bits(row) for row in expected]
-    assert [(sid, bits(phi)) for sid, phi in (reader.sample(3, c) for c in range(3))] == \
-        [(int(expected[3][0]), bits(expected[3][1 + c::3])) for c in range(3)]
-    assert reader.sample_ids() == t.sample_ids.tolist()
+    assert [(sid, bits(phi)) for i in range(5) for sid, phi in (reader.sample(i, c)
+                                                                for c in range(3))] == \
+        [(int(row[0]), bits(row[1 + c::3])) for row in expected for c in range(3)]
 
 
 class _CountingFile:
@@ -265,7 +191,7 @@ def test_reader_stops_at_the_row_asked_for(tmp_path, monkeypatch):
 def test_reader_of_a_tensor_with_no_rows(tmp_path):
     t = make_tensor(np.zeros((0, 4, 3)))
     reader = saved(tmp_path, t)
-    assert (reader.n, list(reader.rows()), reader.sample_ids()) == (0, [], [])
+    assert reader.n == 0
     assert reader.path.read_bytes() == b""
     with pytest.raises(DataError, match="has no row 0"):
         reader.sample(0, 0)
@@ -292,8 +218,8 @@ def test_a_float64_body_of_the_wrong_length_is_a_data_error(tmp_path, change):
     reader.path.write_bytes(body[:change] if change < 0 else body + b"\0" * change)
     message = re.escape(f"{reader.path} holds {len(body) + change} bytes, not the 72 of "
                         "3 rows of 3 float64 values")
-    for read in (lambda: load_tensor(tmp_path / "t.json", reader.path), reader.rows,
-                 reader.sample_ids, lambda: reader.sample(2, 0)):
+    for read in (lambda: load_tensor(tmp_path / "t.json", reader.path),
+                 lambda: reader.sample(2, 0)):
         with pytest.raises(DataError, match=message):
             read()
 
@@ -375,9 +301,7 @@ def test_float64_body_loads_the_bits_of_the_csv(tmp_path):
     assert from_f64.values.tobytes() == t.values.tobytes()
     assert from_f64.sample_ids.tolist() == t.sample_ids.tolist()
     table = _csv_table(tmp_path / "t.csv")
-    assert [bits(row) for row in reader.rows()] == [bits(row) for row in table]
-    assert reader.sample_ids() == [int(row[0]) for row in table]
-    for i in (0, 2, 12):
+    for i in range(13):
         for c in range(3):
             sid, phi = reader.sample(i, c)
             assert (sid, bits(phi)) == (int(table[i][0]), bits(table[i][1 + c::3]))
@@ -403,8 +327,23 @@ def test_each_models_float64_body_loads_the_bits_of_its_csv(three_kinds_run, kin
         assert getattr(from_csv, name).tobytes() == getattr(from_f64, name).tobytes(), name
     reader = TensorReader(json_path, three_kinds_run / f"shap_{kind}.f64")
     table = _csv_table(three_kinds_run / f"shap_{kind}.csv")
-    assert [bits(row) for row in reader.rows()] == [bits(row) for row in table]
-    assert reader.sample(5, 2) == (int(table[5][0]), table[5][3::3])
+    assert [(sid, bits(phi)) for i in range(reader.n) for sid, phi in (reader.sample(i, c)
+                                                                       for c in range(3))] == \
+        [(int(row[0]), bits(row[1 + c::3])) for row in table for c in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["tree", "boosted", "mlp"])
+def test_each_models_summary_has_numpys_bits(three_kinds_run, kind):
+    """`explain` writes the summary from the array it holds: numpy's mean
+    |SHAP|, its totals over classes and their lexsort, to the bit."""
+    values = load_tensor(three_kinds_run / f"shap_{kind}.json",
+                         three_kinds_run / f"shap_{kind}.f64").values
+    mean_abs = np.abs(values).mean(axis=0)
+    totals = mean_abs.sum(axis=1)
+    order = np.lexsort((np.arange(values.shape[1]), -totals)).tolist()
+    written = json.loads((three_kinds_run / f"summary_{kind}.json").read_text(encoding="utf-8"))
+    assert (bits(written["mean_abs"]), bits(written["totals"]), written["order"]) == \
+        (bits(mean_abs), bits(totals), order)
 
 
 def test_default_ids_and_names():

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from shappaths import ShapTensor, TensorReader, save_tensor
+from shappaths import ShapTensor, TensorReader, cluster_means, save_tensor, shap_summary
 from shappaths.errors import DataError, InvalidSpecError
 from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_heatmap,
                            paths_to_csv, pca_scatter, project_paths, render_paths,
@@ -240,19 +240,24 @@ def test_ordering_invariant_norm_nonincreasing():
 # ---------------------------------------------------------------------------
 # charts
 
+def summary(meanabs) -> dict:
+    """The shap_summary of one sample whose |attributions| are ``meanabs``."""
+    return shap_summary(make_tensor(np.array(meanabs, dtype=float)[None]))
+
+
 def test_stacked_bar_single_class_and_sorting():
     meanabs = [[0.5], [2.0], [1.0]]
-    svg = stacked_bar(meanabs, PlotSpec(top_n=3))
+    svg = stacked_bar(summary(meanabs), PlotSpec(top_n=3))
     assert svg.count('class="bar-0"') == 3
     t = [[1.0, 1.0], [1.0, 1.0]]
-    equal = stacked_bar(t)
+    equal = stacked_bar(summary(t))
     assert equal.count('class="bar-') == 4
 
 
 def test_stacked_bar_deterministic():
     rng = np.random.default_rng(8)
     meanabs = rng.uniform(size=(6, 3)).tolist()
-    assert stacked_bar(meanabs) == stacked_bar(meanabs)
+    assert stacked_bar(summary(meanabs)) == stacked_bar(summary(meanabs))
 
 
 def test_stacked_bar_heights_nonincreasing():
@@ -260,7 +265,7 @@ def test_stacked_bar_heights_nonincreasing():
 
     rng = np.random.default_rng(11)
     meanabs = rng.uniform(size=(7, 3)).tolist()
-    svg = stacked_bar(meanabs, PlotSpec(top_n=7))
+    svg = stacked_bar(summary(meanabs), PlotSpec(top_n=7))
     stacks = {}
     for match in re.finditer(
             r'<rect x="([\d.]+)" y="[-\d.]+" width="[\d.]+" height="([\d.]+)"'
@@ -275,22 +280,47 @@ def test_stacked_bar_heights_nonincreasing():
 def test_heatmap_single_cluster_is_global_mean():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(20, 3))
-    svg = cluster_heatmap(X.tolist(), [0] * 20, ("a", "b", "c"))
+    svg = cluster_heatmap(cluster_means(X, [0] * 20), [0, 1, 2], ("a", "b", "c"))
     for mean in X.mean(axis=0):
         assert f"{mean:.2f}" in svg
 
 
 def test_heatmap_hand_built_cells():
     X = np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 20.0], [6.0, 20.0]])
-    rows, names = X.tolist(), ("u", "v")
-    svg = cluster_heatmap(rows, [0, 0, 1, 1], names)
+    names = ("u", "v")
+    svg = cluster_heatmap(cluster_means(X, [0, 0, 1, 1]), [0, 1], names)
     for cell in ("1.00", "10.00", "5.00", "20.00"):
         assert cell in svg
     assert "noise" not in svg
-    with_noise = cluster_heatmap(rows, [0, 0, 1, -1], names)
+    with_noise = cluster_heatmap(cluster_means(X, [0, 0, 1, -1]), [0, 1], names)
     assert "noise: 1 samples excluded" in with_noise
-    only_noise = cluster_heatmap(rows, [-1] * 4, names)
+    only_noise = cluster_heatmap(cluster_means(X, [-1] * 4), [0, 1], names)
     assert "noise: 4 samples excluded" in only_noise and 'class="cell"' not in only_noise
+
+
+def test_cluster_means_give_each_drawn_subset_numpys_bits():
+    """The heatmap draws a subset of the means of every column. Each has the
+    bits numpy gives over that subset's own column-indexed copy, for all rows
+    and for each cluster's; a mean over the C-ordered rows misses them."""
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    rng = np.random.default_rng(14)
+    c_order_misses = 0
+    for n, p in [(1, 3), (9, 1), (130, 2), (300, 4), (1600, 10)]:
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 7, (n, p))
+        labels = rng.integers(-1, 3, n)
+        means = cluster_means(X, labels)
+        assert means["noise"] == int((labels == -1).sum())
+        assert means["cluster_ids"] == sorted(set(labels.tolist()) - {-1})
+        half = rng.permutation(p)[:max(1, p // 2)].tolist()
+        for subset in ([p - 1], list(range(p))[::-1], half):
+            assert bits([means["global"][j] for j in subset]) == bits(X[:, subset].mean(axis=0))
+            for c, row in zip(means["cluster_ids"], means["clusters"]):
+                assert bits([row[j] for j in subset]) == \
+                    bits(X[labels == c][:, subset].mean(axis=0))
+        c_order_misses += bits(X.mean(axis=0)) != bits(means["global"])
+    assert c_order_misses
 
 
 def test_scatter_renders_noise():
