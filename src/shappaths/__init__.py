@@ -22,7 +22,7 @@ _DEFINED_IN = {name: module for module, names in {
     ".data": "Dataset ScalingMeta SimulationSpec SplitSpec load_csv load_idx_images "
              "min_max_scale read_csv simulate split_indices write_csv",
     ".explain.kernel_shap": "kernel_shap kernel_weight sample_background sample_coalitions",
-    ".explain.reader": "TensorReader descending pairwise_sum",
+    ".explain.reader": "TensorReader",
     ".explain.tensor": "Background ShapTensor flat_column_names flatten load_tensor save_tensor "
                        "shap_summary unflatten_values",
     ".explain.tree_shap": "shap_values_tree tree_shap",

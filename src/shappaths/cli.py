@@ -158,23 +158,36 @@ def _overrides(args) -> dict:
     return over
 
 
+def _stored_state(run_dir: Path, command: str) -> dict | None:
+    """The state in the run's manifest.json, read once per command; None when
+    there is none. simulate and load start afresh over one that cannot be
+    read; any other command stops there."""
+    path = run_dir / "manifest.json"
+    if not path.exists():
+        return None
+    try:
+        return read_manifest(path)
+    except DamagedManifestError as exc:
+        if command not in INGEST:
+            raise
+        print(f"{command}: {exc.args[0]}; starting the run afresh", file=sys.stderr)
+        return None
+
+
 def _open_run(args) -> RunManifest:
-    """The run of --out, else of the config's hash. simulate and load start
-    afresh over a manifest that cannot be read; any other command stops there."""
-    run_dir = Path(args.out) if args.out else None
-    ingest = args.command in INGEST
+    """The run of --out, else of the config's hash."""
     base = _load_file_config(args.config)
-    if run_dir and (run_dir / "manifest.json").exists() and not args.config:
-        try:
-            base = read_manifest(run_dir / "manifest.json")["config"]  # resume the run
-        except DamagedManifestError as exc:
-            if not ingest:
-                raise
-            print(f"{args.command}: {exc.args[0]}; starting the run afresh", file=sys.stderr)
+    stored = None
+    if args.out:
+        run_dir = Path(args.out)
+        stored = _stored_state(run_dir, args.command)
+        if stored is not None and not args.config:
+            base = stored["config"]  # resume the run
     config = resolve_config(base, _overrides(args))
-    if run_dir is None:
+    if not args.out:
         run_dir = Path(os.environ.get(ENV_OUT, "runs")) / config_hash(config)[:12]
-    return RunManifest(run_dir, config, __version__, replace_damaged=ingest)
+        stored = _stored_state(run_dir, args.command)
+    return RunManifest(run_dir, config, __version__, stored)
 
 
 # ---------------------------------------------------------------------------

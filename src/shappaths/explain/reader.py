@@ -1,16 +1,11 @@
-"""A saved SHAP tensor read without numpy, and the classical waterfall's
-order and sum.
+"""A saved SHAP tensor read without numpy.
 
 ``save_tensor`` writes each tensor three times over: a manifest JSON
 (n, p, k, base values, names), a CSV export, and a body of raw
 little-endian float64, n rows of 1 + p*k values, the sample id first and
 then the values in ``flatten``'s layout. The commands after ``explain``
-read the body; none parses the CSV.
-
-The classical waterfall orders one sample's attributions and sums their
-tail at plot time. ``descending`` and ``pairwise_sum`` do that in plain
-Python in numpy's order, so they give numpy's exact bits without loading
-it. Neither numpy nor ``dataclasses`` is imported here.
+read the body; none parses the CSV. Neither numpy nor ``dataclasses`` is
+imported here.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ import json
 import os
 import sys
 from array import array
-from operator import add
 
 from ..errors import DataError
 
@@ -59,7 +53,8 @@ class TensorReader:
                             f"re-run `shappaths explain`")
 
     def _read(self, start: int, count: int) -> array:
-        """Body rows ``start`` to ``start + count``, as one flat array."""
+        """Body rows ``start`` to ``start + count``, as one flat array of
+        native floats; ``load_tensor`` reads the whole body through it."""
         body = array("d")
         with open(self.path, "rb") as fh:
             self.check_size(os.fstat(fh.fileno()).st_size)
@@ -77,41 +72,3 @@ class TensorReader:
         row = self._read(i, 1)
         return int(row[0]), row[1 + class_index::self.k].tolist()
 
-
-# ---------------------------------------------------------------------------
-# the waterfall's order and tail, in numpy's order
-
-def _pairwise(a: list[float], lo: int, n: int) -> float:
-    """numpy's pairwise sum of ``a[lo:lo + n]``."""
-    if n < 8:
-        total = 0.0
-        for x in a[lo:lo + n]:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
-    acc = a[lo:lo + 8]
-    stop = lo + n - n % 8
-    for i in range(lo + 8, stop, 8):
-        acc = list(map(add, acc, a[i:i + 8]))
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for x in a[stop:lo + n]:
-        total += x
-    return total
-
-
-def pairwise_sum(values: list[float]) -> float:
-    """The sum of a 1-D float64 array as numpy takes it, to the bit.
-
-    numpy adds a pairwise sum to its identity 0.0: a running total under 8
-    terms, eight interleaved accumulators up to 128, and above that the two
-    halves, split at a multiple of 8. ``sum()`` rounds differently.
-    """
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def descending(keys: list[float]) -> list[int]:
-    """Positions by descending key, ties to the lower position and NaN last:
-    ``np.lexsort((np.arange(len(keys)), -keys))``."""
-    return sorted(range(len(keys)), key=lambda j: (keys[j] == keys[j], keys[j]), reverse=True)

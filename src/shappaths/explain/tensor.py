@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -186,14 +185,15 @@ def load_tensor(json_path, body_path) -> ShapTensor:
 
     t = TensorReader(json_path, body_path)
     if str(body_path).endswith(".f64"):
-        t.check_size(os.path.getsize(body_path))
-        table = np.fromfile(body_path, dtype="<f8")
+        table = np.frombuffer(t._read(0, t.n))
     else:
+        rows = _csv_rows(body_path, t.width)
         try:
-            table = np.fromiter(chain.from_iterable(_csv_rows(body_path, t.width)), float,
-                                t.n * t.width)
+            table = np.fromiter(chain.from_iterable(rows), float, t.n * t.width)
         except ValueError:  # the iterator stopped short
             raise DataError(f"{body_path} holds fewer than {t.n} rows") from None
+        if next(rows, None) is not None:
+            raise DataError(f"{body_path} holds more than {t.n} rows")
     table = table.reshape(t.n, t.width)
     return ShapTensor(values=unflatten_values(table[:, 1:], t.k),
                       base=np.array(t.base, dtype=float),

@@ -20,6 +20,11 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, MissingArtifactError
 
+try:
+    import fcntl
+except ImportError:  # no flock: saves are merged without a lock
+    fcntl = None
+
 ENV_OUT = "SHAPPATHS_OUT"
 
 DEFAULT_DATASET = {
@@ -203,33 +208,46 @@ def read_manifest(path: Path) -> dict:
     return state
 
 
+@contextlib.contextmanager
+def _locked(directory: Path):
+    """Hold an exclusive ``flock`` on ``directory`` itself, where fcntl exists:
+    a lock file would outlive a save that fails."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 class RunManifest:
     """The mutable manifest.json of one run directory.
 
-    A stored manifest that cannot be read is a DamagedManifestError, unless
-    ``replace_damaged`` is set: then the run starts afresh over it.
+    ``stored`` is the state read from that manifest.json (see
+    :func:`read_manifest`), or None where the run starts afresh: there is
+    none, or it is damaged and the command may replace it.
     """
 
     def __init__(self, run_dir: Path, config: dict, version: str,
-                 replace_damaged: bool = False):
+                 stored: dict | None = None):
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / "manifest.json"
         self.config = config
         self.hash = config_hash(config)
         self._written: set[str] = set()  # artifacts to digest at the next save
-        try:
-            state = read_manifest(self.path) if self.path.exists() else None
-        except DamagedManifestError:
-            if not replace_damaged:
-                raise
-            state = None
-        if state is not None and state.get("config_hash") != self.hash and state.get("artifacts"):
+        # what this command set, applied over the stored manifest at every save
+        self._own: dict[str, dict] = {"artifacts": {}, "digests": {}, "stages": {}}
+        if stored is not None and stored.get("config_hash") != self.hash \
+                and stored.get("artifacts"):
             raise ConfigError(
                 f"run directory {self.run_dir} was created with a different "
-                f"config (hash {state.get('config_hash', '?')[:12]} != "
+                f"config (hash {stored.get('config_hash', '?')[:12]} != "
                 f"{self.hash[:12]}); use a fresh directory")
-        if state is not None and state.get("config_hash") == self.hash:
-            self.state = state
+        if stored is not None and stored.get("config_hash") == self.hash:
+            self.state = stored
             self.state.setdefault("digests", {})
         else:
             # a new run, one over a damaged manifest, or one whose first stage
@@ -243,32 +261,45 @@ class RunManifest:
     def save(self) -> None:
         """Write manifest.json, with the digest of every artifact written since.
 
-        The state goes to a temporary file in the run directory, which then
-        replaces manifest.json in one rename: a reader sees the old
-        manifest or the new one, and a save that fails leaves the old one.
+        Under a lock on the run directory, the stored manifest is read again
+        and this command's own artifacts, digests and stages are applied to
+        it, so commands that save one run at once lose none of each other's
+        changes. The state goes to a temporary file in the run directory,
+        which then replaces manifest.json in one rename: a reader sees the
+        old manifest or the new one, and a save that fails leaves the old one.
         """
         for name in self._written:
-            self.state["digests"][name] = _sha256(self.run_dir / self.state["artifacts"][name])
+            self._own["digests"][name] = _sha256(self.run_dir / self._own["artifacts"][name])
         self._written.clear()
-        ordered = {"version": self.state["version"],
-                   "config_hash": self.state["config_hash"],
-                   "config": self.state["config"],
-                   "artifacts": dict(sorted(self.state["artifacts"].items())),
-                   "digests": dict(sorted(self.state["digests"].items())),
-                   "stages": self.state["stages"]}
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(ordered, fh, indent=1, sort_keys=False)
-                fh.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with _locked(self.run_dir):
+            try:
+                stored = read_manifest(self.path)
+            except (FileNotFoundError, DamagedManifestError):
+                stored = None
+            if stored is not None and stored.get("config_hash") == self.hash:
+                self.state = stored
+            for key, changes in self._own.items():
+                self.state.setdefault(key, {}).update(changes)
+            ordered = {"version": self.state["version"],
+                       "config_hash": self.state["config_hash"],
+                       "config": self.state["config"],
+                       "artifacts": dict(sorted(self.state["artifacts"].items())),
+                       "digests": dict(sorted(self.state["digests"].items())),
+                       "stages": self.state["stages"]}
+            tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(ordered, fh, indent=1, sort_keys=False)
+                    fh.write("\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
     def set_artifact(self, name: str) -> Path:
         """The path to write artifact ``name`` to; the next save digests it."""
-        filename = self.state["artifacts"][name] = artifact_file(name)
+        filename = self.state["artifacts"][name] = self._own["artifacts"][name] = \
+            artifact_file(name)
         self._written.add(name)
         return self.run_dir / filename
 
@@ -300,5 +331,5 @@ class RunManifest:
 
     def record_stage(self, name: str, seconds: float) -> None:
         """Record the timing of a stage that finished cleanly, and save."""
-        self.state["stages"][name] = {"seconds": round(seconds, 6)}
+        self.state["stages"][name] = self._own["stages"][name] = {"seconds": round(seconds, 6)}
         self.save()

@@ -3,24 +3,36 @@
 Bars are anchored at the class base value, ordered by decreasing
 magnitude, each starting at the running total left by the previous one;
 features beyond ``top_n`` collapse into a single "other" bar so the final
-tip still lands exactly on the explained margin.
+tip still lands on the explained margin.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidSpecError
-from ..explain.reader import TensorReader, descending, pairwise_sum
+from ..explain.reader import TensorReader
 from .svg import NEGATIVE, POSITIVE, Canvas, PlotSpec, nice_ticks
+
+
+def descending(keys: list[float]) -> list[int]:
+    """Positions by descending key, ties to the lower position and NaN last:
+    ``np.lexsort((np.arange(len(keys)), -keys))``."""
+    return sorted(range(len(keys)), key=lambda j: (keys[j] == keys[j], keys[j]), reverse=True)
 
 
 def waterfall_entries(phi: list[float], feature_names,
                       top_n: int) -> list[tuple[str, float]]:
-    """(label, contribution) rows in plot order, with the tail aggregated."""
+    """(label, contribution) rows in plot order, with the tail aggregated.
+
+    The tail is added left to right from 0.0, in plot order: numpy's bits
+    for fewer than 8 values. Not ``sum()``, which compensates from Python
+    3.12 on, nor ``math.fsum``, which raises on an intermediate overflow."""
     order = descending([abs(v) for v in phi])
     entries = [(feature_names[j], phi[j]) for j in order[:top_n]]
     if len(phi) > top_n:
-        entries.append((f"other ({len(phi) - top_n} features)",
-                        pairwise_sum([phi[j] for j in order[top_n:]])))
+        other = 0.0
+        for j in order[top_n:]:
+            other += phi[j]
+        entries.append((f"other ({len(phi) - top_n} features)", other))
     return entries
 
 

@@ -51,3 +51,14 @@ def workers(monkeypatch):
         return forks
 
     return set_max
+
+
+@pytest.fixture(scope="session")
+def three_kinds_run(tmp_path_factory):
+    """A small run with a tree, a boosted ensemble and an MLP explained."""
+    from shappaths.cli import main
+
+    out = tmp_path_factory.mktemp("three_kinds") / "run"
+    for argv in (["simulate", "--n", "90", "--p", "4"], ["train"], ["explain"]):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+    return out

@@ -1207,3 +1207,56 @@ def test_rerunning_the_writing_stage_mends_the_run(tree_run, tmp_path, damage):
     assert set(manifest["digests"]) == set(manifest["artifacts"])
     assert json.loads((out / "metrics.json").read_text()) == \
         json.loads((tree_run / "metrics.json").read_text())
+
+
+# ---------------------------------------------------------------------------
+# commands that save one run at once
+
+_BAR_AT_THE_SIGNAL = """
+import os, sys, time
+from shappaths.cli import main
+out, source = sys.argv[1:]
+open(os.path.join(out, f"ready-{source}"), "w").close()
+while not os.path.exists(os.path.join(out, "go")):
+    time.sleep(0.0005)
+sys.exit(main(["bar", "--source", source, "--out", out]))
+"""
+
+
+def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
+    """Three `bar --source` processes, released together once each has
+    imported the CLI, save one manifest; every chart ends up listed and
+    digested, and every reader exits 0."""
+    import subprocess
+    import sys
+
+    import shappaths
+
+    src = Path(shappaths.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    sources = ("tree", "boosted", "mlp")
+    for round_ in range(25):
+        out = tmp_path / f"round{round_}"
+        shutil.copytree(three_kinds_run, out)
+        procs = [subprocess.Popen([sys.executable, "-c", _BAR_AT_THE_SIGNAL, str(out), source],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                 for source in sources]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((out / f"ready-{s}").exists() for s in sources):
+                assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
+                time.sleep(0.001)
+            (out / "go").touch()
+            errors = [proc.communicate(timeout=60)[1].decode() for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert [proc.returncode for proc in procs] == [0, 0, 0], (round_, errors)
+        manifest = read_manifest(out / "manifest.json")
+        for source in sources:
+            name = f"bar_{source}_svg"
+            assert manifest["artifacts"].get(name) == f"bar_{source}.svg", (round_, name)
+            digest = hashlib.sha256((out / f"bar_{source}.svg").read_bytes()).hexdigest()
+            assert manifest["digests"][name] == digest, (round_, name)
+        assert [f"bar.{s}" in manifest["stages"] for s in sources] == [True] * 3, round_

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, pairwise_sum, save_tensor,
-                       shap_summary, unflatten_values)
+from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, save_tensor, shap_summary,
+                       unflatten_values)
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
 from shappaths.viz import waterfall_entries
@@ -68,7 +69,7 @@ def test_mean_abs():
 
 
 # ---------------------------------------------------------------------------
-# the summaries the plots draw, and the waterfall's pure-Python sums
+# the summaries the plots draw, and the waterfall's pure-Python tail
 
 def bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
@@ -79,24 +80,6 @@ def running_total(values) -> float:
     for v in values:
         total += v
     return total
-
-
-def _arrays(seed: int, lengths) -> list[np.ndarray]:
-    """Random arrays over many magnitudes, plus signed zeros and AWKWARD's values."""
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n) for n in lengths]
-    return arrays + [np.array(AWKWARD), np.array(AWKWARD[::-1]), np.array(AWKWARD * 9),
-                     np.full(9, -0.0), np.array([-0.0]), np.array([-0.0, 0.0]), np.array([])]
-
-
-def test_pairwise_sum_has_numpy_bits():
-    arrays = _arrays(5, [n for n in range(300) for _ in range(4)] + [1000, 4097, 9000])
-    with np.errstate(all="ignore"):  # AWKWARD's extremes overflow to inf and nan
-        expected = [bits(a.sum()) for a in arrays]
-    assert [bits(pairwise_sum(a.tolist())) for a in arrays] == expected
-    # the data tell numpy's order apart from a running total and from sum()
-    assert any(bits(running_total(a.tolist())) != e for a, e in zip(arrays, expected))
-    assert any(bits(sum(a.tolist())) != e for a, e in zip(arrays, expected))
 
 
 def test_mean_abs_of_no_rows_is_nan():
@@ -115,25 +98,63 @@ def test_summary_ties_go_to_the_lower_index():
     assert summary["order"] == [0, 2, 3, 4, 1]
 
 
-def test_waterfall_tail_has_numpy_bits():
-    """A tail of 8 or more features is summed pairwise, in the order of
-    descending magnitude (ties to the lower index)."""
-    rng = np.random.default_rng(10)
-    cases = [rng.standard_normal(p) * 10.0 ** rng.integers(-5, 6, p) for p in (12, 20, 40, 140)]
+def _tail_cases(seed: int) -> list[np.ndarray]:
+    """Attributions over many magnitudes, with every magnitude tied, and AWKWARD's values."""
+    rng = np.random.default_rng(seed)
+    cases = [rng.standard_normal(p) * 10.0 ** rng.integers(-5, 6, p) for p in range(4, 24)]
+    cases += [rng.standard_normal(p) * 10.0 ** rng.integers(-5, 6, p) for p in (40, 140, 300)]
     tied = rng.standard_normal(24)
     tied[1::2] = -tied[::2]  # every magnitude twice, with both signs
-    cases += [tied, np.array(AWKWARD[:14] + [-0.0, 0.0, -0.0])]
-    running_misses = 0
-    for phi in cases:
+    return cases + [tied, np.array(AWKWARD[:14] + [-0.0, 0.0, -0.0])]
+
+
+def test_waterfall_tail_is_added_left_to_right():
+    """The head follows np.lexsort by descending magnitude (ties to the lower
+    index); the tail is its running total from 0.0 in that order, which is
+    numpy's sum, to the bit, for a tail of fewer than 8 values."""
+    short_tails = long_misses = 0
+    for phi in _tail_cases(10):
         order = np.lexsort((np.arange(phi.size), -np.abs(phi)))
         names = [f"f{j}" for j in range(phi.size)]
         entries = waterfall_entries(phi.tolist(), names, top_n=3)
-        with np.errstate(all="ignore"):
-            tail = phi[order[3:]].sum()
+        tail = phi[order[3:]]
         assert [name for name, _ in entries[:3]] == [names[j] for j in order[:3]]
-        assert bits([v for _, v in entries]) == bits([*phi[order[:3]], tail])
-        running_misses += bits(running_total(phi[order[3:]].tolist())) != bits(tail)
-    assert running_misses
+        assert bits([v for _, v in entries]) == bits([*phi[order[:3]], running_total(tail)])
+        with np.errstate(all="ignore"):  # AWKWARD's extremes overflow to inf and nan
+            numpy_bits = bits(tail.sum())
+        if tail.size < 8:
+            short_tails += 1
+            assert bits(entries[-1][1]) == numpy_bits
+        else:
+            long_misses += bits(entries[-1][1]) != numpy_bits
+    # the data hold short tails, and long ones on which numpy's pairwise order differs
+    assert short_tails == 7 and long_misses
+
+
+def test_wide_waterfall_tip_lands_on_the_margin():
+    """784 features at top_n 9: a tail of 775 added left to right ends within
+    1e-12 of base + sum(phi)."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        phi = (rng.standard_normal(784) * 10.0 ** rng.integers(-4, 0, 784)).tolist()
+        entries = waterfall_entries(phi, [f"f{j}" for j in range(784)], top_n=9)
+        assert len(entries) == 10 and entries[-1][0] == "other (775 features)"
+        tip = 0.25
+        for _, v in entries:
+            tip += v
+        assert abs(tip - (0.25 + math.fsum(phi))) <= 1e-12
+
+
+@pytest.mark.parametrize("tail, expected", [([1e308, 1e308, -1e308], math.inf),
+                                            ([1e308, -1e308, 1e308], 1e308),
+                                            ([math.inf, -math.inf], math.nan)],
+                         ids=["overflow", "cancel-first", "inf-minus-inf"])
+def test_waterfall_tail_that_overflows_is_a_float(tail, expected):
+    """Where math.fsum raises, the running total gives IEEE's answer."""
+    (name, other), = waterfall_entries(tail, ["a", "b", "c"][:len(tail)], top_n=0)
+    assert name == f"other ({len(tail)} features)"
+    assert isinstance(other, float)
+    assert other == expected or (math.isnan(other) and math.isnan(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +227,16 @@ def test_load_tensor_of_a_short_body_is_a_data_error(tmp_path):
     body = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
     csv_path.write_text("".join(body[:3]), encoding="utf-8")
     with pytest.raises(DataError, match="fewer than 3 rows"):
+        load_tensor(tmp_path / "t.json", csv_path)
+
+
+def test_load_tensor_of_a_long_csv_body_is_a_data_error(tmp_path):
+    """Three rows appended to a 2-row body: an error that names the file."""
+    saved(tmp_path, make_tensor(np.ones((2, 2, 1))))
+    csv_path = tmp_path / "t.csv"
+    body = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    csv_path.write_text("".join(body + body[1:] + body[1:2]), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{csv_path} holds more than 2 rows")):
         load_tensor(tmp_path / "t.json", csv_path)
 
 
@@ -305,17 +336,6 @@ def test_float64_body_loads_the_bits_of_the_csv(tmp_path):
         for c in range(3):
             sid, phi = reader.sample(i, c)
             assert (sid, bits(phi)) == (int(table[i][0]), bits(table[i][1 + c::3]))
-
-
-@pytest.fixture(scope="module")
-def three_kinds_run(tmp_path_factory):
-    """A small run with a tree, a boosted ensemble and an MLP explained."""
-    from shappaths.cli import main
-
-    out = tmp_path_factory.mktemp("three_kinds") / "run"
-    for argv in (["simulate", "--n", "90", "--p", "4"], ["train"], ["explain"]):
-        assert main([*argv, "--out", str(out)]) == 0, argv
-    return out
 
 
 @pytest.mark.parametrize("kind", ["tree", "boosted", "mlp"])
