@@ -30,7 +30,8 @@ from . import _DEFINED_IN, __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, DamagedManifestError, RunManifest,
-                       artifact_file, config_hash, read_manifest, resolve_config)
+                       artifact_file, config_hash, read_manifest, replacing,
+                       resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,12 @@ def _write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    _write_text(path, _json(obj))
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -289,11 +294,6 @@ def cmd_train(args) -> int:
     ds, meta = _load_dataset(manifest)
     train = ds.take(meta["split"]["train"])
     test = ds.take(meta["split"]["test"])
-    try:  # only train writes metrics.json, so one that fails its check starts afresh
-        metrics = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
-    except (MissingArtifactError, DataError) as exc:
-        print(f"train: {exc}; starting the metrics afresh", file=sys.stderr)
-        metrics = {}
     kinds = _selected_kinds(args, manifest)
 
     def fit(kind: str):
@@ -318,6 +318,7 @@ def cmd_train(args) -> int:
             kind: partial(fit if kind == kinds[0] else fit_or_error, kind) for kind in kinds})
     else:
         fitted = map(fit, kinds)  # lazy: a kind that raises stops the loop below
+    metrics = {}
     for kind, outcome in zip(kinds, fitted):
         if isinstance(outcome, Exception):
             raise outcome
@@ -325,8 +326,17 @@ def cmd_train(args) -> int:
         manifest.set_artifact(f"model_{kind}")
         print(f"train {kind}: test accuracy {metrics[kind]['accuracy']:.3f}")
         manifest.record_stage(f"train.{kind}", seconds)
-    _write_json(manifest.set_artifact("metrics"), metrics)
-    manifest.save()
+    # a train of other kinds may finish at the same time: add to metrics.json
+    # as it is now, under the lock, rather than rewrite it from an older read
+    with manifest.locked():
+        try:  # only train writes metrics.json, so one that fails its check starts afresh
+            stored = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
+        except (MissingArtifactError, DataError) as exc:
+            print(f"train: {exc}; starting the metrics afresh", file=sys.stderr)
+            stored = {}
+        with replacing(manifest.set_artifact("metrics")) as fh:
+            fh.write(_json({**stored, **metrics}))
+        manifest.save()
     return EXIT_OK
 
 
@@ -337,7 +347,8 @@ def cmd_explain(args) -> int:
     rows = np.arange(meta["n"]) if cfg["on"] == "all" \
         else np.array(meta["split"][cfg["on"]], dtype=int)
     X = ds.features[rows]
-    train_rows = np.array(meta["split"]["train"], dtype=int)
+    names = {"feature_names": ds.feature_names, "class_names": ds.class_names,
+             "sample_ids": rows}
     for kind in _selected_kinds(args, manifest):
         method = cfg["methods"][kind]
         model_path = manifest.require(f"model_{kind}",
@@ -345,17 +356,10 @@ def cmd_explain(args) -> int:
         model = load_model(model_path)
         with manifest.stage(f"explain.{kind}"):
             if method == "tree":
-                tensor = tree_shap(model, X, feature_names=ds.feature_names,
-                                   class_names=ds.class_names, sample_ids=rows)
+                tensor = tree_shap(model, X, **names)
             else:  # resolve_config admits only tree and kernel
-                background = sample_background(ds.features[train_rows],
-                                               size=cfg["background_size"],
-                                               seed=manifest.config["seed"])
-                tensor = kernel_shap(model, X, background,
-                                     n_coalitions=cfg["n_coalitions"],
-                                     seed=manifest.config["seed"],
-                                     feature_names=ds.feature_names,
-                                     class_names=ds.class_names, sample_ids=rows)
+                train = ds.features[np.array(meta["split"]["train"], dtype=int)]
+                tensor = BRANCHES["explain by kernel"](model, X, train, manifest.config, names)
             save_tensor(tensor, *(manifest.set_artifact(f"shap_{kind}{ext}")
                                   for ext in ("", "_csv", "_f64")))
             _write_json(manifest.set_artifact(f"summary_{kind}"), shap_summary(tensor))
@@ -364,6 +368,15 @@ def cmd_explain(args) -> int:
             print(f"explain {kind} [{method}]: n={tensor.n} "
                   f"max additivity gap {gap:.2e}")
     return EXIT_OK
+
+
+def _kernel_explain(model, X, train, config: dict, names: dict) -> ShapTensor:
+    """Kernel SHAP of the rows X against a background drawn from ``train``;
+    ``names`` holds the tensor's feature and class names and sample ids."""
+    cfg, seed = config["explain"], config["seed"]
+    background = sample_background(train, size=cfg["background_size"], seed=seed)
+    return kernel_shap(model, X, background, n_coalitions=cfg["n_coalitions"], seed=seed,
+                       **names)
 
 
 def _read_tensor(args, manifest: RunManifest, read):
@@ -610,8 +623,7 @@ COMMANDS = {
     "train": Command(cmd_train, "train configured models",
                      "read_csv train_tree train_boosted train_mlp save_model evaluate"),
     "explain": Command(cmd_explain, "compute SHAP tensors",
-                       "read_csv np load_model tree_shap sample_background kernel_shap "
-                       "save_tensor shap_summary"),
+                       "read_csv np load_model tree_shap save_tensor shap_summary"),
     "cluster": Command(cmd_cluster, "HDBSCAN over a flattened SHAP tensor",
                        "read_csv load_tensor hdbscan flatten HdbscanParams cluster_means "
                        "cluster_purity"),
@@ -632,6 +644,8 @@ BRANCHES = {
                                      "load_tensor ClusterLabeling np build_paths project_paths "
                                      "render_paths paths_to_csv"),
     "embed by class": Command(_load_dataset, "the dataset, for its classes", "read_csv"),
+    "explain by kernel": Command(_kernel_explain, "Kernel SHAP, for a model that is no tree",
+                                 "sample_background kernel_shap"),
 }
 
 

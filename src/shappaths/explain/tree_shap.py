@@ -14,16 +14,25 @@ its own path, so, as in GPUTreeShap (Mitchell et al. 2022):
    ensemble) fill padded (D, P) arrays with the root in row 0. The root
    and the padding are null players (z = 1, o = 1 on (-inf, inf)), so the
    result stays exact. Leaf values carry the learning rate.
-3. Compute: per chunk of rows, extend the path-weight polynomial once per
-   depth on (P, rows) arrays, unwind each element to read off its weight,
-   and sum weight * (o - z) * leaf value per feature with a stable
-   sort-and-reduceat scatter. Nothing sums across rows or calls BLAS, so
+3. Compute: a path's weights depend only on its z and on the sample's
+   one fractions o in {0, 1}, so a path of depth D has at most 2 ** (D - 1)
+   distinct weight columns (Fast TreeSHAP v2, Yang 2021). Where those
+   patterns number no more than the rows of a call and of a chunk, each
+   pack gets a table: the path-weight polynomial is extended once per
+   depth on (P, patterns) arrays, each element unwound to read off its
+   weight, and weight * (o - z) stored per pattern. Each chunk of rows
+   then reads its (path, row) entries from the table at the pattern its
+   lo <= x < hi tests spell. Deeper packs run the same extend and unwind
+   on (P, rows) arrays, per chunk. Either way every element takes the
+   same float operations, so the two give the same bytes. The sum of
+   weight * (o - z) * leaf value per feature is a stable sort-and-reduceat
+   scatter. Nothing sums across rows or calls BLAS, so
    the bytes depend neither on the chunking nor on the thread count, nor
    on the process: the rows are split into contiguous ranges, one per
    worker, through the package's one row-split helper
    (``shappaths.workers.fill_rows``, which Kernel SHAP uses too), and
    each worker writes every output of its rows into one shared anonymous
-   mmap that becomes the tensor's values. The packs of every output are
+   mmap that becomes the tensor's values. The packs and their tables are
    built before the fork, so a boosted ensemble forks once per call, and
    a call whose rows fit one chunk never forks.
 
@@ -47,8 +56,9 @@ from .tensor import ShapTensor
 if TYPE_CHECKING:
     from ..models.tree import DecisionTree
 
-# rows per chunk make the (D, P, rows) weight array about this many floats;
-# 1 MB keeps a chunk's arrays in cache and each process near its idle size
+# rows per chunk make the (D, P, rows) weight array about this many floats,
+# and bound a pattern table the same way; 1 MB keeps a chunk's arrays in
+# cache and each process near its idle size
 _CHUNK_FLOATS = 2 ** 17
 
 
@@ -108,32 +118,30 @@ def _shap_packed(packs: list, X: np.ndarray, p: int) -> np.ndarray:
     fill consecutive outputs, ``width`` each."""
     if not np.isfinite(X).all():
         raise DataError("TreeSHAP needs finite feature values")
-    n, outputs, work = X.shape[0], 0, []  # work: (pack, its first output, rows per chunk)
+    n, outputs, work = X.shape[0], 0, []  # work: (pack, first output, rows per chunk, table)
     for packed in packs:
         if packed.groups:  # a pack with no split adds nothing
-            work.append((packed, outputs, max(1, _CHUNK_FLOATS // packed.z.size)))
+            step = max(1, _CHUNK_FLOATS // packed.z.size)
+            table = _pattern_table(packed, min(n, step))
+            work.append((packed, outputs, step, table))
         outputs += packed.width
 
     def fill(out: np.ndarray, lo: int, hi: int) -> None:
-        for packed, c, step in work:
+        for packed, c, step, table in work:
             for start in range(lo, hi, step):  # a call frees its chunk's arrays
                 stop = min(start + step, hi)
-                _shap_chunk(packed, X[start:stop], out[start:stop, :, c:c + packed.width])
+                _shap_chunk(packed, table, X[start:stop], out[start:stop, :, c:c + packed.width])
 
-    chunks = max((-(-n // step) for _, _, step in work), default=0)
+    chunks = max((-(-n // step) for _, _, step, _ in work), default=0)
     return fill_rows("TreeSHAP worker", (n, p, outputs), chunks, fill)
 
 
-def _shap_chunk(packed: _Packed, X: np.ndarray, out: np.ndarray) -> None:
-    """Add the attributions of the rows of X into out, one pass over D."""
-    D, P = packed.z.shape
+def _contributions(packed: _Packed, o: np.ndarray) -> list:
+    """weight * (o - z) of each group's paths, (paths, columns) per group, for
+    the one fractions o (D, P, columns): one column per row or per pattern."""
+    D = packed.z.shape[0]
     last = D - 1
     z = packed.z[:, :, None]
-    xt = np.ascontiguousarray(X.T)
-    o = np.empty((D, P, X.shape[0]), dtype=bool)
-    for d in range(D):
-        xd = xt[packed.feature[d]]  # the root and padding read any column
-        o[d] = (packed.lo[d, :, None] <= xd) & (xd < packed.hi[d, :, None])
     # extend: w[i] weighs coalitions of i elements among those seen so far
     w = np.zeros(o.shape)
     w[0] = 1.0
@@ -143,14 +151,48 @@ def _shap_chunk(packed: _Packed, X: np.ndarray, out: np.ndarray) -> None:
             w[i] = z[l] * w[i] * (l - i) / (l + 1)
     # unwind each element; with o = 0 the sum factors out its z
     zero_sum = sum(w[j] / (last - j) for j in range(last))
-    for d, paths, starts, feats, leaf_value in packed.groups:
+    contributions = []
+    for d, paths, *_ in packed.groups:
         rest, total = w[last], 0.0
         for j in range(last - 1, -1, -1):
             tmp = rest / (j + 1)
             total = total + tmp
             rest = w[j] - tmp * z[d] * (last - j)
         weight = np.where(o[d], total, zero_sum / z[d]) * (last + 1)
-        contrib = (weight * (o[d] - z[d]))[paths]
+        contributions.append((weight * (o[d] - z[d]))[paths])
+    return contributions
+
+
+def _pattern_table(packed: _Packed, rows: int) -> list | None:
+    """The contributions at every pattern of one fractions, or None where the
+    2 ** (D - 1) patterns outnumber ``rows``. Column b sets o[d] to bit d - 1
+    of b (o[0] = 1). With ``rows`` at most a chunk's, the table is no larger
+    than one chunk's weight array."""
+    D, P = packed.z.shape
+    if 2 ** (D - 1) > rows:
+        return None
+    o = np.ones((D, P, 2 ** (D - 1)), dtype=bool)
+    o[1:] = (np.arange(2 ** (D - 1)) >> np.arange(D - 1)[:, None, None]) & 1
+    return _contributions(packed, o)
+
+
+def _shap_chunk(packed: _Packed, table: list | None, X: np.ndarray, out: np.ndarray) -> None:
+    """Add the attributions of the rows of X into out: read from the pattern
+    table, or computed for the rows themselves where there is none."""
+    D = packed.z.shape[0]
+    xt = np.ascontiguousarray(X.T)
+    o = np.empty((*packed.z.shape, X.shape[0]), dtype=bool)
+    for d in range(D):
+        xd = xt[packed.feature[d]]  # the root and padding read any column
+        o[d] = (packed.lo[d, :, None] <= xd) & (xd < packed.hi[d, :, None])
+    if table is None:
+        contributions = _contributions(packed, o)
+    else:  # bit d - 1 is o[d]; the root, always 1, takes no bit
+        pattern = sum(o[d].astype(np.intp) << (d - 1) for d in range(1, D))
+        # row r of a group's table starts at r * 2 ** (D - 1) in its flat order
+        contributions = (t.take(pattern[paths] + np.arange(0, t.size, t.shape[1])[:, None])
+                         for t, (_, paths, *_) in zip(table, packed.groups))
+    for (_, _, starts, feats, leaf_value), contrib in zip(packed.groups, contributions):
         for c in range(out.shape[2]):
             sums = np.add.reduceat(contrib * leaf_value[:, c, None], starts, axis=0)
             out[:, feats, c] += sums.T
@@ -167,17 +209,20 @@ def shap_values_tree(tree: DecisionTree, X: np.ndarray,
 def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
               sample_ids=None) -> ShapTensor:
     """Exact path-dependent SHAP tensor for a tree or boosted ensemble."""
-    from ..models.boosted import BoostedEnsemble
     from ..models.tree import DecisionTree
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = X.shape[1]
-    if not isinstance(model, (DecisionTree, BoostedEnsemble)):
-        raise DataError(f"tree_shap supports trees and boosted ensembles, "
-                        f"not {type(model).__name__}")
+    is_tree = isinstance(model, DecisionTree)
+    if not is_tree:
+        from ..models.boosted import BoostedEnsemble  # a tree loads no boosting
+
+        if not isinstance(model, BoostedEnsemble):
+            raise DataError(f"tree_shap supports trees and boosted ensembles, "
+                            f"not {type(model).__name__}")
     if model.n_features != p:
         raise DataError(f"model expects {model.n_features} features, data has {p}")
-    if isinstance(model, DecisionTree):
+    if is_tree:
         values = shap_values_tree(model, X, n_features=p)
         base = model.expected_value()
         kind = "tree"

@@ -209,6 +209,21 @@ def read_manifest(path: Path) -> dict:
 
 
 @contextlib.contextmanager
+def replacing(path: Path):
+    """A temporary file beside ``path``, open for writing, that is renamed
+    over ``path`` when the block ends: a reader sees the old file or the
+    new one, and a block that raises leaves the old one."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
 def _locked(directory: Path):
     """Hold an exclusive ``flock`` on ``directory`` itself, where fcntl exists:
     a lock file would outlive a save that fails."""
@@ -240,6 +255,7 @@ class RunManifest:
         self._written: set[str] = set()  # artifacts to digest at the next save
         # what this command set, applied over the stored manifest at every save
         self._own: dict[str, dict] = {"artifacts": {}, "digests": {}, "stages": {}}
+        self._holding = False  # whether this command holds the run directory's lock
         if stored is not None and stored.get("config_hash") != self.hash \
                 and stored.get("artifacts"):
             raise ConfigError(
@@ -258,43 +274,54 @@ class RunManifest:
                           "config": config, "artifacts": {}, "digests": {}, "stages": {}}
             self.save()
 
+    @contextlib.contextmanager
+    def locked(self):
+        """Hold the run directory's lock, with ``state`` read again from
+        manifest.json and this command's own artifacts, digests and stages
+        applied to it. A block inside another (a save within a merge of an
+        artifact) keeps the lock it is in."""
+        if self._holding:
+            self._reload()
+            yield self
+            return
+        with _locked(self.run_dir):
+            self._holding = True
+            try:
+                self._reload()
+                yield self
+            finally:
+                self._holding = False
+
+    def _reload(self) -> None:
+        try:
+            stored = read_manifest(self.path)
+        except (FileNotFoundError, DamagedManifestError):
+            stored = None
+        if stored is not None and stored.get("config_hash") == self.hash:
+            self.state = stored
+        for key, changes in self._own.items():
+            self.state.setdefault(key, {}).update(changes)
+
     def save(self) -> None:
         """Write manifest.json, with the digest of every artifact written since.
 
-        Under a lock on the run directory, the stored manifest is read again
-        and this command's own artifacts, digests and stages are applied to
-        it, so commands that save one run at once lose none of each other's
-        changes. The state goes to a temporary file in the run directory,
-        which then replaces manifest.json in one rename: a reader sees the
-        old manifest or the new one, and a save that fails leaves the old one.
+        Under the lock (see :meth:`locked`), so commands that save one run at
+        once lose none of each other's changes. The file is replaced in one
+        rename (see :func:`replacing`).
         """
         for name in self._written:
             self._own["digests"][name] = _sha256(self.run_dir / self._own["artifacts"][name])
         self._written.clear()
-        with _locked(self.run_dir):
-            try:
-                stored = read_manifest(self.path)
-            except (FileNotFoundError, DamagedManifestError):
-                stored = None
-            if stored is not None and stored.get("config_hash") == self.hash:
-                self.state = stored
-            for key, changes in self._own.items():
-                self.state.setdefault(key, {}).update(changes)
+        with self.locked():
             ordered = {"version": self.state["version"],
                        "config_hash": self.state["config_hash"],
                        "config": self.state["config"],
                        "artifacts": dict(sorted(self.state["artifacts"].items())),
                        "digests": dict(sorted(self.state["digests"].items())),
                        "stages": self.state["stages"]}
-            tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(ordered, fh, indent=1, sort_keys=False)
-                    fh.write("\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            with replacing(self.path) as fh:
+                json.dump(ordered, fh, indent=1, sort_keys=False)
+                fh.write("\n")
 
     def set_artifact(self, name: str) -> Path:
         """The path to write artifact ``name`` to; the next save digests it."""

@@ -1,21 +1,31 @@
 """Versioned JSON serialization for all three model kinds.
 
 Floats are written with Python's shortest round-trip representation, so
-a loaded model predicts bit-for-bit what the saved one did.
+a loaded model predicts bit-for-bit what the saved one did. Each model
+class is imported for the kind being read or written, so saving or loading
+a tree loads neither the boosting nor the MLP module.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ModelIOError
-from .boosted import BoostedEnsemble
-from .mlp import Mlp
-from .tree import DecisionTree
+
+if TYPE_CHECKING:
+    from .tree import DecisionTree
 
 SCHEMA_VERSION = 1
+KINDS = {"tree": "DecisionTree", "boosted": "BoostedEnsemble", "mlp": "Mlp"}
+
+
+def _model_class(kind: str) -> type:
+    """The class of ``kind``, loaded on first use through the package's exports."""
+    return getattr(importlib.import_module("..", __package__), KINDS[kind])
 
 
 def _tree_payload(tree: DecisionTree) -> dict:
@@ -31,7 +41,7 @@ def _tree_payload(tree: DecisionTree) -> dict:
 
 
 def _tree_from_payload(d: dict) -> DecisionTree:
-    return DecisionTree(
+    return _model_class("tree")(
         feature=np.array(d["feature"], dtype=int),
         threshold=np.array([np.nan if t is None else t for t in d["threshold"]], dtype=float),
         left=np.array(d["left"], dtype=int),
@@ -43,10 +53,13 @@ def _tree_from_payload(d: dict) -> DecisionTree:
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, DecisionTree):
+    kind = {name: kind for kind, name in KINDS.items()}.get(type(model).__name__)
+    if kind is None or not isinstance(model, _model_class(kind)):
+        raise ModelIOError(f"cannot serialize {type(model).__name__}")
+    if kind == "tree":
         return {"schema_version": SCHEMA_VERSION, "kind": "tree",
                 "tree": _tree_payload(model)}
-    if isinstance(model, BoostedEnsemble):
+    if kind == "boosted":
         return {"schema_version": SCHEMA_VERSION, "kind": "boosted",
                 "base_score": model.base_score.tolist(),
                 "learning_rate": model.learning_rate,
@@ -55,12 +68,10 @@ def model_to_dict(model) -> dict:
                 "n_features": model.n_features,
                 "train_loss": list(model.train_loss),
                 "rounds": [[_tree_payload(t) for t in r] for r in model.rounds]}
-    if isinstance(model, Mlp):
-        return {"schema_version": SCHEMA_VERSION, "kind": "mlp",
-                "layer_sizes": list(model.layer_sizes),
-                "weights": [w.tolist() for w in model.weights],
-                "biases": [b.tolist() for b in model.biases]}
-    raise ModelIOError(f"cannot serialize {type(model).__name__}")
+    return {"schema_version": SCHEMA_VERSION, "kind": "mlp",
+            "layer_sizes": list(model.layer_sizes),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases]}
 
 
 def _model_from_payload(d: dict):
@@ -70,10 +81,12 @@ def _model_from_payload(d: dict):
             raise ModelIOError(f"unsupported schema version {version}, "
                                f"expected {SCHEMA_VERSION}")
         kind = d["kind"]
+        if kind not in KINDS:
+            raise ModelIOError(f"unknown model kind {kind!r}")
         if kind == "tree":
             return _tree_from_payload(d["tree"])
         if kind == "boosted":
-            return BoostedEnsemble(
+            return _model_class(kind)(
                 base_score=np.array(d["base_score"], dtype=float),
                 rounds=[[_tree_from_payload(t) for t in r] for r in d["rounds"]],
                 learning_rate=float(d["learning_rate"]),
@@ -81,11 +94,9 @@ def _model_from_payload(d: dict):
                 max_depth=int(d["max_depth"]),
                 n_features=int(d["n_features"]),
                 train_loss=[float(x) for x in d["train_loss"]])
-        if kind == "mlp":
-            return Mlp(layer_sizes=tuple(int(s) for s in d["layer_sizes"]),
-                       weights=[np.array(w, dtype=float) for w in d["weights"]],
-                       biases=[np.array(b, dtype=float) for b in d["biases"]])
-        raise ModelIOError(f"unknown model kind {kind!r}")
+        return _model_class(kind)(layer_sizes=tuple(int(s) for s in d["layer_sizes"]),
+                                  weights=[np.array(w, dtype=float) for w in d["weights"]],
+                                  biases=[np.array(b, dtype=float) for b in d["biases"]])
     except ModelIOError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -1212,21 +1212,21 @@ def test_rerunning_the_writing_stage_mends_the_run(tree_run, tmp_path, damage):
 # ---------------------------------------------------------------------------
 # commands that save one run at once
 
-_BAR_AT_THE_SIGNAL = """
+_AT_THE_SIGNAL = """
 import os, sys, time
 from shappaths.cli import main
-out, source = sys.argv[1:]
-open(os.path.join(out, f"ready-{source}"), "w").close()
+out, label, *argv = sys.argv[1:]
+open(os.path.join(out, f"ready-{label}"), "w").close()
 while not os.path.exists(os.path.join(out, "go")):
     time.sleep(0.0005)
-sys.exit(main(["bar", "--source", source, "--out", out]))
+sys.exit(main([*argv, "--out", out]))
 """
 
 
-def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
-    """Three `bar --source` processes, released together once each has
-    imported the CLI, save one manifest; every chart ends up listed and
-    digested, and every reader exits 0."""
+def _released_together(out: Path, commands: dict) -> list[tuple[int, str]]:
+    """(exit code, stderr) of each command (label -> argv) on the run ``out``,
+    each in its own interpreter, released together once all have imported
+    the CLI."""
     import subprocess
     import sys
 
@@ -1234,25 +1234,34 @@ def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
 
     src = Path(shappaths.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.Popen([sys.executable, "-c", _AT_THE_SIGNAL, str(out), label, *argv],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for label, argv in commands.items()]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((out / f"ready-{label}").exists() for label in commands):
+            assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
+            time.sleep(0.001)
+        (out / "go").touch()
+        errors = [proc.communicate(timeout=60)[1].decode() for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=10)
+    return [(proc.returncode, error) for proc, error in zip(procs, errors)]
+
+
+def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
+    """Three `bar --source` processes, released together once each has
+    imported the CLI, save one manifest; every chart ends up listed and
+    digested, and every reader exits 0."""
     sources = ("tree", "boosted", "mlp")
     for round_ in range(25):
         out = tmp_path / f"round{round_}"
         shutil.copytree(three_kinds_run, out)
-        procs = [subprocess.Popen([sys.executable, "-c", _BAR_AT_THE_SIGNAL, str(out), source],
-                                  env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-                 for source in sources]
-        try:
-            deadline = time.monotonic() + 60
-            while not all((out / f"ready-{s}").exists() for s in sources):
-                assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
-                time.sleep(0.001)
-            (out / "go").touch()
-            errors = [proc.communicate(timeout=60)[1].decode() for proc in procs]
-        finally:
-            for proc in procs:
-                proc.kill()
-                proc.wait(timeout=10)
-        assert [proc.returncode for proc in procs] == [0, 0, 0], (round_, errors)
+        codes, errors = zip(*_released_together(
+            out, {source: ["bar", "--source", source] for source in sources}))
+        assert list(codes) == [0, 0, 0], (round_, errors)
         manifest = read_manifest(out / "manifest.json")
         for source in sources:
             name = f"bar_{source}_svg"
@@ -1260,3 +1269,27 @@ def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
             digest = hashlib.sha256((out / f"bar_{source}.svg").read_bytes()).hexdigest()
             assert manifest["digests"][name] == digest, (round_, name)
         assert [f"bar.{s}" in manifest["stages"] for s in sources] == [True] * 3, round_
+
+
+def test_concurrent_trains_each_keep_their_metrics(tmp_path):
+    """`train --model tree` and `train --model mlp`, released together, both
+    land in metrics.json: each adds its kind to the file as it is under the
+    run directory's lock, rather than rewriting the one it read at start."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "dataset": {"n_samples": 200, "n_features": 4},
+                               "models": {"tree": {}, "mlp": {"epochs": 20}},
+                               "cluster": {"source": "tree"}}))
+    start = tmp_path / "start"
+    assert run(cfg, start, "simulate") == 0
+    for round_ in range(10):
+        out = tmp_path / f"round{round_}"
+        shutil.copytree(start, out)
+        codes, errors = zip(*_released_together(
+            out, {kind: ["train", "--model", kind] for kind in ("tree", "mlp")}))
+        assert list(codes) == [0, 0], (round_, errors)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert sorted(metrics) == ["mlp", "tree"], round_
+        manifest = read_manifest(out / "manifest.json")
+        digest = hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest()
+        assert manifest["digests"]["metrics"] == digest, round_
+        assert [f"model_{k}" in manifest["artifacts"] for k in ("tree", "mlp")] == [True] * 2

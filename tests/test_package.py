@@ -77,11 +77,13 @@ def test_subpackage_import_loads_no_submodule(package):
 
 @pytest.fixture(scope="module")
 def tree_run(tmp_path_factory) -> Path:
-    """A tiny simulated run with a tree trained and explained."""
+    """A tiny simulated run configured with the tree alone, trained and explained."""
     from shappaths.cli import main
 
-    out = tmp_path_factory.mktemp("layers") / "run"
-    for argv in (["simulate", "--n", "80"], ["train", "--model", "tree"],
+    root = tmp_path_factory.mktemp("layers")
+    cfg, out = root / "cfg.json", root / "run"
+    cfg.write_text(json.dumps({"models": {"tree": {}}, "cluster": {"source": "tree"}}))
+    for argv in (["simulate", "--n", "80", "--config", str(cfg)], ["train", "--model", "tree"],
                  ["explain", "--model", "tree"], ["cluster", "--source", "tree"]):
         assert main([*argv, "--out", str(out)]) == 0, argv
     return out
@@ -90,7 +92,9 @@ def tree_run(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("argv, not_loaded", [
     (["report"], {"numpy", *LAYERS}),
     (["train", "--model", "tree"], {"shappaths.explain", "shappaths.subgroup", "shappaths.viz"}),
-    (["explain", "--model", "tree"], {"shappaths.subgroup", "shappaths.viz", "numpy.random"}),
+    (["explain", "--model", "tree"], {"shappaths.subgroup", "shappaths.viz", "numpy.random",
+                                      "shappaths.explain.kernel_shap", "shappaths.models.mlp",
+                                      "shappaths.models.boosted"}),
     (["cluster", "--source", "tree"], {"shappaths.models", "shappaths.viz", *EXPLAINERS}),
     (["embed", "--source", "tree"], {"shappaths.data", "shappaths.models", *UNUSED_BY_PLOTS}),
     (["waterfall", "--source", "tree"], NO_ARRAYS),
@@ -104,7 +108,8 @@ def test_each_command_loads_only_the_layers_it_runs(tree_run, argv, not_loaded):
     """Each command loads only the modules whose names it calls: `bar`, the
     classical `waterfall` and `heatmap` load neither numpy nor dataclasses
     (which loads inspect), `bar` and `heatmap` no module of
-    shappaths.explain, and `embed`, which colours by cluster here,
+    shappaths.explain, `explain` of the tree neither Kernel SHAP nor the
+    MLP or boosting module, and `embed`, which colours by cluster here,
     reads no dataset. No command loads numpy.ma either:
     numpy's first np.unique does, at about 6 ms per process."""
     code = (f"from shappaths.cli import main; "

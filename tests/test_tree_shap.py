@@ -344,10 +344,10 @@ def test_failed_worker_exits_4_naming_its_rows(workers, monkeypatch, tmp_path, c
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     parent, chunk = os.getpid(), tree_shap_mod._shap_chunk
 
-    def chunk_in_parent_only(packed, X, values):
+    def chunk_in_parent_only(packed, table, X, values):
         if os.getpid() != parent:
             raise RuntimeError("path weights failed in a worker")
-        return chunk(packed, X, values)
+        return chunk(packed, table, X, values)
 
     monkeypatch.setattr(tree_shap_mod, "_shap_chunk", chunk_in_parent_only)
     monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", 1)  # one row per chunk
@@ -358,3 +358,168 @@ def test_failed_worker_exits_4_naming_its_rows(workers, monkeypatch, tmp_path, c
     assert "Traceback" not in err
     assert not (out / "shap_tree.csv").exists()
     assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# pattern tables: path weights evaluated once per pattern of one fractions
+# give the bytes of the weights evaluated for each row
+
+def _both_ways(packs, X, p):
+    """The attributions of ``packs`` on X from path weights evaluated on the
+    rows' own columns, and read from each pack's full pattern table."""
+    width = sum(packed.width for packed in packs)
+    by_rows, by_patterns = np.zeros((len(X), p, width)), np.zeros((len(X), p, width))
+    c = 0
+    for packed in packs:
+        if packed.groups:
+            table = tree_shap_mod._pattern_table(packed, 2 ** (packed.z.shape[0] - 1))
+            tree_shap_mod._shap_chunk(packed, None, X, by_rows[:, :, c:c + packed.width])
+            tree_shap_mod._shap_chunk(packed, table, X, by_patterns[:, :, c:c + packed.width])
+        c += packed.width
+    return by_rows, by_patterns
+
+
+def _repeated_feature_tree():
+    # feature 0 narrows [0, inf) -> [0, 2) -> [1, 2) on one path
+    return make_tree(
+        feature=[0, LEAF, 1, 0, LEAF, 0, LEAF, LEAF, LEAF],
+        threshold=[0.0, np.nan, 0.5, 2.0, np.nan, 1.0, np.nan, np.nan, np.nan],
+        left=[1, LEAF, 3, 5, LEAF, 6, LEAF, LEAF, LEAF],
+        right=[2, LEAF, 8, 4, LEAF, 7, LEAF, LEAF, LEAF],
+        cover=[100.0, 30.0, 70.0, 45.0, 15.0, 30.0, 10.0, 20.0, 25.0],
+        value=[[0, 0], [1, -1], [0, 0], [0, 0], [3, 0], [0, 0], [-2, 2], [5, 1], [0.5, 4]],
+        n_features=3)
+
+
+def _mixed_depth_ensemble(seed=4, p=4):
+    rng = np.random.default_rng(seed)
+    rounds = [[random_tree(rng, n_features=p, max_depth=depth, value_dim=1)
+               for depth in (1 + r, 5 - r)] for r in range(3)]
+    return BoostedEnsemble(base_score=np.array([0.1, -0.2]), rounds=rounds,
+                           learning_rate=0.5, lam=1.0, max_depth=5, n_features=p)
+
+
+def _case(name):
+    """(packs, X, p) of one case whose path weights the table must reproduce."""
+    rng = np.random.default_rng(11)
+    if name == "repeated-feature":
+        X = np.array([[x0, x1, 0.0] for x0 in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+                      for x1 in (0.0, 0.5, 1.0)])  # on and between every threshold
+        return [tree_shap_mod._pack([_repeated_feature_tree()])], X, 3
+    if name == "on-threshold":
+        tree = make_tree(
+            feature=[0, 1, LEAF, LEAF, 0, LEAF, LEAF],
+            threshold=[0.25, -1.5, np.nan, np.nan, 1.0, np.nan, np.nan],
+            left=[1, 2, LEAF, LEAF, 5, LEAF, LEAF], right=[4, 3, LEAF, LEAF, 6, LEAF, LEAF],
+            cover=[90.0, 40.0, 10.0, 30.0, 50.0, 20.0, 30.0],
+            value=[[0.0], [0.0], [1.0], [2.0], [0.0], [4.0], [8.0]], n_features=2)
+        X = np.array([[0.25, -1.5], [1.0, 0.0], [0.25, 3.0], [-1.0, -1.5], [1.0, -1.5]])
+        return [tree_shap_mod._pack([tree])], X, 2
+    if name == "padding":  # trees of depth 1 to 5 in one pack: short paths are padded
+        model = _mixed_depth_ensemble()
+        packed = tree_shap_mod._pack([trees[0] for trees in model.rounds], 0.5)
+        assert (packed.feature[-1] == -1).any()
+        return [packed], rng.uniform(-2, 2, size=(40, 4)), 4
+    if name == "one-split":
+        tree = make_tree([0, LEAF, LEAF], [0.0, np.nan, np.nan], [1, LEAF, LEAF],
+                         [2, LEAF, LEAF], [100.0, 30.0, 70.0], [[0.0], [1.0], [4.0]], 2)
+        return [tree_shap_mod._pack([tree])], np.array([[0.0, 1.0], [-1.0, 0.0], [2.0, 5.0]]), 2
+    model = _mixed_depth_ensemble(seed=5)  # "boosted-mixed-depth"
+    return _class_packs(model), rng.uniform(-2, 2, size=(40, 4)), 4
+
+
+@pytest.mark.parametrize("name", ["repeated-feature", "on-threshold", "padding", "one-split",
+                                  "boosted-mixed-depth"])
+def test_pattern_table_gives_the_bytes_of_row_weights(name):
+    packs, X, p = _case(name)
+    by_rows, by_patterns = _both_ways(packs, X, p)
+    assert by_patterns.tobytes() == by_rows.tobytes()
+    assert np.abs(by_rows).max() > 0
+
+
+def _columns(monkeypatch) -> list:
+    """The column count of every path-weight evaluation from here on."""
+    columns, contributions = [], tree_shap_mod._contributions
+
+    def counted(packed, o):
+        columns.append(o.shape[-1])
+        return contributions(packed, o)
+
+    monkeypatch.setattr(tree_shap_mod, "_contributions", counted)
+    return columns
+
+
+def test_mode_boundary_gives_the_same_bytes(workers, monkeypatch, sim_small_split, sim_small):
+    """At 2 ** (D - 1) rows per chunk the tree's weights come from one table
+    of that many pattern columns; one float less per chunk and they are
+    evaluated per chunk of rows. The bytes are the same, also for a call of
+    fewer rows than patterns, which never builds a table."""
+    train, _ = sim_small_split
+    tree, X = train_tree(train, max_depth=6, min_leaf=2), sim_small.features[:300]
+    packed = tree_shap_mod._pack([tree])
+    patterns = 2 ** (packed.z.shape[0] - 1)
+    assert patterns < len(X)
+    workers(1)
+    columns = _columns(monkeypatch)
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", patterns * packed.z.size)
+    table = tree_shap(tree, X).values
+    assert columns == [patterns]
+    columns.clear()
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", patterns * packed.z.size - 1)
+    rows = tree_shap(tree, X).values
+    assert max(columns) == patterns - 1 and sum(columns) == len(X)
+    assert table.tobytes() == rows.tobytes()
+    columns.clear()
+    monkeypatch.setattr(tree_shap_mod, "_CHUNK_FLOATS", 2 ** 40)
+    few = tree_shap(tree, X[:patterns - 1]).values
+    assert columns == [patterns - 1]
+    assert few.tobytes() == table[:patterns - 1].tobytes()
+
+
+def _chain(depth):
+    """A tree that splits on features 0, 1, ..., depth - 1 in turn down its
+    right spine, each left child a leaf: one path holds every feature."""
+    feature, threshold, left, right, cover, value = [], [], [], [], [], []
+    for k in range(depth):
+        node = len(feature)
+        feature += [k, LEAF]
+        threshold += [0.1 * k - 0.5, np.nan]
+        left += [node + 1, LEAF]
+        right += [node + 2, LEAF]
+        cover += [10.0 * (depth + 1 - k), 10.0]
+        value += [[0.0], [float(k) - 3.0]]
+    feature.append(LEAF), threshold.append(np.nan), left.append(LEAF), right.append(LEAF)
+    cover.append(10.0), value.append([7.0])
+    return make_tree(feature, threshold, left, right, cover, value, depth)
+
+
+def test_deep_tree_stays_on_row_columns(workers, monkeypatch):
+    """Depth 12 has 4096 patterns, more than a chunk's rows: the weights are
+    evaluated per chunk, no table is built, and no evaluation is wider than a
+    chunk, however many rows the call has."""
+    tree = _chain(12)
+    packed = tree_shap_mod._pack([tree])
+    assert packed.z.shape[0] - 1 == 12
+    step = tree_shap_mod._CHUNK_FLOATS // packed.z.size
+    assert step < 2 ** 12
+    assert tree_shap_mod._pattern_table(packed, step) is None
+    X = np.random.default_rng(12).uniform(-1, 1, size=(2 * 2 ** 12, 12))
+    workers(1)
+    columns = _columns(monkeypatch)
+    t = tree_shap(tree, X)
+    assert max(columns) <= step and sum(columns) == len(X)
+    assert np.abs(t.values.sum(axis=1) - (tree.predict_margin(X) - t.base)).max() < 1e-9
+
+
+def test_tables_are_no_larger_than_a_chunk(boosted_450, sim_small_split):
+    """Every table built for a call holds no more floats than one chunk's
+    (D, P, rows) weight array."""
+    train, _ = sim_small_split
+    model, X = boosted_450
+    for packs in (_class_packs(model),
+                  [tree_shap_mod._pack([train_tree(train, max_depth=6, min_leaf=2)])]):
+        for packed in packs:
+            step = max(1, tree_shap_mod._CHUNK_FLOATS // packed.z.size)
+            table = tree_shap_mod._pattern_table(packed, min(len(X), step))
+            assert table is not None
+            assert sum(t.size for t in table) <= packed.z.size * step
