@@ -27,7 +27,7 @@ _DEFINED_IN = {name: module for module, names in {
                        "shap_summary unflatten_values",
     ".explain.tree_shap": "shap_values_tree tree_shap",
     ".models.boosted": "BoostedEnsemble log_loss softmax train_boosted",
-    ".models.io": "load_model model_to_dict save_model",
+    ".models.io": "kind_of load_model model_to_dict save_model",
     ".models.metrics": "EvalReport evaluate",
     ".models.mlp": "Mlp init_mlp loss_and_grads train_mlp",
     ".models.tree": "DecisionTree train_tree",

@@ -30,8 +30,7 @@ from . import _DEFINED_IN, __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, DamagedManifestError, RunManifest,
-                       artifact_file, config_hash, read_manifest, replacing,
-                       resolve_config)
+                       artifact_file, config_hash, read_manifest, resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +124,8 @@ def _write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, _json(obj))
+    _write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -318,25 +313,14 @@ def cmd_train(args) -> int:
             kind: partial(fit if kind == kinds[0] else fit_or_error, kind) for kind in kinds})
     else:
         fitted = map(fit, kinds)  # lazy: a kind that raises stops the loop below
-    metrics = {}
     for kind, outcome in zip(kinds, fitted):
         if isinstance(outcome, Exception):
             raise outcome
-        metrics[kind], seconds = outcome
+        metrics, seconds = outcome
         manifest.set_artifact(f"model_{kind}")
-        print(f"train {kind}: test accuracy {metrics[kind]['accuracy']:.3f}")
+        _write_json(manifest.set_artifact(f"metrics_{kind}"), metrics)
+        print(f"train {kind}: test accuracy {metrics['accuracy']:.3f}")
         manifest.record_stage(f"train.{kind}", seconds)
-    # a train of other kinds may finish at the same time: add to metrics.json
-    # as it is now, under the lock, rather than rewrite it from an older read
-    with manifest.locked():
-        try:  # only train writes metrics.json, so one that fails its check starts afresh
-            stored = _read_json(manifest.require("metrics")) if manifest.has("metrics") else {}
-        except (MissingArtifactError, DataError) as exc:
-            print(f"train: {exc}; starting the metrics afresh", file=sys.stderr)
-            stored = {}
-        with replacing(manifest.set_artifact("metrics")) as fh:
-            fh.write(_json({**stored, **metrics}))
-        manifest.save()
     return EXIT_OK
 
 
@@ -536,10 +520,10 @@ def cmd_heatmap(args) -> int:
 
 def cmd_report(args) -> int:
     manifest = _open_run(args)
-    missing = [name for name in ("dataset_manifest", "metrics") if not manifest.has(name)]
-    tensors = [k for k in manifest.config["models"] if manifest.has(f"shap_{k}")]
-    if not tensors:
-        missing.append("shap_<model>")
+    missing = [] if manifest.has("dataset_manifest") else ["dataset_manifest"]
+    for stem in ("metrics", "shap"):
+        if not any(manifest.has(f"{stem}_{k}") for k in manifest.config["models"]):
+            missing.append(f"{stem}_<model>")
     if missing:
         raise MissingArtifactError(
             manifest.run_dir / "manifest.json",
@@ -555,7 +539,6 @@ def cmd_report(args) -> int:
 def _render_report(manifest: RunManifest) -> str:
     from html import escape
 
-    metrics = _read_json(manifest.require("metrics"))
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'><title>shappaths report</title>",
@@ -568,9 +551,9 @@ def _render_report(manifest: RunManifest) -> str:
         "<h2>Model performance</h2>",
     ]
     for kind in manifest.config["models"]:
-        if kind not in metrics:
+        if not manifest.has(f"metrics_{kind}"):
             continue
-        entry = metrics[kind]
+        entry = _read_json(manifest.require(f"metrics_{kind}"))
         parts.append(f"<h3>{kind}</h3><table><tr><th>class</th><th>precision</th>"
                      "<th>recall</th><th>support</th></tr>")
         for row in entry["classes"]:

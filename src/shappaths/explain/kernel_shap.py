@@ -252,6 +252,8 @@ def kernel_shap(model, X: np.ndarray, background: Background,
     The base values are the mean background margins -- the exact quantity
     the attributions sum against. Deterministic given the seed and budget.
     """
+    from ..models.io import kind_of
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
     if p < 1:
@@ -304,7 +306,7 @@ def kernel_shap(model, X: np.ndarray, background: Background,
         values=values, base=base, sample_ids=sample_ids,
         feature_names=feature_names, class_names=class_names,
         method="kernel_shap_exact" if exact else "kernel_shap",
-        model_kind=type(model).__name__.lower(),
+        model_kind=kind_of(model),
         background=background.label or f"rows:{background.m}")
 
 

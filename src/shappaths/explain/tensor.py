@@ -24,13 +24,11 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import DataError
 from .reader import TENSOR_SCHEMA_VERSION, TensorReader
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _names(given, prefix: str, count: int) -> tuple[str, ...]:
@@ -51,8 +49,6 @@ class ShapTensor:
     background: str = ""            # background provenance (kernel method only)
 
     def __post_init__(self):
-        import numpy as np
-
         values = np.asarray(self.values, dtype=float)
         base = np.asarray(self.base, dtype=float)
         n, p, k = values.shape
@@ -91,8 +87,6 @@ class Background:
     label: str = ""
 
     def __post_init__(self):
-        import numpy as np
-
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
         if data.shape[0] < 1:
             raise DataError("background needs at least one row")
@@ -110,8 +104,6 @@ def flatten(t: ShapTensor) -> np.ndarray:
 
 def unflatten_values(flat: np.ndarray, n_classes: int) -> np.ndarray:
     """Inverse of :func:`flatten` for the values array."""
-    import numpy as np
-
     flat = np.asarray(flat, dtype=float)
     if flat.shape[1] % n_classes != 0:
         raise DataError(f"cannot unflatten {flat.shape[1]} columns into {n_classes} classes")
@@ -127,8 +119,6 @@ def shap_summary(t: ShapTensor) -> dict:
     absolute attribution per feature and class, each feature's total over
     the classes, and the features by descending total (ties to the lower
     index, NaN last)."""
-    import numpy as np
-
     mean_abs = np.abs(t.values).mean(axis=0)
     totals = mean_abs.sum(axis=1)
     return {"feature_names": list(t.feature_names), "class_names": list(t.class_names),
@@ -140,8 +130,6 @@ def save_tensor(t: ShapTensor, json_path, csv_path, f64_path) -> None:
     """Manifest JSON, a CSV of the flattened values (exact floats), and the
     CSV's table as raw little-endian float64: n rows of the sample id, then
     the values in :func:`flatten`'s layout."""
-    import numpy as np
-
     manifest = {
         "schema_version": TENSOR_SCHEMA_VERSION,
         "n": t.n, "p": t.p, "k": t.k,
@@ -181,8 +169,6 @@ def _csv_rows(csv_path, width: int):
 def load_tensor(json_path, body_path) -> ShapTensor:
     """Read a tensor written by :func:`save_tensor` into arrays, from its
     float64 body (a ``.f64`` file) or from its CSV."""
-    import numpy as np
-
     t = TensorReader(json_path, body_path)
     if str(body_path).endswith(".f64"):
         table = np.frombuffer(t._read(0, t.n))

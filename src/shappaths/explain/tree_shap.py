@@ -110,7 +110,8 @@ def _pack(trees, scale: float = 1.0) -> _Packed:
         real = real[np.argsort(feature[d, real], kind="stable")]
         starts = np.flatnonzero(np.r_[True, np.diff(feature[d, real]) != 0])
         groups.append((d, real, starts, feature[d, real[starts]], values[real]))
-    return _Packed(feature, z, lo, hi, values.shape[1], groups)
+    # no trees (an ensemble of no rounds): one output, as each class's trees fill
+    return _Packed(feature, z, lo, hi, values.shape[1] if paths else 1, groups)
 
 
 def _shap_packed(packs: list, X: np.ndarray, p: int) -> np.ndarray:
@@ -209,6 +210,7 @@ def shap_values_tree(tree: DecisionTree, X: np.ndarray,
 def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
               sample_ids=None) -> ShapTensor:
     """Exact path-dependent SHAP tensor for a tree or boosted ensemble."""
+    from ..models.io import kind_of
     from ..models.tree import DecisionTree
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -225,7 +227,6 @@ def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
     if is_tree:
         values = shap_values_tree(model, X, n_features=p)
         base = model.expected_value()
-        kind = "tree"
     else:
         eta = model.learning_rate
         values = _shap_packed([_pack([trees[c] for trees in model.rounds], eta)
@@ -233,7 +234,6 @@ def tree_shap(model, X: np.ndarray, feature_names=None, class_names=None,
         base = model.base_score.copy()
         for round_trees in model.rounds:
             base += eta * np.array([tree.expected_value()[0] for tree in round_trees])
-        kind = "boosted"
     return ShapTensor(values=values, base=base, sample_ids=sample_ids,
                       feature_names=feature_names, class_names=class_names,
-                      method="tree_shap", model_kind=kind)
+                      method="tree_shap", model_kind=kind_of(model))

@@ -23,6 +23,12 @@ SCHEMA_VERSION = 1
 KINDS = {"tree": "DecisionTree", "boosted": "BoostedEnsemble", "mlp": "Mlp"}
 
 
+def kind_of(model) -> str:
+    """The kind of ``model``'s class in KINDS; another class, its lower-cased name."""
+    name = type(model).__name__
+    return next((kind for kind, cls in KINDS.items() if cls == name), name.lower())
+
+
 def _model_class(kind: str) -> type:
     """The class of ``kind``, loaded on first use through the package's exports."""
     return getattr(importlib.import_module("..", __package__), KINDS[kind])
@@ -53,8 +59,8 @@ def _tree_from_payload(d: dict) -> DecisionTree:
 
 
 def model_to_dict(model) -> dict:
-    kind = {name: kind for kind, name in KINDS.items()}.get(type(model).__name__)
-    if kind is None or not isinstance(model, _model_class(kind)):
+    kind = kind_of(model)
+    if kind not in KINDS or not isinstance(model, _model_class(kind)):
         raise ModelIOError(f"cannot serialize {type(model).__name__}")
     if kind == "tree":
         return {"schema_version": SCHEMA_VERSION, "kind": "tree",

@@ -334,15 +334,19 @@ def labels_from_tree(tree: CondensedTree, n: int) -> ClusterLabeling:
                            stability=tree.stability[canonical])
 
 
-def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
-    """The condensed hierarchy with stabilities and selection applied."""
+def _checked(X: np.ndarray, params: HdbscanParams) -> np.ndarray:
+    """X as a 2-D float array, once ``params`` and every point are valid."""
     params.validate()
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise DataError("points must be finite")
+    return X
+
+
+def _condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
     n = X.shape[0]
     if n < 1:
         raise DataError("need at least one point")
-    if not np.isfinite(X).all():
-        raise DataError("points must be finite")
     points = Points.of(X)
     core = core_distances(points, params.effective_min_samples)
     mst = minimum_spanning_tree(points, core)
@@ -355,13 +359,16 @@ def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
     return tree
 
 
+def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
+    """The condensed hierarchy with stabilities and selection applied."""
+    return _condensed_tree(_checked(X, params), params)
+
+
 def hdbscan(X: np.ndarray, params: HdbscanParams = HdbscanParams()) -> ClusterLabeling:
     """Cluster rows of X; label -1 marks noise."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _checked(X, params)
     n = X.shape[0]
-    params.validate()
     if n < params.min_cluster_size:
         return ClusterLabeling(labels=np.full(n, -1), n_clusters=0,
                                stability=np.zeros(0))
-    tree = condensed_tree(X, params)
-    return labels_from_tree(tree, n)
+    return labels_from_tree(_condensed_tree(X, params), n)

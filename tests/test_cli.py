@@ -18,6 +18,7 @@ from shappaths.data import load_csv, read_csv
 from shappaths.explain import load_tensor
 from shappaths.errors import ConfigError, NumericalError
 from shappaths.explain.reader import TensorReader
+from shappaths.models import load_model
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 read_manifest, resolve_config)
 from shappaths.viz import PlotSpec, classical_waterfall
@@ -119,8 +120,8 @@ def test_full_pipeline_artifacts_and_report(cfg_file, tmp_path):
         assert run(cfg_file, out, *cmd) == 0, f"command failed: {cmd}"
 
     manifest = json.loads((out / "manifest.json").read_text())
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert set(metrics) == {"tree", "boosted", "mlp"}
+    metrics = {kind: json.loads((out / f"metrics_{kind}.json").read_text())
+               for kind in ("tree", "boosted", "mlp")}
     for kind in ("tree", "boosted", "mlp"):
         assert (out / f"shap_{kind}.csv").exists() and (out / f"shap_{kind}.f64").exists()
         rows = metrics[kind]["classes"]
@@ -149,7 +150,8 @@ def test_end_to_end_determinism(cfg_file, tmp_path):
         for cmd in (["simulate"], ["train"], ["explain"], ["cluster"]):
             assert run(cfg_file, out, *cmd) == 0
     for name in ("dataset.csv", "model_boosted.json", "shap_boosted.csv", "shap_boosted.f64",
-                 "clusters.csv", "purity.json", "metrics.json"):
+                 "clusters.csv", "purity.json", "metrics_tree.json", "metrics_boosted.json",
+                 "metrics_mlp.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
@@ -164,6 +166,23 @@ def test_report_incomplete_run(cfg_file, tmp_path):
     assert run(cfg_file, out, "report") == 3
     assert run(cfg_file, out, "train", "--model", "tree") == 0
     assert run(cfg_file, out, "report") == 3  # trained, but no SHAP tensor yet
+
+
+def test_boosted_ensemble_of_no_rounds_explains_to_zeros(tmp_path, capsys):
+    """`n_rounds: 0` trains a constant ensemble: its SHAP values are all
+    zero, its base values the base score, and its additivity gap 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "dataset": {"n_samples": 120, "n_features": 4},
+                               "models": {"boosted": {"n_rounds": 0}},
+                               "cluster": {"source": "boosted"}}))
+    out = tmp_path / "run"
+    for cmd in ("simulate", "train", "explain"):
+        assert run(cfg, out, cmd) == 0, cmd
+    assert capsys.readouterr().out.endswith("explain boosted [tree]: n=36 "
+                                            "max additivity gap 0.00e+00\n")
+    tensor = load_tensor(out / "shap_boosted.json", out / "shap_boosted.f64")
+    assert tensor.values.shape == (36, 4, 3) and not tensor.values.any()
+    assert tensor.base.tobytes() == load_model(out / "model_boosted.json").base_score.tobytes()
 
 
 def test_csv_load_pipeline(tmp_path):
@@ -855,8 +874,9 @@ def test_train_bytes_do_not_depend_on_the_worker_count(cpus, cfg_file, tmp_path,
         assert run(cfg_file, out, "train", *argv) == 0
         assert len(forks) == (forked if workers == count else 0)
         models = sorted(out.glob("model_*.json"))
+        metrics = [out / m.name.replace("model_", "metrics_") for m in models]
         outputs.append((capsys.readouterr(), _without_stages(out), [m.name for m in models],
-                        [path.read_bytes() for path in [*models, out / "metrics.json"]]))
+                        [path.read_bytes() for path in [*models, *metrics]]))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][2]) == (1 if argv else 3)
     _assert_no_child_left()
@@ -887,7 +907,8 @@ def test_failing_kind_exits_4_after_recording_the_kinds_before_it(cpus, cfg_file
     assert printed.startswith("train tree: test accuracy") and printed.count("\n") == 1
     assert err == "error: training loss became non-finite at round 3\n"
     assert stages == ["simulate", "train.tree"]
-    assert set(manifest["artifacts"]) == {"dataset_csv", "dataset_manifest", "model_tree"}
+    assert set(manifest["artifacts"]) == {"dataset_csv", "dataset_manifest", "model_tree",
+                                          "metrics_tree"}
     _assert_no_child_left()
 
 
@@ -971,7 +992,7 @@ SVGS = ["scatter.svg", "waterfall_tree_s0_c0.svg", "waterfall_clustered_tree.svg
 READER = {"dataset.csv": "train", "dataset.json": "train", "model_tree.json": "explain",
           "shap_tree.json": "cluster", "shap_tree.f64": "cluster", "clusters.csv": "embed",
           "summary_tree.json": "bar", "cluster_means.json": "heatmap",
-          "metrics.json": "report", "purity.json": "report",
+          "metrics_tree.json": "report", "purity.json": "report",
           **{name: "report" for name in SVGS}}
 
 
@@ -1185,9 +1206,9 @@ def _strip_digests(out: Path) -> None:
 
 # damage -> the commands that mend it, re-run in place
 RECOVERY = {
-    "delete-metrics": (lambda out: (out / "metrics.json").unlink(), [["train"]]),
-    "cut-metrics": (lambda out: (out / "metrics.json").write_bytes(
-        (out / "metrics.json").read_bytes()[:40]), [["train"]]),
+    "delete-metrics": (lambda out: (out / "metrics_tree.json").unlink(), [["train"]]),
+    "cut-metrics": (lambda out: (out / "metrics_tree.json").write_bytes(
+        (out / "metrics_tree.json").read_bytes()[:40]), [["train"]]),
     "no-digests": (_strip_digests,
                    [["simulate"], ["train"], ["explain"], ["cluster"], ["embed"],
                     ["waterfall"], ["waterfall", "--clustered"], ["bar"], ["heatmap"]]),
@@ -1205,8 +1226,34 @@ def test_rerunning_the_writing_stage_mends_the_run(tree_run, tmp_path, damage):
     assert main(["report", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["digests"]) == set(manifest["artifacts"])
-    assert json.loads((out / "metrics.json").read_text()) == \
-        json.loads((tree_run / "metrics.json").read_text())
+    assert json.loads((out / "metrics_tree.json").read_text()) == \
+        json.loads((tree_run / "metrics_tree.json").read_text())
+
+
+def test_run_with_one_metrics_file_for_every_kind_asks_to_train_again(tree_run, tmp_path,
+                                                                       capfd):
+    """A run directory from before the metrics were written per kind lists
+    `metrics` (metrics.json) alone: `report` names the missing stage in one
+    line, and re-running `train` mends the run."""
+    out = tmp_path / "run"
+    shutil.copytree(tree_run, out)
+    old = json.dumps({"tree": json.loads((out / "metrics_tree.json").read_text())},
+                     sort_keys=True, separators=(",", ":")).encode()
+    (out / "metrics.json").write_bytes(old)
+    (out / "metrics_tree.json").unlink()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for block in ("artifacts", "digests"):
+        del manifest[block]["metrics_tree"]
+    manifest["artifacts"]["metrics"] = "metrics.json"
+    manifest["digests"]["metrics"] = hashlib.sha256(old).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    capfd.readouterr()
+    assert main(["report", "--out", str(out)]) == 3
+    assert capfd.readouterr().err == (f"error: missing artifact: expected {out / 'manifest.json'} "
+                                      "(incomplete run, missing stages: metrics_<model>)\n")
+    assert main(["train", "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "report.html").read_bytes() == (tree_run / "report.html").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1272,9 +1319,9 @@ def test_concurrent_bars_each_keep_their_chart(three_kinds_run, tmp_path):
 
 
 def test_concurrent_trains_each_keep_their_metrics(tmp_path):
-    """`train --model tree` and `train --model mlp`, released together, both
-    land in metrics.json: each adds its kind to the file as it is under the
-    run directory's lock, rather than rewriting the one it read at start."""
+    """`train --model tree` and `train --model mlp`, released together, each
+    write their own metrics_<kind>.json, and the manifest lists and digests
+    both."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "dataset": {"n_samples": 200, "n_features": 4},
                                "models": {"tree": {}, "mlp": {"epochs": 20}},
@@ -1287,9 +1334,11 @@ def test_concurrent_trains_each_keep_their_metrics(tmp_path):
         codes, errors = zip(*_released_together(
             out, {kind: ["train", "--model", kind] for kind in ("tree", "mlp")}))
         assert list(codes) == [0, 0], (round_, errors)
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert sorted(metrics) == ["mlp", "tree"], round_
         manifest = read_manifest(out / "manifest.json")
-        digest = hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest()
-        assert manifest["digests"]["metrics"] == digest, round_
+        for kind in ("tree", "mlp"):
+            path = out / f"metrics_{kind}.json"
+            assert set(json.loads(path.read_text())) == {"accuracy", "classes"}, round_
+            assert manifest["artifacts"].get(f"metrics_{kind}") == path.name, round_
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["digests"][f"metrics_{kind}"] == digest, round_
         assert [f"model_{k}" in manifest["artifacts"] for k in ("tree", "mlp")] == [True] * 2

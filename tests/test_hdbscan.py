@@ -153,6 +153,18 @@ def test_non_finite_points_rejected():
         hdbscan(X, HdbscanParams(min_cluster_size=5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n", [5, 14, 15, 20])
+def test_non_finite_points_rejected_below_and_above_min_cluster_size(n, bad):
+    """A non-finite point is an error, not noise, however few points there are."""
+    X = np.zeros((n, 2))
+    X[n // 2, 1] = bad
+    with pytest.raises(DataError, match="points must be finite"):
+        hdbscan(X, HdbscanParams(min_cluster_size=15))
+    with pytest.raises(DataError, match="points must be finite"):
+        hdbscan(np.full((n, 2), bad), HdbscanParams(min_cluster_size=15))
+
+
 def test_memory_is_linear_in_n():
     """Clustering 5000 points of 30 dimensions stays far below one dense
     5000 x 5000 float64 matrix (200 MB)."""

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import blocked_coalition_values, brute_shapley_interventional
-from shappaths import Background, kernel_shap, sample_background, train_mlp
+from shappaths import (Background, kernel_shap, sample_background, train_boosted, train_mlp,
+                       train_tree, tree_shap)
 from shappaths.cli import main
 from shappaths.errors import InvalidSpecError
 from shappaths.explain.kernel_shap import kernel_weight, sample_coalitions
@@ -28,6 +29,23 @@ def test_constant_model_zero_attributions():
     t = kernel_shap(model, rng.normal(size=(3, 4)), bg, n_coalitions=14, seed=0)
     assert np.abs(t.values).max() < 1e-9
     assert np.allclose(t.base, [1.0, -2.0, 0.5])
+
+
+def test_model_kind_is_the_kind_whatever_the_explainer(sim_small_split):
+    """Kernel SHAP names a tree, an ensemble and a network by their kinds, as
+    TreeSHAP does; a class outside the kinds keeps its lower-cased name."""
+    train, test = sim_small_split
+    rng = np.random.default_rng(2)
+    bg = Background(train.features[:6])
+    X = test.features[:2]
+    models = {"tree": train_tree(train, max_depth=2),
+              "boosted": train_boosted(train, n_rounds=2, max_depth=2),
+              "mlp": train_mlp(train, (train.p, 4, train.k), epochs=2, seed=0),
+              "constantmodel": ConstantModel(rng.normal(size=train.k))}
+    for kind, model in models.items():
+        assert kernel_shap(model, X, bg, n_coalitions=30, seed=0).model_kind == kind, kind
+        if kind in ("tree", "boosted"):
+            assert tree_shap(model, X).model_kind == kind
 
 
 def test_linear_model_closed_form():
