@@ -31,8 +31,8 @@ _DEFINED_IN = {name: module for module, names in {
     ".models.metrics": "EvalReport evaluate",
     ".models.mlp": "Mlp init_mlp loss_and_grads train_mlp",
     ".models.tree": "DecisionTree train_tree",
-    ".subgroup.hdbscan": "CondensedTree HdbscanParams Points condensed_tree core_distances "
-                         "hdbscan minimum_spanning_tree mutual_reachability pairwise_distances "
+    ".subgroup.hdbscan": "CondensedTree HdbscanParams Points core_distances hdbscan "
+                         "minimum_spanning_tree mutual_reachability pairwise_distances "
                          "single_linkage",
     ".subgroup.pca": "PcaModel pca_fit pca_transform",
     ".subgroup.purity": "ClusterLabeling PurityReport cluster_means cluster_purity",

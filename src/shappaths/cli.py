@@ -11,11 +11,12 @@ directory (--out, else $SHAPPATHS_OUT/<config-hash>, else
 ./runs/<config-hash>). Exit codes: 0 success, 2 config or data error (an
 artifact whose bytes differ from the digest recorded when its stage
 finished included, and a size too large for memory), 3 missing upstream
-artifact, 4 numerical failure, 130 interrupted.
+artifact, 4 numerical failure, 130 interrupted, 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
+import _signal  # signal's C core, loaded at start-up; ``signal`` adds ~1 ms of enums
 import argparse
 import importlib
 import json
@@ -30,7 +31,7 @@ from . import _DEFINED_IN, __version__
 from .errors import (ConfigError, DataError, MissingArtifactError, NumericalError,
                      ShappathsError)
 from .manifest import (DEFAULT_MODELS, ENV_OUT, DamagedManifestError, RunManifest,
-                       artifact_file, config_hash, read_manifest, resolve_config)
+                       config_hash, read_manifest, resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,15 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised as Ctrl-C is, so it takes Ctrl-C's path (see ``run_forked``)."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +130,9 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _write_text(path: Path, content: str) -> None:
-    path.write_text(content, encoding="utf-8")
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+def _json(obj) -> str:
+    """``obj`` as a JSON artifact holds it: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -238,8 +245,7 @@ def cmd_ingest(args) -> int:
         train_idx, test_idx = split_indices(
             ds.labels, SplitSpec(train_fraction=ds_cfg["train_fraction"],
                                  stratified=ds_cfg["stratified"], seed=config["seed"]))
-        write_csv(ds, manifest.set_artifact("dataset_csv"),
-                  target_column_name="__target__")
+        write_csv(ds, partial(manifest.write, "dataset_csv"), target_column_name="__target__")
         meta = {
             "n": ds.n, "p": ds.p, "k": ds.k,
             "feature_names": list(ds.feature_names),
@@ -248,7 +254,7 @@ def cmd_ingest(args) -> int:
             "split": {"train": train_idx.tolist(), "test": test_idx.tolist()},
             "provenance": provenance,
         }
-        _write_json(manifest.set_artifact("dataset_manifest"), meta)
+        manifest.write("dataset_manifest", _json(meta))
         print(f"dataset: n={ds.n} p={ds.p} k={ds.k} "
               f"(train {train_idx.size} / test {test_idx.size}) -> {manifest.run_dir}")
     return EXIT_OK
@@ -276,7 +282,7 @@ def _selected_kinds(args, manifest: RunManifest) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    """Fit, save and evaluate each selected kind, then record them in config order.
+    """Fit and evaluate each selected kind, then write and record them in config order.
 
     With more than one kind and at least 2 CPUs, each kind is fitted in its
     own forked worker; the artifacts, stage times, metrics and printed
@@ -292,13 +298,15 @@ def cmd_train(args) -> int:
     kinds = _selected_kinds(args, manifest)
 
     def fit(kind: str):
-        """(the kind's metrics entry, the seconds it took to fit, save and evaluate)."""
+        """(the kind's model as text, its metrics entry, the seconds it took to
+        fit, serialize and evaluate)."""
         start = time.perf_counter()
         model = _train_one(kind, manifest.config["models"][kind], train,
                            manifest.config["seed"])
-        save_model(model, manifest.run_dir / artifact_file(f"model_{kind}"))
+        text = []
+        save_model(model, text.append)
         report = evaluate(model, test)
-        return ({"accuracy": report.accuracy, "classes": report.as_rows()},
+        return ("".join(text), {"accuracy": report.accuracy, "classes": report.as_rows()},
                 time.perf_counter() - start)
 
     def fit_or_error(kind: str):
@@ -316,9 +324,9 @@ def cmd_train(args) -> int:
     for kind, outcome in zip(kinds, fitted):
         if isinstance(outcome, Exception):
             raise outcome
-        metrics, seconds = outcome
-        manifest.set_artifact(f"model_{kind}")
-        _write_json(manifest.set_artifact(f"metrics_{kind}"), metrics)
+        text, metrics, seconds = outcome
+        manifest.write(f"model_{kind}", text)
+        manifest.write(f"metrics_{kind}", _json(metrics))
         print(f"train {kind}: test accuracy {metrics['accuracy']:.3f}")
         manifest.record_stage(f"train.{kind}", seconds)
     return EXIT_OK
@@ -344,9 +352,9 @@ def cmd_explain(args) -> int:
             else:  # resolve_config admits only tree and kernel
                 train = ds.features[np.array(meta["split"]["train"], dtype=int)]
                 tensor = BRANCHES["explain by kernel"](model, X, train, manifest.config, names)
-            save_tensor(tensor, *(manifest.set_artifact(f"shap_{kind}{ext}")
+            save_tensor(tensor, *(partial(manifest.write, f"shap_{kind}{ext}")
                                   for ext in ("", "_csv", "_f64")))
-            _write_json(manifest.set_artifact(f"summary_{kind}"), shap_summary(tensor))
+            manifest.write(f"summary_{kind}", _json(shap_summary(tensor)))
             gap = np.abs(tensor.values.sum(axis=1)
                          - (model.predict_margin(X) - tensor.base)).max()
             print(f"explain {kind} [{method}]: n={tensor.n} "
@@ -380,12 +388,11 @@ def _read_summary(args, manifest: RunManifest) -> tuple[str, dict]:
     return kind, _read_json(path)
 
 
-def _write_rows(path: Path, header: list[str], sample_ids, rows) -> None:
-    """A CSV of one row of string cells per sample, led by its id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["sample_id", *header]) + "\n")
-        for sid, row in zip(sample_ids, rows):
-            fh.write(",".join([str(int(sid)), *row]) + "\n")
+def _rows(header: list[str], sample_ids, rows):
+    """The lines of a CSV of one row of string cells per sample, led by its id."""
+    yield ",".join(["sample_id", *header]) + "\n"
+    for sid, row in zip(sample_ids, rows):
+        yield ",".join([str(int(sid)), *row]) + "\n"
 
 
 def cmd_cluster(args) -> int:
@@ -397,22 +404,22 @@ def cmd_cluster(args) -> int:
         labeling = hdbscan(flatten(tensor),
                            HdbscanParams(min_cluster_size=cfg["min_cluster_size"],
                                          min_samples=cfg["min_samples"]))
-        _write_rows(manifest.set_artifact("clusters"), ["label", "stability"],
-                    tensor.sample_ids,
-                    ([str(int(lab)), "" if lab == -1 else repr(float(labeling.stability[lab]))]
-                     for lab in labeling.labels))
-        _write_json(manifest.set_artifact("cluster_means"),
-                    cluster_means(ds.features[tensor.sample_ids], labeling.labels))
+        manifest.write("clusters", _rows(
+            ["label", "stability"], tensor.sample_ids,
+            ([str(int(lab)), "" if lab == -1 else repr(float(labeling.stability[lab]))]
+             for lab in labeling.labels)))
+        manifest.write("cluster_means",
+                       _json(cluster_means(ds.features[tensor.sample_ids], labeling.labels)))
         truth = ds.labels[tensor.sample_ids]
         report = cluster_purity(labeling, truth)
-        _write_json(manifest.set_artifact("purity"),
-                    {"source": source,
-                     "n_clusters": labeling.n_clusters,
-                     "noise": report.noise_count,
-                     "purity": report.purity.tolist(),
-                     "majority_class": [ds.class_names[c] for c in report.majority_class],
-                     "contingency": report.contingency.tolist(),
-                     "class_names": list(ds.class_names)})
+        manifest.write("purity", _json(
+            {"source": source,
+             "n_clusters": labeling.n_clusters,
+             "noise": report.noise_count,
+             "purity": report.purity.tolist(),
+             "majority_class": [ds.class_names[c] for c in report.majority_class],
+             "contingency": report.contingency.tolist(),
+             "class_names": list(ds.class_names)}))
         print(f"cluster [{source}]: {labeling.n_clusters} clusters, "
               f"{labeling.n_noise} noise points")
     return EXIT_OK
@@ -437,9 +444,9 @@ def cmd_embed(args) -> int:
         flat = flatten(tensor)
         model = pca_fit(flat, r=2)
         scores = pca_transform(model, flat)
-        path = manifest.set_artifact("embedding")
-        _write_rows(path, [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
-                    ([repr(float(v)) for v in row] for row in scores))
+        path = manifest.write("embedding", _rows(
+            [f"pc{i + 1}" for i in range(scores.shape[1])], tensor.sample_ids,
+            ([repr(float(v)) for v in row] for row in scores)))
         if manifest.has("clusters"):
             colors, names = _load_labeling(manifest), None
             title = f"SHAP embedding [{source}] by cluster"
@@ -449,7 +456,7 @@ def cmd_embed(args) -> int:
             title = f"SHAP embedding [{source}] by class"
         svg = pca_scatter(scores, colors, _plot_spec(manifest), label_names=names,
                           title=title)
-        _write_text(manifest.set_artifact("scatter_svg"), svg)
+        manifest.write("scatter_svg", svg)
         print(f"embed [{source}]: wrote {path.name} and scatter.svg")
     return EXIT_OK
 
@@ -470,7 +477,7 @@ def cmd_waterfall(args) -> int:
     with manifest.stage("waterfall.classical"):
         svg = classical_waterfall(*waterfall_row(tensor, sample, class_index), spec)
         name = f"waterfall_{source}_s{sample}_c{class_index}"
-        _write_text(manifest.set_artifact(f"{name}_svg"), svg)
+        manifest.write(f"{name}_svg", svg)
         print(f"waterfall [{source}]: sample {sample}, class {class_index}")
     return EXIT_OK
 
@@ -486,9 +493,8 @@ def _clustered_waterfall(args, manifest: RunManifest, spec: PlotSpec) -> int:
         svg = render_paths(projected, spec, feature_names=tensor.feature_names,
                            footnote=footnote)
         name = f"waterfall_clustered_{source}"
-        _write_text(manifest.set_artifact(f"{name}_svg"), svg)
-        _write_text(manifest.set_artifact(f"{name}_csv"),
-                    paths_to_csv(projected, feature_names=tensor.feature_names))
+        manifest.write(f"{name}_svg", svg)
+        manifest.write(f"{name}_csv", paths_to_csv(projected, feature_names=tensor.feature_names))
         print(f"waterfall [{source}]: {len(projected)} clustered paths")
     return EXIT_OK
 
@@ -498,7 +504,7 @@ def cmd_bar(args) -> int:
     source, summary = _read_summary(args, manifest)
     with manifest.stage(f"bar.{source}"):
         svg = stacked_bar(summary, _plot_spec(manifest))
-        _write_text(manifest.set_artifact(f"bar_{source}_svg"), svg)
+        manifest.write(f"bar_{source}_svg", svg)
         print(f"bar [{source}]: wrote bar_{source}.svg")
     return EXIT_OK
 
@@ -513,7 +519,7 @@ def cmd_heatmap(args) -> int:
         columns = summary["order"][: spec.top_n]
         svg = cluster_heatmap(means, columns, [summary["feature_names"][j] for j in columns],
                               spec=spec)
-        _write_text(manifest.set_artifact("heatmap_svg"), svg)
+        manifest.write("heatmap_svg", svg)
         print(f"heatmap: {len(means['cluster_ids'])} clusters x {len(columns)} features")
     return EXIT_OK
 
@@ -529,9 +535,7 @@ def cmd_report(args) -> int:
             manifest.run_dir / "manifest.json",
             hint="incomplete run, missing stages: " + ", ".join(missing))
     with manifest.stage("report"):
-        html = _render_report(manifest)
-        path = manifest.set_artifact("report")
-        _write_text(path, html)
+        path = manifest.write("report", _render_report(manifest))
         print(f"report: {path}")
     return EXIT_OK
 
@@ -648,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous = _signal.signal(_signal.SIGTERM, _terminate)
     try:
         return COMMANDS[args.command](args)
     except ShappathsError as exc:
@@ -661,9 +666,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size no machine can hold; numpy names it
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    except KeyboardInterrupt as exc:
+        terminated = isinstance(exc, Terminated)
+        print("terminated" if terminated else "interrupted", file=sys.stderr)
+        return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
+    finally:
+        _signal.signal(_signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ reference class of the logit (its margin is identically zero).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -256,15 +257,16 @@ def load_csv(path, target_column_name: str) -> Dataset:
     return Dataset(np.array(features), np.array(labels), feature_names, tuple(class_names))
 
 
-def write_csv(ds: Dataset, path, target_column_name: str = "target") -> None:
-    """Write a dataset as CSV; floats use shortest round-trip formatting."""
+def write_csv(ds: Dataset, write, target_column_name: str = "target") -> None:
+    """Hand ``write`` a dataset as CSV; floats use shortest round-trip formatting."""
     if target_column_name in ds.feature_names:
         raise DataError(f"target column name {target_column_name!r} collides with a feature")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [target_column_name])
-        writer.writerows([*map(repr, row), ds.class_names[label]]
-                         for row, label in zip(ds.features.tolist(), ds.labels.tolist()))
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(list(ds.feature_names) + [target_column_name])
+    writer.writerows([*map(repr, row), ds.class_names[label]]
+                     for row, label in zip(ds.features.tolist(), ds.labels.tolist()))
+    write(text.getvalue())
 
 
 def read_csv(path, class_names) -> Dataset:

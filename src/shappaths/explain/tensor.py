@@ -21,6 +21,7 @@ bars and the heatmap read no tensor: they draw ``shap_summary``, which
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -126,10 +127,11 @@ def shap_summary(t: ShapTensor) -> dict:
             "order": np.lexsort((np.arange(t.p), -totals)).tolist()}
 
 
-def save_tensor(t: ShapTensor, json_path, csv_path, f64_path) -> None:
-    """Manifest JSON, a CSV of the flattened values (exact floats), and the
-    CSV's table as raw little-endian float64: n rows of the sample id, then
-    the values in :func:`flatten`'s layout."""
+def save_tensor(t: ShapTensor, write_json, write_csv, write_f64) -> None:
+    """Hand each writer its part of ``t``: the manifest JSON, a CSV of the
+    flattened values (exact floats) line by line, and the CSV's table as
+    raw little-endian float64: n rows of the sample id, then the values in
+    :func:`flatten`'s layout."""
     manifest = {
         "schema_version": TENSOR_SCHEMA_VERSION,
         "n": t.n, "p": t.p, "k": t.k,
@@ -141,15 +143,15 @@ def save_tensor(t: ShapTensor, json_path, csv_path, f64_path) -> None:
         "background": t.background,
         "layout": "column j*k+c = feature j, class c",
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+    write_json(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
     flat = flatten(t)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["sample_id"] + flat_column_names(t))
-        # each row as csv.writer writes it: the repr of every cell, then \r\n
-        fh.writelines(f"{sid},{repr(row)[1:-1].replace(', ', ',')}\r\n"
-                      for sid, row in zip(t.sample_ids.tolist(), flat.tolist()))
-    np.column_stack([t.sample_ids, flat]).astype("<f8").tofile(f64_path)
+    header = io.StringIO()
+    csv.writer(header).writerow(["sample_id"] + flat_column_names(t))
+    # each row as csv.writer writes it: the repr of every cell, then \r\n
+    write_csv(chain([header.getvalue()],
+                    (f"{sid},{repr(row)[1:-1].replace(', ', ',')}\r\n"
+                     for sid, row in zip(t.sample_ids.tolist(), flat.tolist()))))
+    write_f64(np.column_stack([t.sample_ids, flat]).astype("<f8", copy=False).data)
 
 
 def _csv_rows(csv_path, width: int):

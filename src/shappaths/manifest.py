@@ -1,11 +1,13 @@
 """Run configuration, config hashing, and the per-run artifact manifest.
 
-A run is one output directory. Its manifest records the semantic config
-hash, artifact paths relative to the directory, the SHA-256 of every
-artifact as it was when its stage finished, and per-stage timings;
-resuming a directory with a different config is an error. Two runs from
-the same config produce byte-identical artifacts and manifests except for
-the timing block.
+A run is one output directory. Every artifact in it has one writer,
+:meth:`RunManifest.write`, which replaces the file whole (as ``save``
+replaces manifest.json); no layer opens a file for writing. The manifest
+records the semantic config hash, artifact paths relative to the
+directory, the SHA-256 of the bytes each write wrote, and per-stage
+timings; resuming a directory with a different config is an error. Two
+runs from the same config produce byte-identical artifacts and manifests
+except for the timing block.
 """
 
 from __future__ import annotations
@@ -188,6 +190,27 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _replace(path: Path, data) -> str:
+    """Write ``data`` (bytes-like, a str, or str chunks) to ``<file>.<pid>.tmp``
+    and rename that over ``path``, so a write that raises leaves ``path`` as
+    it was and no temporary; the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    chunks = (data,) if isinstance(data, (str, bytes, memoryview)) else data
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    chunk = chunk.encode("utf-8")
+                digest.update(chunk)
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
 class DamagedManifestError(ConfigError):
     """A manifest.json that holds no run state; only the commands that
     start a run can replace it, and the message names them."""
@@ -237,7 +260,6 @@ class RunManifest:
         self.path = self.run_dir / "manifest.json"
         self.config = config
         self.hash = config_hash(config)
-        self._written: set[str] = set()  # artifacts to digest at the next save
         # what this command set, applied over the stored manifest at every save
         self._own: dict[str, dict] = {"artifacts": {}, "digests": {}, "stages": {}}
         if stored is not None and stored.get("config_hash") != self.hash \
@@ -259,17 +281,14 @@ class RunManifest:
             self.save()
 
     def save(self) -> None:
-        """Write manifest.json, with the digest of every artifact written since.
+        """Write manifest.json, with every artifact written since and its digest.
 
         Under the run directory's lock, ``state`` is read again and this
         command's own changes applied to it, so commands that save one run at
-        once lose none of each other's changes. The file is written beside
-        manifest.json and renamed over it, so a reader sees the old manifest or
-        the new one, and a write that raises leaves the old one.
+        once lose none of each other's changes. The file is replaced whole,
+        as every artifact is, so a reader sees the old manifest or the new
+        one, and a write that raises leaves the old one.
         """
-        for name in self._written:
-            self._own["digests"][name] = _sha256(self.run_dir / self._own["artifacts"][name])
-        self._written.clear()
         with _locked(self.run_dir):
             try:
                 stored = read_manifest(self.path)
@@ -285,21 +304,15 @@ class RunManifest:
                        "artifacts": dict(sorted(self.state["artifacts"].items())),
                        "digests": dict(sorted(self.state["digests"].items())),
                        "stages": self.state["stages"]}
-            tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(ordered, fh, indent=1, sort_keys=False)
-                    fh.write("\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            _replace(self.path, json.dumps(ordered, indent=1) + "\n")
 
-    def set_artifact(self, name: str) -> Path:
-        """The path to write artifact ``name`` to; the next save digests it."""
-        filename = self.state["artifacts"][name] = self._own["artifacts"][name] = \
-            artifact_file(name)
-        self._written.add(name)
+    def write(self, name: str, data) -> Path:
+        """Replace artifact ``name``'s file with ``data`` and list it with the
+        digest of the bytes written, for the next save; the file's path."""
+        filename = artifact_file(name)
+        digest = _replace(self.run_dir / filename, data)
+        for state in (self.state, self._own):
+            state["artifacts"][name], state["digests"][name] = filename, digest
         return self.run_dir / filename
 
     def require(self, name: str, hint: str = "") -> Path:

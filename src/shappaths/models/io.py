@@ -109,9 +109,9 @@ def _model_from_payload(d: dict):
         raise ModelIOError(f"corrupt model payload: {exc}") from exc
 
 
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
+def save_model(model, write) -> None:
+    """Hand ``write`` the model as JSON text."""
+    write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
 
 
 def load_model(path):

@@ -359,11 +359,6 @@ def _condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
     return tree
 
 
-def condensed_tree(X: np.ndarray, params: HdbscanParams) -> CondensedTree:
-    """The condensed hierarchy with stabilities and selection applied."""
-    return _condensed_tree(_checked(X, params), params)
-
-
 def hdbscan(X: np.ndarray, params: HdbscanParams = HdbscanParams()) -> ClusterLabeling:
     """Cluster rows of X; label -1 marks noise."""
     X = _checked(X, params)

@@ -8,17 +8,20 @@ import shlex
 import shutil
 import signal
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shappaths.cli import FLAGS, _load_dataset, _open_run, _overrides, build_parser, main
+from shappaths.cli import (FLAGS, Terminated, _load_dataset, _open_run, _overrides, build_parser,
+                           main)
 from shappaths.data import load_csv, read_csv
 from shappaths.explain import load_tensor
 from shappaths.errors import ConfigError, NumericalError
 from shappaths.explain.reader import TensorReader
 from shappaths.models import load_model
+import shappaths.manifest as manifest_module
 from shappaths.manifest import (DEFAULT_CONFIG, DEFAULT_DATASET, RunManifest, config_hash,
                                 read_manifest, resolve_config)
 from shappaths.viz import PlotSpec, classical_waterfall
@@ -498,16 +501,42 @@ def test_a_save_that_fails_partway_leaves_the_previous_manifest(tmp_path, monkey
     manifest.record_stage("first", 1.0)
     before = manifest.path.read_bytes()
 
-    def torn_dump(obj, fh, **kwargs):
-        fh.write(json.dumps(obj, **kwargs)[:200])
-        raise OSError("no space left on device")
+    def torn_open(path, mode="r", **kwargs):
+        """``open``, but a file opened to write takes 200 bytes and then
+        fails as a full disk does."""
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            def write(data):
+                type(fh).write(fh, data[:200])
+                raise OSError("no space left on device")
+            fh.write = write
+        return fh
 
-    monkeypatch.setattr(json, "dump", torn_dump)
+    monkeypatch.setattr(manifest_module, "open", torn_open, raising=False)
     with pytest.raises(OSError, match="no space left"):
         manifest.record_stage("second", 2.0)
     assert manifest.path.read_bytes() == before
     assert list(read_manifest(manifest.path)["stages"]) == ["first"]
     assert [path.name for path in manifest.run_dir.iterdir()] == ["manifest.json"]
+
+
+def test_an_artifact_write_that_fails_partway_leaves_the_previous_file(tmp_path):
+    """An artifact is replaced whole, as manifest.json is: content that
+    fails partway leaves the previous file, still matching its digest, and
+    no temporary."""
+    manifest = RunManifest(tmp_path / "r", resolve_config({}), "test")
+    path = manifest.write("report", iter(["<html>", "</html>\n"]))
+    manifest.record_stage("report", 1.0)
+
+    def torn():
+        yield "<html>" * 2000
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space left"):
+        manifest.write("report", torn())
+    assert path.read_bytes() == b"<html></html>\n"
+    assert manifest.require("report") == path
+    assert sorted(p.name for p in manifest.run_dir.iterdir()) == ["manifest.json", "report.html"]
 
 
 MANIFEST_DAMAGE = {"cut": lambda b: b[:300], "no-config": lambda b: b"{}\n"}
@@ -824,6 +853,65 @@ def test_interrupt_ends_in_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "interrupted\n"
 
 
+@pytest.mark.parametrize("group", [False, True], ids=["to-the-command", "to-the-group"])
+def test_sigterm_mid_stage_ends_in_one_line_and_stops_every_worker(workers, tmp_path,
+                                                                   monkeypatch, capfd, group):
+    """SIGTERM takes Ctrl-C's path. Sent to an `explain` whose Kernel SHAP
+    worker is still busy (and, as to a process group, to that worker too),
+    the command kills and reaps the worker, prints one line and exits 143,
+    and the worker stays silent."""
+    import shappaths.workers as workers_module
+
+    out = str(tmp_path / "run")
+    for argv in (["simulate", "--n", "90", "--p", "4"], ["train", "--model", "mlp"]):
+        assert main([*argv, "--out", out]) == 0
+    children = []
+    fork, run_forked = os.fork, workers_module.run_forked
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def busy(task):
+        (tmp_path / f"busy-{os.getpid()}").touch()
+        time.sleep(60)
+        return task()
+
+    def terminated_midway(role, tasks):
+        (label, own), *others = tasks.items()
+
+        def own_after_sigterm():
+            # a signal that reaches a child while Python is still forking it is dropped
+            deadline = time.monotonic() + 30
+            while not all((tmp_path / f"busy-{pid}").exists() for pid in children):
+                assert time.monotonic() < deadline, "the worker never started"
+                time.sleep(0.001)
+            if group:
+                for pid in children:
+                    os.kill(pid, signal.SIGTERM)
+                time.sleep(0.2)  # the workers take theirs first
+            os.kill(os.getpid(), signal.SIGTERM)
+            return own()
+
+        return run_forked(role, {label: own_after_sigterm,
+                                 **{label: partial(busy, task) for label, task in others}})
+
+    workers(2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(workers_module, "run_forked", terminated_midway)
+    capfd.readouterr()
+    start = time.monotonic()
+    assert main(["explain", "--model", "mlp", "--out", out]) == 143
+    assert time.monotonic() - start < 30
+    assert capfd.readouterr() == ("", "terminated\n")
+    assert len(children) == 1
+    time.sleep(0.2)
+    _assert_no_child_left()
+    assert "shap_mlp" not in read_manifest(tmp_path / "run" / "manifest.json")["artifacts"]
+
+
 # ---------------------------------------------------------------------------
 # train fits each kind in its own forked worker; the count never changes a byte
 
@@ -965,17 +1053,22 @@ def test_failure_in_the_parents_kind_stops_every_worker(cpus, cfg_file, tmp_path
 
 
 def test_interrupted_worker_leaves_the_report_to_the_parent(capfd):
-    """Ctrl-C reaches every process of the group; only the parent says so."""
+    """Ctrl-C, or a SIGTERM to the process group, reaches every process of
+    the group; only the parent says so."""
     def interrupted():
         raise KeyboardInterrupt
+
+    def terminated():
+        raise Terminated
 
     def fails():
         raise ValueError("bad value")
 
-    own, quiet, loud = run_forked("test worker", {"own": lambda: 1, "quiet": interrupted,
-                                                  "loud": fails})
+    own, quiet, term, loud = run_forked("test worker", {
+        "own": lambda: 1, "quiet": interrupted, "term": terminated, "loud": fails})
     assert own == 1
     assert str(quiet) == "test worker failed: quiet exited with status 1"
+    assert str(term) == "test worker failed: term exited with status 1"
     assert str(loud) == "test worker failed: loud exited with status 1"
     assert capfd.readouterr().err == "test worker, loud: ValueError: bad value\n"
     _assert_no_child_left()
@@ -1270,6 +1363,14 @@ sys.exit(main([*argv, "--out", out]))
 """
 
 
+def _subprocess_env() -> dict:
+    """The environment for a child interpreter that imports this shappaths."""
+    import shappaths
+
+    src = Path(shappaths.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def _released_together(out: Path, commands: dict) -> list[tuple[int, str]]:
     """(exit code, stderr) of each command (label -> argv) on the run ``out``,
     each in its own interpreter, released together once all have imported
@@ -1277,12 +1378,9 @@ def _released_together(out: Path, commands: dict) -> list[tuple[int, str]]:
     import subprocess
     import sys
 
-    import shappaths
-
-    src = Path(shappaths.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     procs = [subprocess.Popen([sys.executable, "-c", _AT_THE_SIGNAL, str(out), label, *argv],
-                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                              env=_subprocess_env(), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE)
              for label, argv in commands.items()]
     try:
         deadline = time.monotonic() + 60
@@ -1342,3 +1440,112 @@ def test_concurrent_trains_each_keep_their_metrics(tmp_path):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert manifest["digests"][f"metrics_{kind}"] == digest, round_
         assert [f"model_{k}" in manifest["artifacts"] for k in ("tree", "mlp")] == [True] * 2
+
+
+# ---------------------------------------------------------------------------
+# a failed or killed write leaves the previous artifact, which the command mends
+
+def _listed_artifacts(out: Path) -> dict[str, bytes]:
+    """The bytes of every artifact the manifest lists, each checked against its digest."""
+    manifest = read_manifest(out / "manifest.json")
+    files = {filename: (out / filename).read_bytes()
+             for filename in manifest["artifacts"].values()}
+    for name, filename in manifest["artifacts"].items():
+        assert hashlib.sha256(files[filename]).hexdigest() == manifest["digests"][name], name
+    return files
+
+
+def test_explain_over_the_file_size_limit_leaves_every_artifact_whole(cfg_file, tmp_path):
+    """`explain` under an RLIMIT_FSIZE below its tensor CSV exits 2; every
+    listed artifact still matches its digest, no temporary is left, and the
+    commands after it still run."""
+    import resource
+    import subprocess
+    import sys
+
+    out = tmp_path / "run"
+    for cmd in (["simulate"], ["train"], ["explain"], ["cluster"]):
+        assert run(cfg_file, out, *cmd) == 0, cmd
+    before = _listed_artifacts(out)
+    limit = (out / "shap_tree.csv").stat().st_size // 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "shappaths", "explain", "--out", str(out)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "File too large" in proc.stderr
+    assert _listed_artifacts(out) == before
+    assert list(out.glob("*.tmp")) == []
+    assert run(cfg_file, out, "cluster") == 0
+    assert run(cfg_file, out, "report") == 0
+
+
+# Runs one command, SIGKILLed at the k-th write-mode open or rename of a
+# file in its run directory; the event is named on stderr first.
+_KILLED_AT = """
+import os, signal, sys
+from shappaths.cli import main
+out, k, *argv = sys.argv[1:]
+seen = 0
+
+def kill_at_the_kth_write(event, args):
+    global seen
+    if event == "open" and isinstance(args[1], str) and "w" in args[1]:
+        path = args[0]
+    elif event == "os.rename":
+        path = args[1]
+    else:
+        return
+    if isinstance(path, (str, os.PathLike)) and os.fspath(path).startswith(out):
+        seen += 1
+        if seen == int(k):
+            os.write(2, f"{event} {os.path.basename(path)}\\n".encode())
+            os.kill(os.getpid(), signal.SIGKILL)
+
+sys.addaudithook(kill_at_the_kth_write)
+sys.exit(main([*argv, "--out", out]))
+"""
+
+KILLED_RUN = [["simulate"], ["train"], ["explain"], ["cluster"], ["bar"], ["report"]]
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """The config file and the artifacts of a run of KILLED_RUN that nothing stopped."""
+    root = tmp_path_factory.mktemp("clean_run")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG))
+    for cmd in KILLED_RUN:
+        assert run(cfg_path, root / "run", *cmd) == 0, cmd
+    return cfg_path, _listed_artifacts(root / "run"), _without_stages(root / "run")[0]
+
+
+# (command, k, the event it is killed at): the first artifact write, a
+# write in the middle of `explain` (its second kind's CSV), and the
+# replace of the manifest that ends `explain`
+KILL_POINTS = [(0, 3, "open dataset.csv."), (2, 13, "open shap_boosted.csv."),
+               (2, 30, "os.rename manifest.json")]
+
+
+@pytest.mark.parametrize("killed, k, event", KILL_POINTS,
+                         ids=["first-artifact", "mid-explain", "manifest-replace"])
+def test_a_killed_command_rerun_gives_the_clean_runs_bytes(clean_run, tmp_path, killed, k, event):
+    """A command SIGKILLed at a write leaves a run that re-running it, and
+    the commands after it, brings to the bytes of a run never killed."""
+    import subprocess
+    import sys
+
+    cfg_path, artifacts, manifest = clean_run
+    out = tmp_path / "run"
+    for cmd in KILLED_RUN[:killed]:
+        assert run(cfg_path, out, *cmd) == 0, cmd
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_AT, str(out), str(k), KILLED_RUN[killed][0],
+         "--config", str(cfg_path)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert proc.stderr.startswith(event), proc.stderr
+    for cmd in KILLED_RUN[killed:]:
+        assert run(cfg_path, out, *cmd) == 0, cmd
+    assert _listed_artifacts(out) == artifacts
+    assert _without_stages(out)[0] == manifest

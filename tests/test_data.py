@@ -10,7 +10,7 @@ from shappaths import (Dataset, SimulationSpec, SplitSpec, load_csv, load_idx_im
 from shappaths.cli import main
 from shappaths.data import class_probabilities, read_csv, split_indices
 from shappaths.errors import DataError, InvalidSpecError
-from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
+from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES, to_file
 
 
 def test_simulate_shapes_and_ranges():
@@ -128,7 +128,7 @@ def test_min_max_scale_in_unit_box(n, p, seed):
 def test_csv_round_trip(tmp_path):
     ds = simulate(SimulationSpec(n_samples=20, n_features=3, seed=5))
     path = tmp_path / "ds.csv"
-    write_csv(ds, path, target_column_name="label")
+    write_csv(ds, to_file(path), target_column_name="label")
     loaded = load_csv(path, "label")
     assert np.array_equal(loaded.features, ds.features)  # repr round-trips exactly
     assert loaded.feature_names == ds.feature_names
@@ -155,7 +155,7 @@ def test_bulk_dataset_io_matches_the_per_row_loop(tmp_path, quoted):
     ds = Dataset(X, labels, QUOTED_FEATURES, QUOTED_CLASSES) if quoted \
         else Dataset(X, labels, ("f0", "f1", "f2", "f3"), ("u", "v", "w"))
     path, oracle = tmp_path / "ds.csv", tmp_path / "oracle.csv"
-    write_csv(ds, path, target_column_name="__target__")
+    write_csv(ds, to_file(path), target_column_name="__target__")
     _loop_write(ds, oracle, "__target__")
     assert path.read_bytes() == oracle.read_bytes()
     back = read_csv(path, ds.class_names)

@@ -13,9 +13,9 @@ from props import (check_hdbscan_permutation_invariance, check_mst_against_oracl
                    check_mutual_reachability_dominates)
 from shappaths import HdbscanParams, cluster_purity, hdbscan
 from shappaths.errors import DataError, InvalidSpecError
-from shappaths.subgroup import (Points, condensed_tree, core_distances, minimum_spanning_tree,
+from shappaths.subgroup import (Points, core_distances, minimum_spanning_tree,
                                 pairwise_distances)
-from shappaths.subgroup.hdbscan import BLOCK_ROWS, labels_from_tree
+from shappaths.subgroup.hdbscan import BLOCK_ROWS, _checked, _condensed_tree, labels_from_tree
 from shappaths.rng import generator
 
 
@@ -137,7 +137,8 @@ def test_stabilities_and_labels_equal_the_loop_oracles():
     X = np.vstack([rng.normal(c, 0.6, size=(30, 2)) for c in centers])
     X = np.vstack([X, np.tile([10.0, 10.0], (6, 1))])  # duplicates: infinite lambda
     for min_cluster_size in (4, 8, 20):
-        tree = condensed_tree(X, HdbscanParams(min_cluster_size=min_cluster_size))
+        params = HdbscanParams(min_cluster_size=min_cluster_size)
+        tree = _condensed_tree(_checked(X, params), params)
         assert len(tree.parent) > 3
         assert tree.stability.tobytes() == condensed_stability(tree, len(X)).tobytes()
         labeling = labels_from_tree(tree, len(X))
@@ -190,7 +191,8 @@ def test_stability_selection_optimality():
     rng = generator(3, "test.stab")
     centers = np.array([[0, 0], [12, 0], [0, 12], [12, 12]], dtype=float)
     X = np.vstack([rng.normal(c, 0.8, size=(40, 2)) for c in centers])
-    tree = condensed_tree(X, HdbscanParams(min_cluster_size=10))
+    params = HdbscanParams(min_cluster_size=10)
+    tree = _condensed_tree(_checked(X, params), params)
     for c in np.flatnonzero(tree.selected):
         # a selected cluster's stability beats its children's subtree total
         def subtree_total(cluster):

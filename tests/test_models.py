@@ -7,6 +7,7 @@ from shappaths import (Dataset, evaluate, load_model, save_model, train_boosted,
 from shappaths.errors import DataError, InvalidSpecError, ModelIOError
 from shappaths.models import loss_and_grads
 from shappaths.models.tree import LEAF
+from util import to_file
 
 
 def tiny_ds(X, y, k=2):
@@ -500,7 +501,7 @@ def test_model_round_trip(tmp_path, sim_small_split, kind):
     else:
         model = train_mlp(train, (train.p, 8, train.k), epochs=3, seed=1)
     path = tmp_path / f"{kind}.json"
-    save_model(model, path)
+    save_model(model, to_file(path))
     loaded = load_model(path)
     assert np.array_equal(loaded.predict_margin(test.features),
                           model.predict_margin(test.features))
@@ -509,7 +510,7 @@ def test_model_round_trip(tmp_path, sim_small_split, kind):
 def test_model_io_errors(tmp_path, two_class_ds):
     path = tmp_path / "m.json"
     model = train_tree(two_class_ds, max_depth=1)
-    save_model(model, path)
+    save_model(model, to_file(path))
     import json
 
     payload = json.loads(path.read_text())

@@ -15,7 +15,7 @@ from shappaths import (ShapTensor, TensorReader, flatten, load_tensor, save_tens
 from shappaths.errors import DataError
 from shappaths.explain.tensor import flat_column_names
 from shappaths.viz import waterfall_entries
-from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES
+from util import AWKWARD, QUOTED_CLASSES, QUOTED_FEATURES, to_file
 
 
 def make_tensor(values, base=None, method="tree_shap"):
@@ -55,7 +55,7 @@ def test_unflatten_round_trip(n, p, k, seed):
 def saved(tmp_path, t: ShapTensor, name: str = "t") -> TensorReader:
     """The reader of ``t`` saved under ``name``; its CSV export lies beside it."""
     jp, cp, fp = (tmp_path / f"{name}.{ext}" for ext in ("json", "csv", "f64"))
-    save_tensor(t, jp, cp, fp)
+    save_tensor(t, to_file(jp), to_file(cp), to_file(fp))
     return TensorReader(jp, fp)
 
 
@@ -296,7 +296,7 @@ def test_bulk_tensor_io_matches_the_per_cell_loop(tmp_path):
     for i, tensor in enumerate([t, quoted, no_rows]):
         jp, cp, fp, oracle = (tmp_path / f"{i}_{name}"
                               for name in ("t.json", "t.csv", "t.f64", "oracle.csv"))
-        save_tensor(tensor, jp, cp, fp)
+        save_tensor(tensor, to_file(jp), to_file(cp), to_file(fp))
         _loop_save(tensor, oracle)
         assert cp.read_bytes() == oracle.read_bytes()
         for body in (cp, fp):

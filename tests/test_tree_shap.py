@@ -15,7 +15,7 @@ from shappaths.cli import main
 from shappaths.errors import DataError
 from shappaths.explain.tree_shap import shap_values_tree
 from shappaths.models.tree import LEAF, DecisionTree
-from util import assert_no_child_left, random_tree
+from util import assert_no_child_left, random_tree, to_file
 
 # the package re-exports the function under the module's name
 tree_shap_mod = importlib.import_module("shappaths.explain.tree_shap")
@@ -251,7 +251,7 @@ def test_values_identical_across_row_chunks(boosted_450, monkeypatch):
 
 def test_values_identical_with_one_blas_thread(boosted_450, tmp_path):
     model, X = boosted_450
-    save_model(model, tmp_path / "model.json")
+    save_model(model, to_file(tmp_path / "model.json"))
     np.save(tmp_path / "X.npy", X)
     code = ("import sys, numpy as np; from shappaths import load_model, tree_shap; "
             "t = tree_shap(load_model(sys.argv[1]), np.load(sys.argv[2])); "

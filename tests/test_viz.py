@@ -10,7 +10,7 @@ from shappaths.viz import (PlotSpec, build_paths, classical_waterfall, cluster_h
                            paths_to_csv, pca_scatter, project_paths, render_paths,
                            stacked_bar, waterfall_entries, waterfall_row)
 from shappaths.viz.paths import REMAINDER
-from util import QUOTED_FEATURES
+from util import QUOTED_FEATURES, to_file
 
 
 def make_tensor(values, base=None):
@@ -24,7 +24,7 @@ def make_tensor(values, base=None):
 
 
 def saved(tmp_path, t: ShapTensor) -> TensorReader:
-    save_tensor(t, tmp_path / "t.json", tmp_path / "t.csv", tmp_path / "t.f64")
+    save_tensor(t, *(to_file(tmp_path / f"t.{ext}") for ext in ("json", "csv", "f64")))
     return TensorReader(tmp_path / "t.json", tmp_path / "t.f64")
 
 

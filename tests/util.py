@@ -1,10 +1,13 @@
 """Shared helpers for building small fixtures."""
 
 import os
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shappaths.manifest import _replace
 from shappaths.models.tree import LEAF, DecisionTree
 
 # floats whose shortest repr is hard to round-trip: signed zeros, subnormals,
@@ -95,6 +98,12 @@ class ConstantModel:
 
     def predict_class(self, X):
         return np.argmax(self.predict_margin(X), axis=1)
+
+
+def to_file(path):
+    """A writer for ``save_tensor``, ``write_csv`` or ``save_model`` that
+    replaces the file ``path``, as a run's artifact writer does."""
+    return partial(_replace, Path(path))
 
 
 def assert_no_child_left():
